@@ -4,20 +4,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-from .bounds import (
-    degree_only_bound,
-    diameter_bound,
-    min_ball_size,
-    parse_rational,
-    path_scale,
-    rational_str,
-)
+from .bounds import degree_only_bound, diameter_bound, parse_rational, rational_str
 from .errors import (
     BudgetExceededError,
     CertifiedFailureError,
@@ -29,28 +21,16 @@ from .generators import FamilySpec, corpus, generate
 from .graph import (
     UNREACHABLE,
     Graph,
-    ball,
-    bfs_distances,
-    bridges_of,
     diameter,
     format_graph,
     girth,
     is_bridgeless_connected,
-    is_connected_adj,
     min_degree,
     parse_graph,
 )
-from .growth import subgraph_adjacency
-from .extension import core_directed_diameter, measure_extendability
-from .oracle import directed_diameter_of_arcs, exact_oriented_diameter
-from .orientation import (
-    Orientation,
-    directed_diameter,
-    format_orientation,
-    is_strong,
-    parse_orientation,
-)
-from .pipeline import run_pipeline
+from .oracle import exact_oriented_diameter
+from .orientation import format_orientation, parse_orientation
+from .pipeline import certify, run_pipeline
 
 CSV_COLUMNS = [
     "label",
@@ -204,10 +184,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 4 if failed else 0
 
 
-def _check(checks: list[dict], name: str, ok: bool, detail: str = "") -> None:
-    checks.append({"name": name, "ok": bool(ok), "detail": detail})
-
-
 def _load_trace(path: str) -> list[dict]:
     records = []
     for idx, line in enumerate(Path(path).read_text().splitlines()):
@@ -222,205 +198,15 @@ def _load_trace(path: str) -> list[dict]:
     return records
 
 
-def _replay_growth(g: Graph, records: list[dict], checks: list[dict]) -> dict:
-    """Recompute the growth-phase invariants from scratch against the trace.
-
-    Returns the final core as {"vertices": set, "edges": set} for later phases.
-    """
-    header = next(r for r in records if r.get("type") == "growth_header")
-    eps = parse_rational(header["epsilon"])
-    delta = min_degree(g)
-    gval = int(girth(g))
-    floor = min_ball_size(delta, gval)
-    scale = path_scale(gval, eps)
-    radius = (gval + 1) // 2 - 1
-    reach = scale * gval
-    _check(
-        checks,
-        "growth_header_consistent",
-        header["n"] == g.n
-        and header["m"] == g.m
-        and header["min_degree"] == delta
-        and header["girth"] == gval
-        and header["ball_floor"] == floor
-        and header["scale"] == scale
-        and header["radius"] == radius
-        and header["reach"] == reach,
-        f"delta={delta} girth={gval} floor={floor} scale={scale}",
-    )
-    v0 = int(header["v0"])
-    f_set = set(ball(g, v0, radius))
-    _check(
-        checks,
-        "growth_base_ball",
-        f_set == set(header["base_claimed"]) and len(f_set) >= floor,
-        f"|ball({v0})|={len(f_set)}",
-    )
-    b_count = 1
-    h_v: set[int] = {v0}
-    h_e: set[tuple[int, int]] = set()
-    iters = [r for r in records if r.get("type") == "growth_iteration"]
-    for rec in iters:
-        idx = rec["index"]
-        path = [int(v) for v in rec["path"]]
-        path_edges = [(a, b) for a, b in zip(path, path[1:])]
-        centers = [int(c) for c in rec["centers"]]
-        new_h_v = {int(v) for v in rec["h_vertices"]}
-        new_h_e = {(int(u), int(v)) for u, v in rec["h_edges"]}
-        adj = subgraph_adjacency(new_h_v, new_h_e)
-        edges_real = all(g.has_edge(u, v) for u, v in new_h_e)
-        grew = h_v <= new_h_v and h_e <= new_h_e and set(path) <= new_h_v
-        _check(
-            checks,
-            f"iter{idx}_core_bridgeless",
-            edges_real and grew and is_connected_adj(adj) and not bridges_of(adj),
-            f"{len(new_h_v)} vertices, {len(new_h_e)} edges",
-        )
-        excluded = () if rec["fallback"] else tuple(path_edges)
-        balls = [set(ball(g, c, radius, excluded=excluded)) for c in centers]
-        new_f = set(f_set)
-        for bl in balls:
-            new_f |= bl
-        b_count += len(centers)
-        _check(
-            checks,
-            f"iter{idx}_claimed_matches",
-            new_f == {int(v) for v in rec["f"]} and b_count == len(rec["b"]),
-            f"|F|={len(new_f)} |B|={b_count}",
-        )
-        _check(
-            checks,
-            f"iter{idx}_property2",
-            len(new_f) >= floor * b_count,
-            f"{len(new_f)} >= {floor}*{b_count}",
-        )
-        _check(
-            checks,
-            f"iter{idx}_property3",
-            Fraction(len(new_h_v)) <= (2 * gval + eps) * b_count,
-            f"{len(new_h_v)} <= (2*{gval}+{rational_str(eps)})*{b_count}",
-        )
-        _check(
-            checks,
-            f"iter{idx}_centers_fresh",
-            len(set(rec["b"])) == len(rec["b"]),
-            f"{len(rec['b'])} centers",
-        )
-        h_v, h_e, f_set = new_h_v, new_h_e, new_f
-    dist = bfs_distances(g, h_v)
-    _check(
-        checks,
-        "growth_property1",
-        max(dist) <= reach - 1,
-        f"max distance {_json_number(max(dist))} <= {reach - 1}",
-    )
-    return {"vertices": h_v, "edges": h_e, "epsilon": eps}
-
-
-def _replay_extension(
-    g: Graph,
-    records: list[dict],
-    core: dict,
-    o: Orientation | None,
-    checks: list[dict],
-) -> None:
-    header = next(r for r in records if r.get("type") == "extension_header")
-    final = next(
-        (r for r in records if r.get("type") == "extension_final"), None
-    )
-    if final is None:
-        raise GraphFormatError("trace has extension records but no final verdict")
-    core_v = core["vertices"]
-    s = measure_extendability(g, core_v)
-    allowed = 4 * math.comb(s + 1, 2)
-    _check(
-        checks,
-        "extension_header_consistent",
-        header["core_size"] == len(core_v)
-        and header["s"] == s
-        and header["allowed_increase"] == allowed,
-        f"s={s} allowed={allowed}",
-    )
-    increase_ok = (
-        final["strong"]
-        and final["increase"] == final["diameter"] - final["core_diameter"]
-        and final["increase"] <= allowed
-    )
-    _check(
-        checks,
-        "extension_increase_within_allowed",
-        increase_ok,
-        f"{final['increase']} <= {allowed}",
-    )
-    if o is not None:
-        o_core = Orientation(g)
-        for u, v in core["edges"]:
-            head = o.direction(u, v)
-            tail = u if head == v else v
-            o_core.assign(tail, head)
-        core_diam = core_directed_diameter(o_core, core_v)
-        _check(
-            checks,
-            "extension_core_diameter_matches",
-            core_diam == final["core_diameter"],
-            f"recomputed {core_diam}",
-        )
-        full = directed_diameter(o)
-        _check(
-            checks,
-            "extension_diameter_matches",
-            full == final["diameter"],
-            f"recomputed {_json_number(full)}",
-        )
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    if not args.orientation and not args.trace:
-        raise GraphFormatError("need --orientation and/or --trace to verify")
-    checks: list[dict] = []
-    o: Orientation | None = None
-    if args.orientation:
-        o = parse_orientation(Path(args.orientation).read_text(), g)
-        strong = is_strong(o)
-        _check(checks, "orientation_strong", strong)
-        if strong:
-            fast = directed_diameter(o)
-            slow = directed_diameter_of_arcs(g.n, o.arcs())
-            _check(
-                checks,
-                "orientation_diameter_cross_check",
-                fast == slow,
-                f"{_json_number(fast)} == {_json_number(slow)}",
-            )
-    if args.trace:
-        records = _load_trace(args.trace)
-        types = {r.get("type") for r in records}
-        if "growth_header" not in types:
-            raise GraphFormatError("trace has no growth records")
-        core = _replay_growth(g, records, checks)
-        if "extension_header" in types:
-            _replay_extension(g, records, core, o, checks)
-        pipeline_final = [r for r in records if r.get("type") == "pipeline_final"]
-        if pipeline_final:
-            rec = pipeline_final[0]
-            delta = min_degree(g)
-            gval = int(girth(g))
-            bound = diameter_bound(g.n, delta, gval, core["epsilon"])
-            _check(
-                checks,
-                "achieved_within_total",
-                rec["bound_total"] == rational_str(bound.total)
-                and Fraction(rec["achieved"]) <= bound.total,
-                f"{rec['achieved']} <= {rational_str(bound.total)}",
-            )
-            if o is not None:
-                _check(
-                    checks,
-                    "achieved_matches_orientation",
-                    directed_diameter(o) == rec["achieved"],
-                    f"trace says {rec['achieved']}",
-                )
+    if not args.orientation:
+        raise GraphFormatError(
+            "verify needs --orientation: a trace alone cannot show the diameters it claims"
+        )
+    o = parse_orientation(Path(args.orientation).read_text(), g)
+    records = _load_trace(args.trace) if args.trace else None
+    checks = certify(g, records, o)
     ok = all(c["ok"] for c in checks)
     print(json.dumps({"checks": checks, "ok": ok}, indent=2))
     return 0 if ok else 4
@@ -471,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=24, metavar="EDGES")
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("verify", help="re-check an orientation and/or trace file")
+    p = sub.add_parser("verify", help="re-check an orientation and its trace")
     p.add_argument("graph")
     p.add_argument("--orientation", metavar="FILE")
     p.add_argument("--trace", metavar="FILE")

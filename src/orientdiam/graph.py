@@ -76,44 +76,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-class Path:
-    """A simple path given by its vertex sequence.
-
-    Validated against a host graph: consecutive vertices must be adjacent
-    and no vertex may repeat. A single vertex is a legal (empty) path.
-    """
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, host: Graph, vertices: Sequence[int]):
-        vs = tuple(vertices)
-        if not vs:
-            raise ValueError("a path needs at least one vertex")
-        if len(set(vs)) != len(vs):
-            raise ValueError("path vertices must be distinct")
-        for a, b in zip(vs, vs[1:]):
-            if not host.has_edge(a, b):
-                raise ValueError(f"({a}, {b}) is not an edge of the host")
-        self.vertices = vs
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __getitem__(self, i):
-        return self.vertices[i]
-
-    @property
-    def length(self) -> int:
-        """Number of edges."""
-        return len(self.vertices) - 1
-
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(edge_key(a, b) for a, b in zip(self.vertices, self.vertices[1:]))
-
-    def __repr__(self) -> str:
-        return f"Path({list(self.vertices)})"
-
-
 # ---------------------------------------------------------------------------
 # distances
 

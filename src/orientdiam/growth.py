@@ -5,8 +5,9 @@ path to it, patches the path into the core with detours until none of its
 edges is a bridge, and banks every g-th detour vertex as a ball center.
 The banked balls certify that the core stays small relative to the graph.
 
-Every invariant the construction relies on is re-checked at runtime against
-the actual sets; a violation raises CertifiedFailureError with the trace.
+Cheap guards on the actual sets abort a run whose core breaks property 2,
+property 3, bridgelessness or fresh centers, raising CertifiedFailureError
+with the trace; ``pipeline.certify`` replays the returned trace in full.
 """
 
 from __future__ import annotations
@@ -42,27 +43,6 @@ def subgraph_adjacency(
     return {v: sorted(ws) for v, ws in adj.items()}
 
 
-def induces_forest(g: Graph, vertices: set[int]) -> bool:
-    """True when the induced subgraph on the given vertices has no cycle."""
-    verts = set(vertices)
-    edges = sum(1 for u in verts for w in g.neighbors(u) if w in verts and u < w)
-    comps = 0
-    seen: set[int] = set()
-    for root in verts:
-        if root in seen:
-            continue
-        comps += 1
-        stack = [root]
-        seen.add(root)
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w in verts and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return edges == len(verts) - comps
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     """Everything one growth iteration did, snapshotted for re-verification."""
@@ -79,7 +59,6 @@ class IterationRecord:
     h_edges: tuple[tuple[int, int], ...]
     b: tuple[int, ...]
     f: tuple[int, ...]
-    checks: dict
 
     def to_record(self) -> dict:
         return {
@@ -96,7 +75,6 @@ class IterationRecord:
             "h_edges": [list(e) for e in self.h_edges],
             "b": list(self.b),
             "f": list(self.f),
-            "checks": dict(self.checks),
         }
 
 
@@ -112,16 +90,6 @@ class GrowthTrace:
         if self.final:
             out.append(dict(self.final))
         return out
-
-    @property
-    def all_passed(self) -> bool:
-        if not self.final.get("property1", False):
-            return False
-        required = ("bridgeless_connected", "property2", "property3")
-        return all(
-            all(rec.checks.get(name, False) for name in required)
-            for rec in self.iterations
-        )
 
 
 @dataclass(frozen=True)
@@ -349,8 +317,8 @@ def cover_path(
 # the full growth loop
 
 
-def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
-    """Iterate path covering until every vertex is within reach of the core."""
+def check_preconditions(g: Graph) -> None:
+    """Raise PreconditionError unless g is connected, bridgeless and has 3+ vertices."""
     if not is_bridgeless_connected(g):
         br = bridges(g)
         raise PreconditionError(
@@ -359,6 +327,11 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
         )
     if g.n < 3:
         raise PreconditionError("need at least 3 vertices")
+
+
+def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
+    """Iterate path covering until every vertex is within reach of the core."""
+    check_preconditions(g)
     e = as_fraction(eps)
     if e <= 0:
         raise PreconditionError("epsilon must be positive")
@@ -423,22 +396,12 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
         new_f = set(f_set)
         for bl in balls:
             new_f |= bl
-        pairwise = all(
-            balls[i].isdisjoint(balls[j])
-            for i in range(len(balls))
-            for j in range(i + 1, len(balls))
-        )
         adj = subgraph_adjacency(hp_v, hp_e)
-        checks = {
+        guards = {
             "bridgeless_connected": is_connected_adj(adj) and not bridges_of(adj),
             "property2": len(new_f) >= floor * len(new_b),
             "property3": Fraction(len(hp_v)) <= (2 * gval + e) * len(new_b),
-            "balls_pairwise_disjoint": pairwise,
-            "balls_disjoint_from_claimed": all(bl.isdisjoint(f_set) for bl in balls),
-            "balls_meet_floor": all(len(bl) >= floor for bl in balls),
-            "balls_induce_forest": all(induces_forest(g, bl) for bl in balls),
             "centers_fresh": len(set(new_b)) == len(new_b),
-            "path_in_core": set(path) <= hp_v,
         }
         record = IterationRecord(
             index=len(iterations),
@@ -453,15 +416,14 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
             h_edges=tuple(sorted(hp_e)),
             b=tuple(new_b),
             f=tuple(sorted(new_f)),
-            checks=checks,
         )
         iterations.append(record)
-        hard = ("bridgeless_connected", "property2", "property3", "centers_fresh")
-        if not all(checks[name] for name in hard):
+        failed = [name for name, ok in guards.items() if not ok]
+        if failed:
             trace = GrowthTrace(header, iterations, {})
             raise CertifiedFailureError(
                 "growth invariant failed",
-                details={"failed": [k for k in hard if not checks[k]], "trace": trace},
+                details={"failed": failed, "trace": trace},
             )
         h_v, h_e = hp_v, hp_e
         b_list, f_set = new_b, new_f

@@ -1,17 +1,34 @@
-"""End-to-end construction: grow a core, orient it, extend to the whole graph."""
+"""End-to-end construction: grow a core, orient it, extend to the whole graph.
+
+``certify`` is the one definition of a certified run. It replays a trace
+against the graph, and ``run_pipeline``, ``orientdiam verify`` and the tests
+all report through it.
+"""
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import BoundReport, diameter_bound, rational_str
-from .errors import CertifiedFailureError
-from .extension import ExtensionTrace, extend_orientation
-from .graph import Graph
-from .growth import GrowthResult, grow_core, subgraph_adjacency
-from .orientation import Orientation, orient_adjacency
+from .bounds import BoundReport, diameter_bound, parse_rational, rational_str
+from .errors import CertifiedFailureError, GraphFormatError
+from .extension import ExtensionTrace, core_directed_diameter, extend_orientation
+from .graph import (
+    UNREACHABLE,
+    Graph,
+    ball,
+    bfs_distances,
+    bridges_of,
+    edge_key,
+    girth,
+    is_connected_adj,
+    min_degree,
+)
+from .growth import GrowthResult, check_preconditions, grow_core, subgraph_adjacency
+from .oracle import directed_diameter_of_arcs
+from .orientation import Orientation, directed_diameter, orient_adjacency
 
 
 @dataclass
@@ -63,6 +80,262 @@ class PipelineResult:
         return out
 
 
+# ---------------------------------------------------------------------------
+# certification: one replay of the trace records against the graph
+
+# record types that appear at most once; the others are per-step logs
+_SINGLE_RECORDS = (
+    "growth_header",
+    "growth_final",
+    "extension_header",
+    "extension_final",
+    "pipeline_final",
+)
+_LOG_RECORDS = ("growth_iteration", "extension_round", "extension_step")
+
+
+def _is_vertex(x, n: int) -> bool:
+    return type(x) is int and 0 <= x < n
+
+
+_FIELD_KINDS = {
+    "int": lambda x, n: type(x) is int,
+    "bool": lambda x, n: type(x) is bool,
+    "str": lambda x, n: type(x) is str,
+    "vertex": _is_vertex,
+    "vertices": lambda x, n: type(x) is list and all(_is_vertex(v, n) for v in x),
+    "edges": lambda x, n: type(x) is list
+    and all(type(e) is list and len(e) == 2 and all(_is_vertex(v, n) for v in e) for e in x),
+}
+
+
+def _field(rec: dict, key: str, kind: str, n: int = 0):
+    """Read one trace field; GraphFormatError when it is missing or not of ``kind``.
+
+    Kinds are the keys of ``_FIELD_KINDS``; vertex ids must lie in range(n).
+    """
+    if key not in rec or not _FIELD_KINDS[kind](rec[key], n):
+        raise GraphFormatError(
+            f"trace record {rec.get('type')!r}: field {key!r} missing or not {kind}"
+        )
+    return rec[key]
+
+
+def _split_records(records: list) -> tuple[dict[str, dict], list[dict]]:
+    """Index the once-only records by type; return them and the growth iterations."""
+    single: dict[str, dict] = {}
+    iterations: list[dict] = []
+    for pos, rec in enumerate(records, start=1):
+        if not isinstance(rec, dict):
+            raise GraphFormatError(f"trace record {pos} is not a JSON object")
+        kind = _field(rec, "type", "str")
+        if kind == "growth_iteration":
+            iterations.append(rec)
+        elif kind in _SINGLE_RECORDS:
+            if kind in single:
+                raise GraphFormatError(f"trace holds more than one {kind} record")
+            single[kind] = rec
+        elif kind not in _LOG_RECORDS:
+            raise GraphFormatError(f"trace record {pos} has unknown type {kind!r}")
+    return single, iterations
+
+
+def _record(single: dict[str, dict], kind: str) -> dict:
+    if kind not in single:
+        raise GraphFormatError(f"trace has no {kind} record")
+    return single[kind]
+
+
+def _replay_growth(
+    g: Graph, header: dict, iterations: list[dict], bound: BoundReport
+) -> tuple[str | None, set[int], set[tuple[int, int]], int]:
+    """Recompute growth properties 1-3 and every claim of the growth records.
+
+    Returns the first failure as "where: property (detail)", or None, then
+    the final core's vertices and edges and the largest distance to it.
+    """
+    n, floor, gval, eps = g.n, bound.ball_size, bound.girth, bound.epsilon
+    radius = (gval + 1) // 2 - 1
+    reach = bound.scale * gval
+    failures: list[str] = []
+
+    def need(where: str, props: dict[str, bool], detail: str) -> None:
+        failures.extend(f"{where}: {name} ({detail})" for name, ok in props.items() if not ok)
+
+    expected = {
+        "n": g.n,
+        "m": g.m,
+        "min_degree": bound.min_degree,
+        "girth": gval,
+        "ball_floor": floor,
+        "scale": bound.scale,
+        "radius": radius,
+        "reach": reach,
+    }
+    props = {key: _field(header, key, "int") == value for key, value in expected.items()}
+    v0 = _field(header, "v0", "vertex", n)
+    f_set = ball(g, v0, radius)
+    props["base_ball"] = f_set == set(_field(header, "base_claimed", "vertices", n))
+    props["base_floor"] = len(f_set) >= floor
+    need("header", props, f"recomputed {expected}, |ball({v0})|={len(f_set)}")
+    b_list = [v0]
+    h_v: set[int] = {v0}
+    h_e: set[tuple[int, int]] = set()
+    for pos, rec in enumerate(iterations):
+        path = _field(rec, "path", "vertices", n)
+        centers = _field(rec, "centers", "vertices", n)
+        new_h_v = set(_field(rec, "h_vertices", "vertices", n))
+        new_h_e = {edge_key(u, v) for u, v in _field(rec, "h_edges", "edges", n)}
+        if not new_h_v or any(u not in new_h_v or v not in new_h_v for u, v in new_h_e):
+            raise GraphFormatError(f"growth iteration {pos}: h_edges leave h_vertices")
+        path_edges = list(zip(path, path[1:]))
+        excluded = () if _field(rec, "fallback", "bool") else path_edges
+        for c in centers:
+            f_set |= ball(g, c, radius, excluded=excluded)
+        b_list = b_list + centers
+        adj = subgraph_adjacency(new_h_v, new_h_e)
+        props = {
+            "index": _field(rec, "index", "int") == pos,
+            "edges_real": all(g.has_edge(u, v) for u, v in [*new_h_e, *path_edges]),
+            "core_grows": h_v <= new_h_v and h_e <= new_h_e and set(path) <= new_h_v,
+            "bridgeless_connected": is_connected_adj(adj) and not bridges_of(adj),
+            "f_claim": f_set == set(_field(rec, "f", "vertices", n)),
+            "b_claim": b_list == _field(rec, "b", "vertices", n),
+            "property2": len(f_set) >= floor * len(b_list),
+            "property3": len(new_h_v) <= (2 * gval + eps) * len(b_list),
+            "centers_fresh": len(set(b_list)) == len(b_list),
+        }
+        sizes = f"|H|={len(new_h_v)} |F|={len(f_set)} |B|={len(b_list)}"
+        need(f"iteration {pos}", props, f"{sizes}, floor {floor}, girth {gval}")
+        h_v, h_e = new_h_v, new_h_e
+    far = int(max(bfs_distances(g, h_v)))
+    need("final core", {"property1": far <= reach - 1}, f"max distance {far}, reach {reach}")
+    return (failures[0] if failures else None), h_v, h_e, far
+
+
+def _certify_extension(
+    single: dict[str, dict], bound: BoundReport, core_size: int, s: int
+) -> tuple[list[tuple], list[int], list[int]]:
+    """The five extension and bound checks, then the core and full diameter claims."""
+    header = _record(single, "extension_header")
+    final = _record(single, "extension_final")
+    reach = bound.scale * bound.girth
+    allowed = 4 * math.comb(s + 1, 2)
+    total = rational_str(bound.total)
+    strong = _field(final, "strong", "bool")
+    achieved = _field(final, "diameter", "int") if strong else UNREACHABLE
+    increase = _field(final, "increase", "int") if strong else UNREACHABLE
+    core_diam = _field(final, "core_diameter", "int")
+    core_claims = [_field(header, "core_diameter", "int"), core_diam]
+    achieved_claims = [achieved]
+    totals = {total}
+    if "pipeline_final" in single:
+        verdict = single["pipeline_final"]
+        core_claims.append(_field(verdict, "core_diameter", "int"))
+        achieved_claims.append(_field(verdict, "achieved", "int"))
+        totals.add(_field(verdict, "bound_total", "str"))
+    allowed_claims = {_field(rec, "allowed_increase", "int") for rec in (header, final)}
+    start_claims = (_field(header, "core_size", "int"), _field(header, "s", "int"))
+    checks = [
+        (
+            "core_diameter_within_size",
+            len(set(core_claims)) == 1 and core_diam <= core_size - 1,
+            f"{core_diam} <= {core_size - 1}",
+        ),
+        (
+            "extension_start_within_reach",
+            start_claims == (core_size, s) and s <= reach - 1,
+            f"s={s}, reach={reach}",
+        ),
+        (
+            "extension_increase_within_allowed",
+            allowed_claims == {allowed} and increase == achieved - core_diam <= allowed,
+            f"{increase} <= {allowed}",
+        ),
+        (
+            "achieved_within_total",
+            len(set(achieved_claims)) == 1 and totals == {total} and achieved <= bound.total,
+            f"{achieved} <= {total}",
+        ),
+        ("final_strong", strong, "round trips exist for all pairs"),
+    ]
+    return checks, core_claims, achieved_claims
+
+
+def certify(
+    g: Graph, records: list[dict] | None, orientation: Orientation | None = None
+) -> list[dict]:
+    """Recompute from g every claim that trace records and an orientation make.
+
+    Returns named checks ``{"name", "ok", "detail"}``: with records, the growth
+    checks and, when the trace holds an extension, the extension and bound
+    checks; with an orientation, its strongness and a cross-checked directed
+    diameter, computed once, and, with records, whether every diameter claim
+    of the trace matches it. Without an orientation the trace's diameters are
+    taken as claimed, which is sound only for diameters measured from the
+    orientation in hand, as in ``run_pipeline``. ``records`` is None to check
+    an orientation alone. A malformed record raises GraphFormatError; with
+    records, a graph that is not connected and bridgeless PreconditionError.
+    """
+    checks: list[tuple] = []
+    if records is not None:
+        check_preconditions(g)
+        single, iterations = _split_records(records)
+        header = _record(single, "growth_header")
+        try:
+            eps = parse_rational(_field(header, "epsilon", "str"))
+        except ValueError as exc:
+            raise GraphFormatError(f"growth_header epsilon: {exc}") from exc
+        if eps <= 0:
+            raise GraphFormatError("growth_header epsilon must be positive")
+        bound = diameter_bound(g.n, min_degree(g), int(girth(g)), eps)
+        failure, core_v, core_e, s = _replay_growth(g, header, iterations, bound)
+        checks.append(
+            (
+                "growth_properties",
+                failure is None,
+                failure or f"{len(iterations)} iterations certified",
+            )
+        )
+        checks.append(
+            (
+                "core_size_within_core_term",
+                len(core_v) <= bound.core_term,
+                f"{len(core_v)} <= {rational_str(bound.core_term)}",
+            )
+        )
+        extension_kinds = ("extension_header", "extension_final", "pipeline_final")
+        if orientation is not None or any(k in single for k in extension_kinds):
+            ext_checks, core_claims, achieved_claims = _certify_extension(
+                single, bound, len(core_v), s
+            )
+            checks.extend(ext_checks)
+    if orientation is not None:
+        diam = directed_diameter(orientation)
+        slow = directed_diameter_of_arcs(g.n, orientation.arcs())
+        checks.append(("orientation_strong", diam != UNREACHABLE, f"directed diameter {diam}"))
+        checks.append(("orientation_diameter_cross_check", diam == slow, f"{diam} == {slow}"))
+    if orientation is not None and records is not None:
+        core_arcs = Orientation(g)
+        for u, v in sorted(core_e):
+            if g.has_edge(u, v):  # a non-edge already failed growth_properties
+                head = orientation.direction(u, v)
+                core_arcs.assign(u if head == v else v, head)
+        try:
+            core_actual = core_directed_diameter(core_arcs, core_v)
+        except CertifiedFailureError:
+            core_actual = UNREACHABLE
+        checks.append(
+            (
+                "trace_claims_match_orientation",
+                all(c == core_actual for c in core_claims)
+                and all(a == diam for a in achieved_claims),
+                f"diameter {diam}, core diameter {core_actual}",
+            )
+        )
+    return [{"name": name, "ok": bool(ok), "detail": detail} for name, ok, detail in checks]
+
+
 def run_pipeline(g: Graph, eps: Fraction | int) -> PipelineResult:
     """Produce a strong orientation of g with certified diameter bound.
 
@@ -86,47 +359,9 @@ def run_pipeline(g: Graph, eps: Fraction | int) -> PipelineResult:
     o, ext = extend_orientation(g, growth.core_vertices, arcs)
     timings["extend"] = time.perf_counter() - t0
 
-    final = ext.final
-    achieved = int(final["diameter"])
-    core_diam = int(final["core_diameter"])
-    s_initial = int(ext.records[0]["s"])
-
-    invariants: list[dict] = []
-
-    def check(name: str, ok: bool, detail: str) -> None:
-        invariants.append({"name": name, "ok": bool(ok), "detail": detail})
-
-    check(
-        "growth_properties",
-        growth.trace.all_passed,
-        f"{len(growth.trace.iterations)} iterations certified",
-    )
-    check(
-        "core_size_within_core_term",
-        Fraction(len(core_v)) <= bound.core_term,
-        f"{len(core_v)} <= {rational_str(bound.core_term)}",
-    )
-    check(
-        "core_diameter_within_size",
-        core_diam <= len(core_v) - 1,
-        f"{core_diam} <= {len(core_v) - 1}",
-    )
-    check(
-        "extension_start_within_reach",
-        s_initial <= growth.reach - 1,
-        f"s={s_initial}, reach={growth.reach}",
-    )
-    check(
-        "extension_increase_within_allowed",
-        bool(final["ok"]),
-        f"{final['increase']} <= {final['allowed_increase']}",
-    )
-    check(
-        "achieved_within_total",
-        Fraction(achieved) <= bound.total,
-        f"{achieved} <= {rational_str(bound.total)}",
-    )
-    check("final_strong", bool(final["strong"]), "round trips exist for all pairs")
+    invariants = certify(g, growth.trace.to_records() + ext.to_records())
+    achieved = int(ext.final["diameter"])
+    core_diam = int(ext.final["core_diameter"])
 
     result = PipelineResult(
         graph={

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from orientdiam.cli import main
-from orientdiam.generators import cycle_graph, petersen_graph
+from orientdiam.generators import cycle_graph, petersen_graph, triangle_chain
 from orientdiam.graph import format_graph
 from orientdiam.orientation import directed_diameter, is_strong, parse_orientation
 
@@ -120,6 +120,72 @@ def test_verify_rejects_tampered_trace(tmp_path, capsys):
     )
     assert code == 4
     assert not data["ok"]
+
+
+def orient_artifacts(tmp_path, g, epsilon="1/2"):
+    """Graph, orientation and trace files written by ``orient``; trace as records."""
+    gpath = write_graph(tmp_path, "g.txt", g)
+    opath = tmp_path / "g.orientation"
+    tpath = tmp_path / "g.jsonl"
+    argv = ["orient", gpath, "--epsilon", epsilon, "--emit", str(opath), "--trace", str(tpath)]
+    assert main(argv) == 0
+    records = [json.loads(line) for line in tpath.read_text().splitlines()]
+    return gpath, str(opath), tpath, records
+
+
+def test_verify_refuses_forged_diameters(tmp_path, capsys):
+    gpath, opath, tpath, records = orient_artifacts(tmp_path, cycle_graph(8))
+    for rec in records:
+        if rec["type"] == "extension_final":
+            rec["diameter"], rec["increase"] = 3, 3
+        if rec["type"] == "pipeline_final":
+            rec["achieved"] = 3
+    tpath.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    capsys.readouterr()
+    assert main(["verify", gpath, "--trace", str(tpath)]) == 2
+    assert "--orientation" in capsys.readouterr().err
+    code, data = run_json(
+        capsys, ["verify", gpath, "--orientation", opath, "--trace", str(tpath)]
+    )
+    assert code == 4
+    failed = [c["name"] for c in data["checks"] if not c["ok"]]
+    assert failed == ["trace_claims_match_orientation"]
+
+
+def _non_object_line(records, n):
+    records.insert(1, [1, 2, 3])
+
+
+def _drop_v0(records, n):
+    del records[0]["v0"]
+
+
+def _h_edge_off_graph(records, n):
+    it = next(r for r in records if r["type"] == "growth_iteration")
+    it["h_edges"][0][1] = n
+
+
+def _h_edge_off_core(records, n):
+    it = next(r for r in records if r["type"] == "growth_iteration")
+    it["h_edges"][0][1] = min(set(range(n)) - set(it["h_vertices"]))
+
+
+def _integer_epsilon(records, n):
+    records[0]["epsilon"] = 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_non_object_line, _drop_v0, _h_edge_off_graph, _h_edge_off_core, _integer_epsilon],
+)
+def test_verify_malformed_trace_exits_2(tmp_path, capsys, edit):
+    g = triangle_chain(12)
+    gpath, opath, tpath, records = orient_artifacts(tmp_path, g, "2")
+    edit(records, g.n)
+    tpath.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    capsys.readouterr()
+    assert main(["verify", gpath, "--orientation", opath, "--trace", str(tpath)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_requires_an_artifact(tmp_path, capsys):

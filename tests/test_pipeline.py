@@ -15,7 +15,7 @@ from orientdiam.generators import (
 )
 from orientdiam.graph import Graph
 from orientdiam.orientation import directed_diameter, is_strong
-from orientdiam.pipeline import run_pipeline
+from orientdiam.pipeline import certify, run_pipeline
 
 INVARIANT_NAMES = [
     "growth_properties",
@@ -85,3 +85,17 @@ def test_pipeline_certifies_random_graphs(g):
     assert is_strong(r.orientation)
     assert directed_diameter(r.orientation) == r.achieved
     assert Fraction(r.achieved) <= r.bound.total
+    checks = certify(g, r.trace_records(), r.orientation)
+    assert all(c["ok"] for c in checks), checks
+    assert [c["name"] for c in checks[:7]] == INVARIANT_NAMES
+
+
+def test_certify_names_first_failed_iteration():
+    g = triangle_chain(12)
+    records = run_pipeline(g, 2).trace_records()
+    iterations = [rec for rec in records if rec["type"] == "growth_iteration"]
+    iterations[1]["f"] = iterations[1]["f"][1:]
+    iterations[2]["b"] = iterations[2]["b"][:-1]
+    growth = certify(g, records)[0]
+    assert growth["name"] == "growth_properties" and not growth["ok"]
+    assert growth["detail"].startswith("iteration 1: f_claim (")
