@@ -19,6 +19,8 @@ from .errors import CertifiedFailureError, PreconditionError
 from .graph import UNREACHABLE, Graph, bfs_distances, shortest_path_between
 from .orientation import (
     Orientation,
+    diameter_among,
+    directed_distance,
     directed_distances_from,
     directed_distances_to,
     directed_diameter,
@@ -53,33 +55,28 @@ def measure_extendability(g: Graph, core_vertices: frozenset[int] | set[int]) ->
 
 def core_directed_diameter(o: Orientation, core_vertices) -> int:
     """Directed diameter of the core under the arcs assigned so far."""
-    core = sorted(core_vertices)
-    worst = 0
-    for v in core:
-        dist = directed_distances_from(o, (v,))
-        far = max(dist[w] for w in core)
-        if far == UNREACHABLE:
-            raise CertifiedFailureError(
-                "core orientation is not strongly connected", details={"vertex": v}
-            )
-        worst = max(worst, int(far))
-    return worst
+    diam = diameter_among(o, core_vertices)
+    if diam == UNREACHABLE:
+        raise CertifiedFailureError("core orientation is not strongly connected")
+    return int(diam)
 
 
 def _absorb(
-    g: Graph,
     o: Orientation,
     a_start: frozenset[int],
     absorbed: set[int],
     v: int,
     anchor: int,
+    q: list[int],
     i: int,
 ) -> dict:
-    """Orient an entry/exit pair for one frontier vertex; returns the step record."""
-    q = shortest_path_between(g, (v,), a_start, excluded=((v, anchor),))
-    if q is None or len(q) - 1 != i:
+    """Orient an entry/exit pair for one frontier vertex; returns the step record.
+
+    ``q`` is v's escape path to ``a_start`` that avoids the edge to its anchor.
+    """
+    if len(q) - 1 != i:
         raise CertifiedFailureError(
-            "escape path changed length mid-round",
+            "escape path does not match its sweep length",
             details={"vertex": v, "expected": i},
         )
     idx = next(k for k in range(1, len(q)) if q[k] in absorbed)
@@ -98,8 +95,8 @@ def _absorb(
         o.assign(anchor, v)
         record["case"] = "core"
     else:
-        a_val = directed_distances_to(o, a_start)[vprime]
-        b_val = directed_distances_from(o, a_start)[vprime]
+        a_val = directed_distance(o, vprime, a_start)
+        b_val = directed_distance(o, vprime, a_start, reverse=True)
         if a_val == UNREACHABLE or b_val == UNREACHABLE:
             raise CertifiedFailureError(
                 "absorbed vertex has no round trip yet",
@@ -173,22 +170,22 @@ def extend_orientation(
         anchors = {
             v: min(w for w in g.neighbors(v) if w in a_start) for v in v1
         }
-        escape: dict[int, int] = {}
+        # g and a_start stay fixed for the round, so each escape path is too
+        escape: dict[int, list[int]] = {}
         for v in v1:
-            d_esc = bfs_distances(g, (v,), excluded=((v, anchors[v]),))
-            best = min(d_esc[w] for w in a_start)
-            if best == UNREACHABLE:
+            q = shortest_path_between(g, (v,), a_start, excluded=((v, anchors[v]),))
+            if q is None:
                 raise CertifiedFailureError(
                     "frontier vertex has no second route to the core",
                     details={"vertex": v},
                 )
-            escape[v] = int(best)
+            escape[v] = q
         steps: list[dict] = []
         for i in range(1, 2 * s_r + 1):
             for v in v1:
-                if v in absorbed or escape[v] != i:
+                if v in absorbed or len(escape[v]) - 1 != i:
                     continue
-                rec = _absorb(g, o, a_start, absorbed, v, anchors[v], i)
+                rec = _absorb(o, a_start, absorbed, v, anchors[v], escape[v], i)
                 rec["round"] = round_no
                 steps.append(rec)
         leftovers = [v for v in v1 if v not in absorbed]

@@ -93,28 +93,28 @@ def random_bridgeless(n: int, delta: int, girth_floor: int, seed: int) -> Graph:
     rng = random.Random(seed)
     adj: list[set[int]] = [{(i - 1) % n, (i + 1) % n} for i in range(n)]
 
-    def dist_from(u: int) -> list[int]:
-        # local BFS over the working adjacency sets
-        dist = [-1] * n
-        dist[u] = 0
+    def close_to(u: int) -> set[int]:
+        # vertices within girth_floor - 2 of u (its neighbors included, as the
+        # floor is at least 3); a chord to any of them would close a short cycle
+        close = {u}
         frontier = [u]
-        while frontier:
+        for _ in range(girth_floor - 2):
             nxt = []
             for x in frontier:
                 for w in adj[x]:
-                    if dist[w] < 0:
-                        dist[w] = dist[x] + 1
+                    if w not in close:
+                        close.add(w)
                         nxt.append(w)
             frontier = nxt
-        return dist
+        return close
 
     while True:
         deficient = [v for v in range(n) if len(adj[v]) < delta]
         if not deficient:
             break
         u = rng.choice(deficient)
-        dist = dist_from(u)
-        cands = [w for w in range(n) if w != u and w not in adj[u] and dist[w] >= girth_floor - 1]
+        close = close_to(u)
+        cands = [w for w in range(n) if w not in close]
         if not cands:
             # distances only shrink as edges arrive, so u can never recover
             raise InfeasibleSpecError(

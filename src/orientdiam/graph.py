@@ -136,38 +136,58 @@ def shortest_path_between(
     Tie-break: among shortest paths, the one starting at the smallest-id
     source whose vertex sequence is lexicographically smallest. Returns None
     when no path exists. ``blocked`` vertices are excluded as interior (and
-    as source/target) vertices.
+    as source/target) vertices; a blocked or out-of-range target raises.
+
+    The search runs forward from the sources one layer at a time and stops
+    at the first layer that meets the targets, so its cost is the ball of
+    that radius, not the whole graph. A backward pass from the targets it
+    met keeps, layer by layer, the vertices that lead to one of them; the
+    path then takes the smallest kept vertex of every layer that extends it.
     """
     ex = _normalize_excluded(excluded)
+    blk = set(blocked)
     src = sorted(set(sources))
-    tgt = set(targets)
+    tgt = targets if isinstance(targets, (set, frozenset)) else set(targets)
     if not src or not tgt:
         raise ValueError("sources and targets must be non-empty")
-    dist_t = bfs_distances(g, tgt, excluded=ex, blocked=blocked)
-    start = None
-    best = UNREACHABLE
-    for s in src:
-        if dist_t[s] < best:
-            best = dist_t[s]
-            start = s
-    if start is None or best == UNREACHABLE:
+    if min(tgt) < 0 or max(tgt) >= g.n:
+        raise ValueError(f"target out of range for n={g.n}")
+    if not blk.isdisjoint(tgt):
+        raise ValueError(f"target {min(blk.intersection(tgt))} is blocked")
+    if src[0] < 0 or src[-1] >= g.n:
+        raise ValueError(f"source out of range for n={g.n}")
+
+    def usable(u: int, w: int) -> bool:
+        return not ex or edge_key(u, w) not in ex
+
+    layer = [s for s in src if s not in blk]
+    dist = dict.fromkeys(blk, -1)  # blocked vertices count as seen, on no layer
+    dist.update(dict.fromkeys(layer, 0))
+    depth = 0
+    while layer and tgt.isdisjoint(layer):
+        depth += 1
+        nxt = []
+        for u in layer:
+            for w in g.neighbors(u):
+                if w in dist or not usable(u, w):
+                    continue
+                dist[w] = depth
+                nxt.append(w)
+        layer = nxt
+    if not layer:
         return None
-    blk = set(blocked)
-    path = [start]
-    cur = start
-    remaining = dist_t[start]
-    while remaining > 0:
-        for w in g.neighbors(cur):
-            if w in blk or dist_t[w] != remaining - 1:
-                continue
-            if ex and edge_key(cur, w) in ex:
-                continue
-            path.append(w)
-            cur = w
-            remaining -= 1
-            break
-        else:  # pragma: no cover - BFS guarantees a predecessor exists
-            raise AssertionError("path reconstruction lost the trail")
+    good = [tgt.intersection(layer)]
+    for k in range(depth - 1, -1, -1):
+        ahead = good[-1]
+        good.append(
+            {u for x in ahead for u in g.neighbors(x) if dist.get(u) == k and usable(u, x)}
+        )
+    good.reverse()
+    cur = min(good[0])
+    path = [cur]
+    for ahead in good[1:]:
+        cur = next(w for w in g.neighbors(cur) if w in ahead and usable(cur, w))
+        path.append(cur)
     return path
 
 

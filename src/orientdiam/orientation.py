@@ -8,7 +8,7 @@ behaves as the digraph of its assigned arcs.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Set
 
 from .errors import (
     GraphFormatError,
@@ -27,8 +27,9 @@ class Orientation:
     def __init__(self, base: Graph):
         self.base = base
         self._heads: dict[tuple[int, int], int] = {}
-        self._out: tuple[tuple[int, ...], ...] | None = None
-        self._in: tuple[tuple[int, ...], ...] | None = None
+        # per-vertex arc lists in assignment order, kept up to date by assign
+        self._out: list[list[int]] = [[] for _ in range(base.n)]
+        self._in: list[list[int]] = [[] for _ in range(base.n)]
 
     def assign(self, tail: int, head: int) -> None:
         """Orient the edge tail-head as the arc tail->head.
@@ -42,8 +43,8 @@ class Orientation:
         old = self._heads.get(e)
         if old is None:
             self._heads[e] = head
-            self._out = None
-            self._in = None
+            self._out[tail].append(head)
+            self._in[head].append(tail)
         elif old != head:
             raise OrientationConflictError(
                 f"edge {e} is already oriented toward {old}, not {head}", edge=e
@@ -70,29 +71,17 @@ class Orientation:
             out.append((v if h == u else u, h))
         return out
 
-    def _ensure_adjacency(self) -> None:
-        if self._out is not None:
-            return
-        fwd: list[list[int]] = [[] for _ in range(self.base.n)]
-        bwd: list[list[int]] = [[] for _ in range(self.base.n)]
-        for (u, v), h in self._heads.items():
-            t = v if h == u else u
-            fwd[t].append(h)
-            bwd[h].append(t)
-        self._out = tuple(tuple(sorted(x)) for x in fwd)
-        self._in = tuple(tuple(sorted(x)) for x in bwd)
-
     def out_neighbors(self, v: int) -> tuple[int, ...]:
-        self._ensure_adjacency()
-        return self._out[v]
+        return tuple(sorted(self._out[v]))
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
-        self._ensure_adjacency()
-        return self._in[v]
+        return tuple(sorted(self._in[v]))
 
     def copy(self) -> "Orientation":
         dup = Orientation(self.base)
         dup._heads = dict(self._heads)
+        dup._out = [list(x) for x in self._out]
+        dup._in = [list(x) for x in self._in]
         return dup
 
     def __repr__(self) -> str:
@@ -113,11 +102,11 @@ def _directed_bfs(o: Orientation, seeds: Iterable[int], reverse: bool) -> list[i
         queue.append(s)
     if not queue:
         raise ValueError("need at least one seed vertex")
-    step = o.in_neighbors if reverse else o.out_neighbors
+    adj = o._in if reverse else o._out
     while queue:
         u = queue.popleft()
         du = dist[u]
-        for w in step(u):
+        for w in adj[u]:
             if dist[w] == UNREACHABLE:
                 dist[w] = du + 1
                 queue.append(w)
@@ -132,6 +121,92 @@ def directed_distances_from(o: Orientation, sources: Iterable[int]) -> list[int 
 def directed_distances_to(o: Orientation, targets: Iterable[int]) -> list[int | float]:
     """Directed distance from every vertex to the nearest target."""
     return _directed_bfs(o, targets, reverse=True)
+
+
+def directed_distance(
+    o: Orientation, v: int, targets: Set[int], reverse: bool = False
+) -> int | float:
+    """Directed distance from v to the nearest target, or with ``reverse`` from
+    the nearest target to v; UNREACHABLE when there is none.
+
+    Equals ``directed_distances_to(o, targets)[v]`` (``directed_distances_from``
+    with ``reverse``), but searches outward from v and stops at the first layer
+    that meets the targets.
+    """
+    if not 0 <= v < o.base.n:
+        raise ValueError(f"vertex {v} out of range")
+    if not targets:
+        raise ValueError("need at least one target")
+    if v in targets:
+        return 0
+    adj = o._in if reverse else o._out
+    seen = {v}
+    layer = [v]
+    d = 0
+    while layer:
+        d += 1
+        nxt = []
+        for u in layer:
+            for w in adj[u]:
+                if w in targets:
+                    return d
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        layer = nxt
+    return UNREACHABLE
+
+
+def diameter_among(o: Orientation, vertices: Iterable[int]) -> int | float:
+    """Largest directed distance between two of the given vertices.
+
+    Paths may use every assigned arc, also outside the vertex set. Bit-parallel
+    BFS from all of them at once (Akiba, Iwata & Yoshida, SIGMOD 2013): bit i
+    of ``seen[v]`` is set once the i-th vertex lies within the current radius
+    of v, and each level ORs into v only the bits its in-neighbors gained in
+    the previous level. The radius at which every vertex of the set holds
+    every bit is the answer; UNREACHABLE when a level gains nothing first.
+    """
+    verts = sorted(set(vertices))
+    n = o.base.n
+    if verts and not (0 <= verts[0] and verts[-1] < n):
+        raise ValueError("vertex out of range")
+    full = (1 << len(verts)) - 1
+    seen = [0] * n
+    gained = [0] * n  # the bits each vertex gained in the previous level
+    for i, v in enumerate(verts):
+        seen[v] = gained[v] = 1 << i
+    inn = o._in
+    waiting = [v for v in verts if seen[v] != full]
+    # vertices that can still gain bits, and those that only pass theirs on once
+    hungry = [v for v in range(n) if seen[v] != full and inn[v]]
+    relay = [v for v in verts if seen[v] == full or not inn[v]]
+    d = 0
+    while waiting:
+        news = []
+        for v in hungry:
+            acc = 0
+            for u in inn[v]:
+                acc |= gained[u]
+            news.append(acc & ~seen[v])
+        for v in relay:
+            gained[v] = 0
+        relay = []
+        still = []
+        for v, new in zip(hungry, news):
+            gained[v] = new
+            if new:
+                seen[v] |= new
+                if seen[v] == full:
+                    relay.append(v)
+                    continue
+            still.append(v)
+        if not any(news):
+            return UNREACHABLE
+        hungry = still
+        d += 1
+        waiting = [v for v in waiting if seen[v] != full]
+    return d
 
 
 def is_strong(o: Orientation) -> bool:
@@ -154,13 +229,7 @@ def directed_diameter(o: Orientation) -> int | float:
         raise IncompleteOrientationError("diameter is defined for complete orientations")
     if o.base.n == 0:
         raise ValueError("diameter of the empty graph is undefined")
-    worst: int | float = 0
-    for v in range(o.base.n):
-        far = max(directed_distances_from(o, (v,)))
-        if far == UNREACHABLE:
-            return UNREACHABLE
-        worst = max(worst, far)
-    return worst
+    return diameter_among(o, range(o.base.n))
 
 
 # ---------------------------------------------------------------------------

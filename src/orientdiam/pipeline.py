@@ -106,6 +106,10 @@ _FIELD_KINDS = {
     "vertices": lambda x, n: type(x) is list and all(_is_vertex(v, n) for v in x),
     "edges": lambda x, n: type(x) is list
     and all(type(e) is list and len(e) == 2 and all(_is_vertex(v, n) for v in e) for e in x),
+    "checks": lambda x, n: type(x) is list
+    and all(
+        type(c) is dict and type(c.get("name")) is str and type(c.get("ok")) is bool for c in x
+    ),
 }
 
 
@@ -121,23 +125,23 @@ def _field(rec: dict, key: str, kind: str, n: int = 0):
     return rec[key]
 
 
-def _split_records(records: list) -> tuple[dict[str, dict], list[dict]]:
-    """Index the once-only records by type; return them and the growth iterations."""
+def _split_records(records: list) -> tuple[dict[str, dict], dict[str, list[dict]]]:
+    """Index the once-only records by type, and list the per-step records by type."""
     single: dict[str, dict] = {}
-    iterations: list[dict] = []
+    logs: dict[str, list[dict]] = {kind: [] for kind in _LOG_RECORDS}
     for pos, rec in enumerate(records, start=1):
         if not isinstance(rec, dict):
             raise GraphFormatError(f"trace record {pos} is not a JSON object")
         kind = _field(rec, "type", "str")
-        if kind == "growth_iteration":
-            iterations.append(rec)
+        if kind in logs:
+            logs[kind].append(rec)
         elif kind in _SINGLE_RECORDS:
             if kind in single:
                 raise GraphFormatError(f"trace holds more than one {kind} record")
             single[kind] = rec
-        elif kind not in _LOG_RECORDS:
+        else:
             raise GraphFormatError(f"trace record {pos} has unknown type {kind!r}")
-    return single, iterations
+    return single, logs
 
 
 def _record(single: dict[str, dict], kind: str) -> dict:
@@ -147,7 +151,7 @@ def _record(single: dict[str, dict], kind: str) -> dict:
 
 
 def _replay_growth(
-    g: Graph, header: dict, iterations: list[dict], bound: BoundReport
+    g: Graph, header: dict, iterations: list[dict], final: dict, bound: BoundReport
 ) -> tuple[str | None, set[int], set[tuple[int, int]], int]:
     """Recompute growth properties 1-3 and every claim of the growth records.
 
@@ -209,16 +213,60 @@ def _replay_growth(
         need(f"iteration {pos}", props, f"{sizes}, floor {floor}, girth {gval}")
         h_v, h_e = new_h_v, new_h_e
     far = int(max(bfs_distances(g, h_v)))
-    need("final core", {"property1": far <= reach - 1}, f"max distance {far}, reach {reach}")
+    counts = {
+        "iterations": len(iterations),
+        "max_distance": far,
+        "property1": far <= reach - 1,
+        "core_vertex_count": len(h_v),
+        "center_count": len(b_list),
+        "claimed_count": len(f_set),
+    }
+    claimed = {k: _field(final, k, "bool" if k == "property1" else "int") for k in counts}
+    props = {"property1": counts["property1"], "final_counts": claimed == counts}
+    need("final core", props, f"max distance {far}, reach {reach}, recomputed {counts}")
     return (failures[0] if failures else None), h_v, h_e, far
 
 
+def _replay_rounds(final: dict, rounds: list[dict], s: int) -> str | None:
+    """The first inconsistency of the round summaries, or None.
+
+    Rounds are numbered 1..k with k the ``rounds`` of extension_final, their
+    reach ``s`` falls strictly from the header's s to at least 1, and each
+    round-trip probe flag states whether ``roundtrip_max <= 4*s`` (a
+    non-negative maximum) for that round.
+    """
+    claimed = _field(final, "rounds", "int")
+    if claimed != len(rounds):
+        return f"extension_final claims {claimed} rounds, the trace holds {len(rounds)}"
+    prev = s + 1
+    for k, rec in enumerate(rounds, start=1):
+        number = _field(rec, "round", "int")
+        s_r = _field(rec, "s", "int")
+        top = _field(rec, "roundtrip_max", "int")
+        probe = _field(rec, "roundtrip_probe_ok", "bool")
+        if number != k:
+            return f"round record {k} is numbered {number}"
+        if not 1 <= s_r < prev or (k == 1 and s_r != s):
+            return f"round {k}: reach {s_r} does not fall from {prev - 1}"
+        if top < 0 or probe != (top <= 4 * s_r):
+            return f"round {k}: roundtrip_probe_ok {probe} for roundtrip_max {top}, s {s_r}"
+        prev = s_r
+    if s and not rounds:
+        return f"no extension rounds for reach {s}"
+    return None
+
+
 def _certify_extension(
-    single: dict[str, dict], bound: BoundReport, core_size: int, s: int
+    single: dict[str, dict], rounds: list[dict], bound: BoundReport, core_size: int, s: int
 ) -> tuple[list[tuple], list[int], list[int]]:
-    """The five extension and bound checks, then the core and full diameter claims."""
+    """The five extension and bound checks, then the core and full diameter claims.
+
+    The round summaries ride in ``extension_increase_within_allowed``: the
+    allowance 4*C(s+1, 2) is the sum of the per-round round-trip caps 4*s_r.
+    """
     header = _record(single, "extension_header")
     final = _record(single, "extension_final")
+    round_problem = _replay_rounds(final, rounds, s)
     reach = bound.scale * bound.girth
     allowed = 4 * math.comb(s + 1, 2)
     total = rational_str(bound.total)
@@ -249,8 +297,10 @@ def _certify_extension(
         ),
         (
             "extension_increase_within_allowed",
-            allowed_claims == {allowed} and increase == achieved - core_diam <= allowed,
-            f"{increase} <= {allowed}",
+            allowed_claims == {allowed}
+            and increase == achieved - core_diam <= allowed
+            and round_problem is None,
+            f"{increase} <= {allowed}" + (f"; {round_problem}" if round_problem else ""),
         ),
         (
             "achieved_within_total",
@@ -260,6 +310,19 @@ def _certify_extension(
         ("final_strong", strong, "round trips exist for all pairs"),
     ]
     return checks, core_claims, achieved_claims
+
+
+def _check_verdict(verdict: dict, invariants: list[tuple]) -> tuple:
+    """pipeline_final lists the invariants just recomputed, by name and outcome."""
+    claimed = _field(verdict, "invariants", "checks")
+    ok = _field(verdict, "ok", "bool")
+    listed = [(c["name"], c["ok"]) for c in claimed]
+    actual = [(name, bool(passed)) for name, passed, _ in invariants]
+    return (
+        "pipeline_verdict_matches",
+        listed == actual and ok == all(passed for _, passed in listed),
+        f"ok={ok}, {sum(passed for _, passed in actual)} of {len(actual)} invariants hold",
+    )
 
 
 def certify(
@@ -280,7 +343,8 @@ def certify(
     checks: list[tuple] = []
     if records is not None:
         check_preconditions(g)
-        single, iterations = _split_records(records)
+        single, logs = _split_records(records)
+        iterations = logs["growth_iteration"]
         header = _record(single, "growth_header")
         try:
             eps = parse_rational(_field(header, "epsilon", "str"))
@@ -289,7 +353,8 @@ def certify(
         if eps <= 0:
             raise GraphFormatError("growth_header epsilon must be positive")
         bound = diameter_bound(g.n, min_degree(g), int(girth(g)), eps)
-        failure, core_v, core_e, s = _replay_growth(g, header, iterations, bound)
+        final = _record(single, "growth_final")
+        failure, core_v, core_e, s = _replay_growth(g, header, iterations, final, bound)
         checks.append(
             (
                 "growth_properties",
@@ -307,9 +372,11 @@ def certify(
         extension_kinds = ("extension_header", "extension_final", "pipeline_final")
         if orientation is not None or any(k in single for k in extension_kinds):
             ext_checks, core_claims, achieved_claims = _certify_extension(
-                single, bound, len(core_v), s
+                single, logs["extension_round"], bound, len(core_v), s
             )
             checks.extend(ext_checks)
+        if "pipeline_final" in single:
+            checks.append(_check_verdict(single["pipeline_final"], checks))
     if orientation is not None:
         diam = directed_diameter(orientation)
         slow = directed_diameter_of_arcs(g.n, orientation.arcs())

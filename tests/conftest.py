@@ -7,7 +7,7 @@ from itertools import combinations
 from hypothesis import assume, strategies as st
 
 from orientdiam.errors import InfeasibleSpecError
-from orientdiam.graph import UNREACHABLE, Graph
+from orientdiam.graph import UNREACHABLE, Graph, _normalize_excluded, bfs_distances, edge_key
 from orientdiam.generators import random_bridgeless
 
 
@@ -76,3 +76,43 @@ def bridges_by_removal(g: Graph) -> set[tuple[int, int]]:
         if floyd_warshall(Graph(g.n, keep))[u][v] == UNREACHABLE:
             out.add((u, v))
     return out
+
+
+def reference_shortest_path(g, sources, targets, excluded=(), blocked=()):
+    """The BFS-from-the-targets body that ``shortest_path_between`` replaced.
+
+    One full BFS from the targets, then a walk down the distance labels from
+    the nearest smallest-id source; kept as the slow path the early-exit
+    search is checked against.
+    """
+    ex = _normalize_excluded(excluded)
+    src = sorted(set(sources))
+    tgt = set(targets)
+    if not src or not tgt:
+        raise ValueError("sources and targets must be non-empty")
+    dist_t = bfs_distances(g, tgt, excluded=ex, blocked=blocked)
+    start = None
+    best = UNREACHABLE
+    for s in src:
+        if dist_t[s] < best:
+            best = dist_t[s]
+            start = s
+    if start is None or best == UNREACHABLE:
+        return None
+    blk = set(blocked)
+    path = [start]
+    cur = start
+    remaining = dist_t[start]
+    while remaining > 0:
+        for w in g.neighbors(cur):
+            if w in blk or dist_t[w] != remaining - 1:
+                continue
+            if ex and edge_key(cur, w) in ex:
+                continue
+            path.append(w)
+            cur = w
+            remaining -= 1
+            break
+        else:  # pragma: no cover - BFS guarantees a predecessor exists
+            raise AssertionError("path reconstruction lost the trail")
+    return path

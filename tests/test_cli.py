@@ -188,6 +188,46 @@ def test_verify_malformed_trace_exits_2(tmp_path, capsys, edit):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _claim_99_rounds(records):
+    next(r for r in records if r["type"] == "extension_final")["rounds"] = 99
+
+
+def _negative_roundtrip(records):
+    next(r for r in records if r["type"] == "extension_round")["roundtrip_max"] = -5
+
+
+def _false_roundtrip_probe(records):
+    next(r for r in records if r["type"] == "extension_round")["roundtrip_probe_ok"] = False
+
+
+def _zero_max_distance(records):
+    next(r for r in records if r["type"] == "growth_final")["max_distance"] = 0
+
+
+def _failed_verdict(records):
+    records[-1]["ok"] = False
+
+
+@pytest.mark.parametrize(
+    "edit, check",
+    [
+        (_claim_99_rounds, "extension_increase_within_allowed"),
+        (_negative_roundtrip, "extension_increase_within_allowed"),
+        (_false_roundtrip_probe, "extension_increase_within_allowed"),
+        (_zero_max_distance, "growth_properties"),
+        (_failed_verdict, "pipeline_verdict_matches"),
+    ],
+)
+def test_verify_replays_summary_fields(tmp_path, capsys, edit, check):
+    gpath, opath, tpath, records = orient_artifacts(tmp_path, triangle_chain(12), "2")
+    edit(records)
+    tpath.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    capsys.readouterr()
+    code, data = run_json(capsys, ["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
+    assert code == 4
+    assert check in [c["name"] for c in data["checks"] if not c["ok"]]
+
+
 def test_verify_requires_an_artifact(tmp_path, capsys):
     gpath = write_graph(tmp_path, "c8.txt", cycle_graph(8))
     assert main(["verify", gpath]) == 2

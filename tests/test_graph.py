@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from conftest import arbitrary_graphs, bridges_by_removal, floyd_warshall, girth_by_edge_removal
+from conftest import (
+    arbitrary_graphs,
+    bridgeless_graphs,
+    bridges_by_removal,
+    floyd_warshall,
+    girth_by_edge_removal,
+    reference_shortest_path,
+)
 from orientdiam.errors import GraphFormatError
 from orientdiam.generators import complete_graph, cycle_graph, petersen_graph
 from orientdiam.graph import (
@@ -83,6 +90,54 @@ def test_shortest_path_lexicographic():
 def test_shortest_path_prefers_smallest_source():
     g = cycle_graph(6)
     assert shortest_path_between(g, (0, 2), (1,)) == [0, 1]
+
+
+def test_shortest_path_unreachable_and_errors():
+    two_edges = Graph(4, [(0, 1), (2, 3)])
+    assert shortest_path_between(two_edges, (0,), (3,)) is None
+    assert shortest_path_between(P4, (0,), (3,), blocked=(2,)) is None
+    assert shortest_path_between(P4, (1, 3), (1,)) == [1]
+    bad_inputs = [
+        ((), (1,), ()),  # no source
+        ((0,), (), ()),  # no target
+        ((0,), (4,), ()),  # target out of range
+        ((0,), (3,), (3,)),  # blocked target
+        ((4,), (1,), ()),  # source out of range
+    ]
+    for sources, targets, blocked in bad_inputs:
+        with pytest.raises(ValueError):
+            shortest_path_between(P4, sources, targets, blocked=blocked)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_shortest_path_matches_reference(data):
+    """The early-exit search equals the full BFS from the targets it replaced."""
+    g = data.draw(
+        st.one_of(
+            arbitrary_graphs(max_n=10),
+            bridgeless_graphs(max_n=30),
+            st.builds(cycle_graph, st.integers(3, 30)),
+        )
+    )
+    vertex = st.integers(0, g.n - 1)
+    sources = data.draw(st.lists(vertex, min_size=1, max_size=3))
+    targets = data.draw(st.lists(vertex, min_size=1, max_size=3))
+    if data.draw(st.integers(0, 9)) == 0:
+        targets.append(g.n)  # out of range: both raise
+    blocked = data.draw(st.lists(vertex, max_size=2))
+    excluded = []
+    if g.m:
+        for u, v in data.draw(st.lists(st.sampled_from(g.edges()), max_size=3)):
+            excluded.append((v, u) if data.draw(st.booleans()) else (u, v))
+
+    def outcome(search):
+        try:
+            return search(g, sources, targets, excluded=excluded, blocked=blocked)
+        except ValueError:
+            return ValueError
+
+    assert outcome(shortest_path_between) == outcome(reference_shortest_path)
 
 
 def test_diameter_frozen_values():

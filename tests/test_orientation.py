@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import arbitrary_graphs, bridgeless_graphs
 from orientdiam.errors import (
+    CertifiedFailureError,
     GraphFormatError,
     IncompleteOrientationError,
     OrientationConflictError,
     PreconditionError,
 )
+from orientdiam.extension import core_directed_diameter
 from orientdiam.generators import complete_graph, cycle_graph
 from orientdiam.graph import UNREACHABLE, Graph, is_bridgeless_connected
 from orientdiam.oracle import directed_diameter_of_arcs
 from orientdiam.orientation import (
     Orientation,
     directed_diameter,
+    directed_distance,
     directed_distances_from,
     directed_distances_to,
     format_orientation,
@@ -178,3 +181,65 @@ def test_strong_implies_bridgeless(g):
         o.assign(u, v)
     if is_strong(o):
         assert is_bridgeless_connected(g)
+
+
+# ---------------------------------------------------------------------------
+# fast paths against the slow paths they replaced
+
+
+@st.composite
+def random_orientations(draw, complete: bool):
+    """Each edge forward, backward or (if partial) unassigned, on small arbitrary
+    graphs and on sparse bridgeless ones with long directed paths."""
+    g = draw(
+        st.one_of(
+            arbitrary_graphs(max_n=12),
+            bridgeless_graphs(max_n=30),
+            st.builds(cycle_graph, st.integers(3, 30)),
+        )
+    )
+    o = Orientation(g)
+    for u, v in g.edges():
+        way = draw(st.sampled_from((1, -1) if complete else (1, -1, 0)))
+        if way == 1:
+            o.assign(u, v)
+        elif way == -1:
+            o.assign(v, u)
+    return o
+
+
+def vertex_sets(n: int, min_size: int = 0):
+    return st.sets(st.integers(0, n - 1), min_size=min_size, max_size=n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_orientations(complete=True))
+def test_directed_diameter_matches_arc_list(o):
+    # strong or not: the bit-parallel kernel agrees with per-source BFS on raw arcs
+    assert directed_diameter(o) == directed_diameter_of_arcs(o.base.n, o.arcs())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_core_directed_diameter_matches_per_vertex_bfs(data):
+    o = data.draw(random_orientations(complete=False))
+    core = data.draw(vertex_sets(o.base.n))
+    worst = 0
+    for v in sorted(core):
+        dist = directed_distances_from(o, (v,))
+        worst = max(worst, max(dist[w] for w in core))
+    if worst == UNREACHABLE:
+        with pytest.raises(CertifiedFailureError):
+            core_directed_diameter(o, core)
+    else:
+        assert core_directed_diameter(o, core) == worst
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_directed_distance_probe_matches_full_bfs(data):
+    o = data.draw(random_orientations(complete=False))
+    targets = frozenset(data.draw(vertex_sets(o.base.n, min_size=1)))
+    v = data.draw(st.integers(0, o.base.n - 1))
+    assert directed_distance(o, v, targets) == directed_distances_to(o, targets)[v]
+    assert directed_distance(o, v, targets, reverse=True) == directed_distances_from(o, targets)[v]

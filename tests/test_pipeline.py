@@ -1,5 +1,7 @@
 """End-to-end pipeline tests: run, certify, serialize, replay."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import given, settings
 from conftest import bridgeless_graphs
 from orientdiam.errors import PreconditionError
 from orientdiam.generators import (
+    circulant_graph,
     complete_graph,
     cycle_graph,
     petersen_graph,
+    random_bridgeless,
     triangle_chain,
 )
 from orientdiam.graph import Graph
@@ -99,3 +103,41 @@ def test_certify_names_first_failed_iteration():
     growth = certify(g, records)[0]
     assert growth["name"] == "growth_properties" and not growth["ok"]
     assert growth["detail"].startswith("iteration 1: f_claim (")
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+# SHA-256 digests taken from the plain full-BFS implementation: of
+# json.dumps([arcs, trace records], sort_keys=True) at eps = 1/2, and of the
+# edge lists of random_bridgeless(800, 4, 3, s). A speedup must leave every
+# output byte in place.
+PINNED_RUNS = {
+    "random_bridgeless(300, 4, 3, 1)": (
+        lambda: random_bridgeless(300, 4, 3, 1),
+        "b352623afac40a3276c8afade78918821f83d8a9a95953c52b54ec176ad3c244",
+    ),
+    "circulant_graph(200, (1, 2))": (
+        lambda: circulant_graph(200, (1, 2)),
+        "2c59418dcebb6ec1d69a3f40ea9419ae6baf306155ac461d7f48c2401de1bf16",
+    ),
+}
+PINNED_EDGES = [
+    "434c065525f5c105ade8f492b776f1ef51bb4bdd82f8db44b46344ba0a0c93fb",
+    "d5093309a63b45ab1a574d4c5ec5fb2e1b8643245f586a1684e4b37c9cab5867",
+    "c869ec359ab93e51103119a2b14c1c8fa950f7190a6ec984dc8d6916f4e077fd",
+    "7267b39e82c986de5a6f763771a3f3306b70da29b9d19964df445e5c4edba690",
+]
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_RUNS))
+def test_pipeline_output_pinned(label):
+    make, digest = PINNED_RUNS[label]
+    r = run_pipeline(make(), Fraction(1, 2))
+    assert _digest([r.orientation.arcs(), r.trace_records()]) == digest
+
+
+def test_random_bridgeless_edges_pinned():
+    digests = [_digest(random_bridgeless(800, 4, 3, s).edges()) for s in range(4)]
+    assert digests == PINNED_EDGES
