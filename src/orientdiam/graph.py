@@ -243,6 +243,38 @@ def min_degree(g: Graph) -> int:
     return min(g.degree(v) for v in range(g.n))
 
 
+def distances_within(
+    g: Graph,
+    v: int,
+    depth: int,
+    excluded: Iterable[tuple[int, int]] = (),
+) -> dict[int, int]:
+    """BFS distances from v to every vertex at most ``depth`` away, as a dict.
+
+    ``excluded`` edges are treated as deleted. The search stops at the given
+    depth, so its cost is the ball, not the graph; a vertex missing from the
+    result is farther than ``depth`` (or unreachable).
+    """
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    ex = _normalize_excluded(excluded)
+    dist = {v: 0}
+    queue: deque[int] = deque([v])
+    while queue:
+        u = queue.popleft()
+        du = dist[u]
+        if du == depth:
+            continue
+        for w in g.neighbors(u):
+            if w in dist:
+                continue
+            if ex and edge_key(u, w) in ex:
+                continue
+            dist[w] = du + 1
+            queue.append(w)
+    return dist
+
+
 def ball(
     g: Graph,
     v: int,
@@ -252,21 +284,7 @@ def ball(
     """Vertices within the given distance of v after deleting ``excluded`` edges."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    ex = _normalize_excluded(excluded)
-    dist = {v: 0}
-    queue: deque[int] = deque([v])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == radius:
-            continue
-        for w in g.neighbors(u):
-            if w in dist:
-                continue
-            if ex and edge_key(u, w) in ex:
-                continue
-            dist[w] = dist[u] + 1
-            queue.append(w)
-    return set(dist)
+    return set(distances_within(g, v, radius, excluded))
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +320,15 @@ def is_connected_adj(adj: Mapping[int, Sequence[int]]) -> bool:
 def bridges_of(adj: Mapping[int, Sequence[int]]) -> set[tuple[int, int]]:
     """All bridges of the graph given as an adjacency mapping.
 
-    Iterative lowpoint DFS; safe for paths longer than the recursion limit.
+    Iterative lowpoint DFS (Tarjan 1974); safe for paths longer than the
+    recursion limit. A neighbor listed twice is two parallel edges: the DFS
+    skips one copy of the edge back to its parent, so the other copy counts
+    as a back edge and neither copy is a bridge.
     """
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
     out: set[tuple[int, int]] = set()
+    skipped_parent: set[int] = set()
     counter = 0
     for root in sorted(adj):
         if root in disc:
@@ -318,7 +340,8 @@ def bridges_of(adj: Mapping[int, Sequence[int]]) -> set[tuple[int, int]]:
             u, parent, it = stack[-1]
             advanced = False
             for w in it:
-                if w == parent:
+                if w == parent and u not in skipped_parent:
+                    skipped_parent.add(u)
                     continue
                 if w in disc:
                     low[u] = min(low[u], disc[w])

@@ -23,6 +23,7 @@ from .graph import (
     bfs_distances,
     bridges,
     bridges_of,
+    distances_within,
     edge_key,
     girth,
     is_bridgeless_connected,
@@ -115,12 +116,41 @@ class GrowthResult:
 
 
 def _covered_prefix(
-    path: list[int], hp_v: set[int], hp_e: set[tuple[int, int]]
+    g: Graph,
+    path: list[int],
+    h_v: set[int],
+    hp_v: set[int],
+    hp_e: set[tuple[int, int]],
 ) -> int:
-    """Number of leading path edges that are not bridges of core + path."""
-    verts = hp_v | set(path)
-    edges = hp_e | {edge_key(a, b) for a, b in zip(path, path[1:])}
-    br = bridges_of(subgraph_adjacency(verts, edges))
+    """Number of leading path edges that are not bridges of core + path.
+
+    The bridge search runs on core + path with the pre-iteration core
+    ``h_v`` contracted to ``path[0]``, its only vertex on the path. This is
+    exact because that core is connected (one vertex at iteration 0, checked
+    bridgeless and connected after every later one) and ``cover_path`` never
+    removes one of its vertices or edges: an edge outside a connected
+    subgraph is a bridge exactly when it is one after contracting the
+    subgraph. Contraction turns the edges from one outside vertex into the
+    core into parallel edges, which ``bridges_of`` handles, and edges with
+    both ends in the core into loops, which are left out.
+    """
+    rep = path[0]
+    path_edges = {edge_key(a, b) for a, b in zip(path, path[1:])}
+    outside = (hp_v - h_v).union(path[1:])
+    adj: dict[int, list[int]] = {rep: []}
+    adj.update((x, []) for x in outside)
+    for x in outside:
+        for w in g.neighbors(x):
+            e = edge_key(x, w)
+            if e not in hp_e and e not in path_edges:
+                continue
+            if w in h_v:
+                adj[x].append(rep)
+                adj[rep].append(x)
+            elif x < w:
+                adj[x].append(w)
+                adj[w].append(x)
+    br = bridges_of(adj)
     cp = 0
     for a, b in zip(path, path[1:]):
         if edge_key(a, b) in br:
@@ -175,9 +205,30 @@ def _apply_splice(
     counters["splices"] += 1
 
 
+def _near(
+    g: Graph,
+    near: dict[int, tuple[int, dict[int, int]]],
+    v: int,
+    depth: int,
+    path_edges: frozenset[tuple[int, int]],
+) -> dict[int, int]:
+    """Distances from v avoiding path edges, exact up to ``depth``, memoized in ``near``.
+
+    A cached search is reused when it went at least ``depth`` deep and
+    redone to ``depth`` otherwise.
+    """
+    hit = near.get(v)
+    if hit is None or hit[0] < depth:
+        hit = (depth, distances_within(g, v, depth, excluded=path_edges))
+        near[v] = hit
+    return hit[1]
+
+
 def _stabilize(
     g: Graph,
     h_v: set[int],
+    dist_h: list[int | float],
+    near: dict[int, tuple[int, dict[int, int]]],
     path_set: set[int],
     path_edges: frozenset[tuple[int, int]],
     h_e_protected: frozenset[tuple[int, int]],
@@ -192,11 +243,17 @@ def _stabilize(
     Invariant on exit: for label position m (1-based), the vertex is at
     distance >= m from the pre-iteration core, and any two labels are at
     least their position difference apart (all distances avoid path edges).
+
+    Neither ``h_v`` nor ``path_edges`` changes within one ``cover_path``, so
+    the distances from the core (``dist_h``) and from each label (``near``)
+    are computed there once and reused. A pair at positions m1 < m2 violates
+    the invariant only at distance < m2 - m1 <= len(labeled) - 1, so the
+    label searches stop at depth len(labeled) - 2: a label missing from one
+    is too far away to violate.
     """
     protected_v = path_set | h_v
     protected_e = h_e_protected | path_edges
     while labeled:
-        dist_h = bfs_distances(g, h_v, excluded=path_edges)
         viol = next(
             (
                 (m, q, dist_h[q])
@@ -228,11 +285,13 @@ def _stabilize(
             )
             continue
         pair = None
-        for m1 in range(1, len(labeled) + 1):
-            d1 = bfs_distances(g, (labeled[m1 - 1],), excluded=path_edges)
+        depth = len(labeled) - 2
+        for m1 in range(1, len(labeled)):
+            d1 = _near(g, near, labeled[m1 - 1], depth, path_edges)
             for m2 in range(m1 + 1, len(labeled) + 1):
-                if d1[labeled[m2 - 1]] < m2 - m1:
-                    pair = (m1, m2, d1[labeled[m2 - 1]])
+                d = d1.get(labeled[m2 - 1])
+                if d is not None and d < m2 - m1:
+                    pair = (m1, m2, d)
                     break
             if pair:
                 break
@@ -267,6 +326,10 @@ def cover_path(
     order, and the step counters. The covered prefix of the path migrates
     into the working subgraph as soon as it is safe, so detour searches
     always start from everything already secured.
+
+    The core ``h_v``/``h_e`` and the path edges stay fixed for the whole
+    call, so the distances from the core and the label searches of
+    ``_stabilize`` are computed once here and shared by every cover step.
     """
     path_edges = frozenset(edge_key(a, b) for a, b in zip(path, path[1:]))
     path_set = set(path)
@@ -275,9 +338,11 @@ def cover_path(
     hp_e = set(h_e)
     labeled: list[int] = []
     counters = {"rounds": 0, "cover_steps": 0, "splices": 0, "labeled_on_path": 0}
+    dist_h = bfs_distances(g, h_v, excluded=path_edges)
+    near: dict[int, tuple[int, dict[int, int]]] = {}
     target_edges = len(path) - 1
     while True:
-        cp = _covered_prefix(path, hp_v, hp_e)
+        cp = _covered_prefix(g, path, h_v, hp_v, hp_e)
         for t in range(cp):
             hp_v.add(path[t])
             hp_v.add(path[t + 1])
@@ -301,6 +366,8 @@ def cover_path(
         _stabilize(
             g,
             h_v,
+            dist_h,
+            near,
             path_set,
             path_edges,
             h_e_protected,

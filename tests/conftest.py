@@ -7,8 +7,18 @@ from itertools import combinations
 from hypothesis import assume, strategies as st
 
 from orientdiam.errors import InfeasibleSpecError
-from orientdiam.graph import UNREACHABLE, Graph, _normalize_excluded, bfs_distances, edge_key
+from orientdiam.errors import CertifiedFailureError
+from orientdiam.graph import (
+    UNREACHABLE,
+    Graph,
+    _normalize_excluded,
+    bfs_distances,
+    bridges_of,
+    edge_key,
+    shortest_path_between,
+)
 from orientdiam.generators import random_bridgeless
+from orientdiam.growth import _apply_splice, _bump, subgraph_adjacency
 
 
 @st.composite
@@ -116,3 +126,77 @@ def reference_shortest_path(g, sources, targets, excluded=(), blocked=()):
         else:  # pragma: no cover - BFS guarantees a predecessor exists
             raise AssertionError("path reconstruction lost the trail")
     return path
+
+
+def reference_covered_prefix(path, hp_v, hp_e):
+    """The whole-subgraph bridge search that ``growth._covered_prefix`` replaced.
+
+    Bridges of core + path with nothing contracted; kept as the slow path
+    the contracted search is checked against.
+    """
+    verts = hp_v | set(path)
+    edges = hp_e | {edge_key(a, b) for a, b in zip(path, path[1:])}
+    br = bridges_of(subgraph_adjacency(verts, edges))
+    cp = 0
+    for a, b in zip(path, path[1:]):
+        if edge_key(a, b) in br:
+            break
+        cp += 1
+    return cp
+
+
+def reference_stabilize(
+    g, h_v, path_set, path_edges, h_e_protected, hp_v, hp_e, labeled, counters, budget
+):
+    """The body that ``growth._stabilize`` replaced: full-graph BFS on every pass.
+
+    Distances from the core are recomputed on every pass of the loop and the
+    pair check runs an unbounded BFS from every label, so nothing is cached
+    and nothing is cut off; kept as the slow path the memoized, depth-bounded
+    checks are compared with.
+    """
+    protected_v = path_set | h_v
+    protected_e = h_e_protected | path_edges
+    while labeled:
+        dist_h = bfs_distances(g, h_v, excluded=path_edges)
+        viol = next(
+            ((m, q, dist_h[q]) for m, q in enumerate(labeled, start=1) if dist_h[q] < m),
+            None,
+        )
+        if viol is not None:
+            m1, q1, s = viol
+            if not isinstance(s, int) or s <= 0:
+                raise CertifiedFailureError(
+                    "labeled vertex sits inside the core",
+                    details={"vertex": q1, "position": m1},
+                )
+            _bump(counters, budget, {"labeled": list(labeled)})
+            blocked = (path_set - h_v) - {q1}
+            sp = shortest_path_between(g, (q1,), h_v, excluded=path_edges, blocked=blocked)
+            if sp is None or len(sp) - 1 != s:
+                sp = shortest_path_between(g, (q1,), h_v, excluded=path_edges)
+                counters["labeled_on_path"] += sum(1 for x in sp[1:-1] if x in path_set)
+            candidate = list(reversed(sp[1:-1])) + labeled[m1 - 1 :]
+            _apply_splice(labeled, candidate, sp, hp_v, hp_e, protected_v, protected_e, counters)
+            continue
+        pair = None
+        for m1 in range(1, len(labeled) + 1):
+            d1 = bfs_distances(g, (labeled[m1 - 1],), excluded=path_edges)
+            for m2 in range(m1 + 1, len(labeled) + 1):
+                if d1[labeled[m2 - 1]] < m2 - m1:
+                    pair = (m1, m2, d1[labeled[m2 - 1]])
+                    break
+            if pair:
+                break
+        if pair is None:
+            return
+        m1, m2, s = pair
+        q1, q2 = labeled[m1 - 1], labeled[m2 - 1]
+        _bump(counters, budget, {"labeled": list(labeled)})
+        blocked = ((path_set | h_v) - {q1}) - {q2}
+        sp = shortest_path_between(g, (q1,), (q2,), excluded=path_edges, blocked=blocked)
+        if sp is None or len(sp) - 1 != s:
+            sp = shortest_path_between(g, (q1,), (q2,), excluded=path_edges)
+            counters["labeled_on_path"] += sum(1 for x in sp[1:-1] if x in path_set)
+        candidate = labeled[:m1] + sp[1:-1] + labeled[m2 - 1 :]
+        _apply_splice(labeled, candidate, sp, hp_v, hp_e, protected_v, protected_e, counters)

@@ -21,7 +21,9 @@ from orientdiam.graph import (
     ball,
     bfs_distances,
     bridges,
+    bridges_of,
     diameter,
+    distances_within,
     eccentricity,
     edge_key,
     format_graph,
@@ -173,6 +175,11 @@ def test_bridges_frozen_values():
     assert bridges(bowtie) == set()
 
 
+def test_bridges_of_parallel_edges():
+    assert bridges_of({0: [1, 1], 1: [0, 0]}) == set()
+    assert bridges_of({0: [1], 1: [0, 2, 2], 2: [1, 1]}) == {(0, 1)}
+
+
 def test_is_bridgeless_connected():
     assert is_bridgeless_connected(cycle_graph(5))
     assert not is_bridgeless_connected(P4)
@@ -223,6 +230,59 @@ def test_girth_matches_edge_removal_reference(g):
 @given(arbitrary_graphs(max_n=8))
 def test_bridges_match_removal_reference(g):
     assert bridges(g) == bridges_by_removal(g)
+
+
+def _component_count(n: int, pairs: list[tuple[int, int]]) -> int:
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    count = n
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            root[ru] = rv
+            count -= 1
+    return count
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bridges_of_multigraph_matches_copy_removal(data):
+    """A repeated neighbor is a parallel edge: deleting one copy must split a component."""
+    n = data.draw(st.integers(min_value=1, max_value=8))
+    pairs = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
+            max_size=14,
+        )
+    )
+    adj: dict[int, list[int]] = {v: [] for v in range(n)}
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    base = _component_count(n, pairs)
+    expected = {
+        edge_key(*pairs[i])
+        for i in range(len(pairs))
+        if _component_count(n, pairs[:i] + pairs[i + 1 :]) > base
+    }
+    assert bridges_of(adj) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(arbitrary_graphs(), st.integers(min_value=0, max_value=5), st.data())
+def test_distances_within_matches_full_bfs(g, depth, data):
+    pool = g.edges()
+    excluded = data.draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else []
+    for v in range(g.n):
+        full = bfs_distances(g, (v,), excluded=excluded)
+        want = {w: d for w, d in enumerate(full) if d <= depth}
+        assert distances_within(g, v, depth, excluded=excluded) == want
+        assert ball(g, v, depth, excluded=excluded) == set(want)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,16 +1,22 @@
 """Tests for the core-growing construction."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bridgeless_graphs
-from orientdiam.errors import PreconditionError
-from orientdiam.generators import triangle_chain
-from orientdiam.graph import Graph, ball
-from orientdiam.growth import grow_core, subgraph_adjacency
+from conftest import bridgeless_graphs, reference_covered_prefix, reference_stabilize
+from orientdiam.errors import CertifiedFailureError, PreconditionError
+from orientdiam.generators import circulant_graph, triangle_chain
+from orientdiam.graph import Graph, ball, bfs_distances, edge_key, shortest_path_between
+from orientdiam.growth import (
+    _covered_prefix,
+    _stabilize,
+    grow_core,
+    subgraph_adjacency,
+)
 from orientdiam.pipeline import certify
 
 
@@ -185,3 +191,108 @@ def test_growth_certifies_random_graphs(g, eps):
     assert r.core_vertices <= frozenset(range(g.n))
     assert r.claimed <= frozenset(range(g.n))
     reverify_growth(g, r)
+
+
+# ---------------------------------------------------------------------------
+# the fast covering steps against the slow bodies they replaced
+
+
+def _escape_state(rng: random.Random):
+    """A random circulant, a fixed connected core, and an escape path out of it.
+
+    The core is vertex 0 alone (as at iteration 0) or a shortest cycle
+    through 0; the path is a shortest path from the core to a vertex at
+    least two steps away, as ``grow_core`` would pick.
+    """
+    n = rng.randint(20, 80)
+    g = circulant_graph(n, rng.choice([(1, 2), (1, 3), (1, 4), (2, 5)]))
+    h_v, h_e = {0}, set()
+    if rng.random() < 0.5:
+        w = g.neighbors(0)[0]
+        back = shortest_path_between(g, (w,), (0,), excluded=[(0, w)])
+        h_v = set(back)
+        h_e = {edge_key(a, b) for a, b in zip(back, back[1:])} | {edge_key(0, w)}
+    dist = bfs_distances(g, h_v)
+    target = rng.choice([v for v in range(n) if dist[v] >= 2])
+    path = shortest_path_between(g, h_v, (target,))
+    return g, h_v, h_e, path
+
+
+def _label_walk(rng, g, avoid, start, length):
+    """Distinct vertices outside ``avoid``, each next to the one before when possible."""
+    walk = [start]
+    while len(walk) < length:
+        options = [w for w in g.neighbors(walk[-1]) if w not in avoid and w not in walk]
+        if not options or rng.random() < 0.1:
+            options = [w for w in range(g.n) if w not in avoid and w not in walk]
+        walk.append(rng.choice(options))
+    return walk
+
+
+def _counters() -> dict:
+    return {"rounds": 0, "cover_steps": 0, "splices": 0, "labeled_on_path": 0}
+
+
+def _outcome(fn, *args):
+    """None, or the message of the CertifiedFailureError fn raised."""
+    try:
+        fn(*args)
+    except CertifiedFailureError as exc:
+        return str(exc)
+    return None
+
+
+def test_stabilize_matches_full_bfs_reference():
+    """Two label rounds on one cache, as ``cover_path`` makes them.
+
+    The second round grows the label list past the depth the first round's
+    searches reached, so a cache that ignored its depth would miss pairs.
+    """
+    for seed in range(1200):
+        rng = random.Random(seed)
+        g, h_v, h_e, path = _escape_state(rng)
+        path_set = set(path)
+        path_edges = frozenset(edge_key(a, b) for a, b in zip(path, path[1:]))
+        avoid = h_v | path_set
+        labels = _label_walk(rng, g, avoid, rng.choice(
+            [v for v in range(g.n) if v not in avoid]), rng.randint(2, 14))
+        cut = rng.randint(1, len(labels) - 1)
+        hp_v = h_v | path_set | set(labels)
+        hp_e = set(h_e) | set(path_edges) | {
+            edge_key(a, b) for a, b in zip(labels, labels[1:]) if g.has_edge(a, b)
+        }
+        fast = (set(hp_v), set(hp_e), labels[:cut], _counters())
+        slow = (set(hp_v), set(hp_e), labels[:cut], _counters())
+        dist_h = bfs_distances(g, h_v, excluded=path_edges)
+        near: dict = {}
+        for extra in (None, labels[cut:]):
+            if extra:
+                fast[2].extend(x for x in extra if x not in fast[2])
+                slow[2].extend(x for x in extra if x not in slow[2])
+            got = _outcome(
+                _stabilize, g, h_v, dist_h, near, path_set, path_edges,
+                frozenset(h_e), fast[0], fast[1], fast[2], fast[3], 500,
+            )
+            want = _outcome(
+                reference_stabilize, g, h_v, path_set, path_edges,
+                frozenset(h_e), slow[0], slow[1], slow[2], slow[3], 500,
+            )
+            assert (got, fast) == (want, slow), f"seed {seed}"
+            if want is not None:
+                break
+
+
+def test_covered_prefix_matches_whole_subgraph_reference():
+    """Bridges with the core contracted agree with bridges of the whole subgraph."""
+    for seed in range(1500):
+        rng = random.Random(seed)
+        g, h_v, h_e, path = _escape_state(rng)
+        near_path = bfs_distances(g, path)
+        keep = rng.uniform(0.3, 0.9)
+        hp_v = h_v | {v for v in range(g.n) if near_path[v] <= 2 and rng.random() < keep}
+        hp_e = set(h_e) | {
+            (u, v) for u, v in g.edges()
+            if u in hp_v and v in hp_v and rng.random() < keep
+        }
+        want = reference_covered_prefix(path, hp_v, hp_e)
+        assert _covered_prefix(g, path, h_v, hp_v, hp_e) == want, f"seed {seed}"

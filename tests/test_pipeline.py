@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -109,10 +110,18 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+def _relabeled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 # SHA-256 digests taken from the plain full-BFS implementation: of
 # json.dumps([arcs, trace records], sort_keys=True) at eps = 1/2, and of the
 # edge lists of random_bridgeless(800, 4, 3, s). A speedup must leave every
-# output byte in place.
+# output byte in place. The circulants are growth-heavy: C_300(1, 3) has
+# girth 4, 3 growth iterations and 2 splices; the relabeled C_200(1, 2) has
+# 7 iterations and 1 splice.
 PINNED_RUNS = {
     "random_bridgeless(300, 4, 3, 1)": (
         lambda: random_bridgeless(300, 4, 3, 1),
@@ -121,6 +130,14 @@ PINNED_RUNS = {
     "circulant_graph(200, (1, 2))": (
         lambda: circulant_graph(200, (1, 2)),
         "2c59418dcebb6ec1d69a3f40ea9419ae6baf306155ac461d7f48c2401de1bf16",
+    ),
+    "circulant_graph(300, (1, 3))": (
+        lambda: circulant_graph(300, (1, 3)),
+        "d84a76f012e24edc1d84a01bbadb0b0aab546a466e59c3374e98cd38c3441484",
+    ),
+    "circulant_graph(200, (1, 2)) relabeled by seed 6": (
+        lambda: _relabeled(circulant_graph(200, (1, 2)), 6),
+        "ea97be611a7560abf90ab3ae11418d2df96e8bc4edc4d1aa5a74517b74e610b7",
     ),
 }
 PINNED_EDGES = [
