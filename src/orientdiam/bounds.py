@@ -60,6 +60,11 @@ def min_ball_size(delta: int, g: int) -> int:
     return total
 
 
+def ball_radius(g: int) -> int:
+    """Radius ceil(g/2) - 1 of every claimed ball at girth g."""
+    return (g + 1) // 2 - 1
+
+
 def path_scale(g: int, eps: Fraction | int) -> int:
     """Number of ball centers a full-length escape path must supply."""
     e = as_fraction(eps)
@@ -87,6 +92,15 @@ class BoundReport:
     @property
     def floor_total(self) -> int:
         return math.floor(self.total)
+
+    @property
+    def radius(self) -> int:
+        return ball_radius(self.girth)
+
+    @property
+    def reach(self) -> int:
+        """Escape-path length scale * g: growth stops once every vertex is closer."""
+        return self.scale * self.girth
 
     def to_json_dict(self) -> dict:
         return {
@@ -139,7 +153,9 @@ def triangle_comparison(
 ) -> tuple[Fraction, Fraction]:
     """Leading terms at girth 3: this bound's (6+eps)n/(delta+1) next to 7n/(delta+1).
 
-    Only meaningful for 0 < eps < 1, where the first is strictly smaller.
+    This is the abstract's girth-3 claim: for 0 < eps < 1 the bound improves
+    on Surmacs' degree-only 7n/(delta+1), the first term strictly below the
+    second.
     """
     e = as_fraction(eps)
     if not 0 < e < 1:

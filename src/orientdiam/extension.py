@@ -6,8 +6,9 @@ escape path (or the reverse pairing), chosen so both directions stay short.
 Absorbed vertices join the core for the next round, so the frontier walks
 outward and the number of rounds is at most the initial reach.
 
-The quadratic cap on the diameter increase is certified on the final
-orientation, not assumed from the construction.
+The final record states the diameter increase and whether it stays within
+the quadratic cap; ``pipeline.certify`` judges that claim, the construction
+does not.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .orientation import (
     directed_distances_from,
     directed_distances_to,
     directed_diameter,
-    is_strong,
     orient_path,
 )
 
@@ -39,18 +39,6 @@ class ExtensionTrace:
         if self.final:
             out.append(dict(self.final))
         return out
-
-    @property
-    def all_passed(self) -> bool:
-        return bool(self.final.get("ok", False))
-
-
-def measure_extendability(g: Graph, core_vertices: frozenset[int] | set[int]) -> int:
-    """Largest distance from any vertex to the core."""
-    far = max(bfs_distances(g, core_vertices))
-    if far == UNREACHABLE:
-        raise PreconditionError("core does not reach the whole graph")
-    return int(far)
 
 
 def core_directed_diameter(o: Orientation, core_vertices) -> int:
@@ -131,14 +119,22 @@ def extend_orientation(
     core_vertices: frozenset[int] | set[int],
     core_arcs: list[tuple[int, int]],
 ) -> tuple[Orientation, ExtensionTrace]:
-    """Extend the core arcs to a strong orientation of all of g."""
+    """Extend the core arcs to an orientation of all of g, meant to be strong.
+
+    The trace's diameters and its ``ok`` are claims until ``pipeline.certify``
+    replays them.
+    """
     o = Orientation(g)
     for t, h in core_arcs:
         o.assign(t, h)
     a0 = frozenset(core_vertices)
     if not a0:
         raise PreconditionError("core must be non-empty")
-    s_initial = measure_extendability(g, a0)
+    absorbed = set(a0)
+    dist = bfs_distances(g, absorbed)
+    s_initial = max(dist)
+    if s_initial == UNREACHABLE:
+        raise PreconditionError("core does not reach the whole graph")
     core_diam = core_directed_diameter(o, a0)
     allowed = 4 * math.comb(s_initial + 1, 2)
     records: list[dict] = [
@@ -150,11 +146,9 @@ def extend_orientation(
             "allowed_increase": allowed,
         }
     ]
-    absorbed = set(a0)
     s_prev: int | None = None
     round_no = 0
     while True:
-        dist = bfs_distances(g, absorbed)
         s_r = int(max(dist))
         if s_r == 0:
             break
@@ -216,25 +210,21 @@ def extend_orientation(
             }
         )
         records.extend(steps)
+        dist = bfs_distances(g, absorbed)
     for u, v in g.edges():
         if o.direction(u, v) is None:
             o.assign(u, v)
-    strong = is_strong(o)
     final_diam = directed_diameter(o)
-    increase = (int(final_diam) if strong else -1) - core_diam
+    strong = final_diam != UNREACHABLE
+    increase = int(final_diam) - core_diam if strong else None
     final = {
         "type": "extension_final",
         "strong": strong,
         "diameter": int(final_diam) if strong else None,
         "core_diameter": core_diam,
-        "increase": increase if strong else None,
+        "increase": increase,
         "allowed_increase": allowed,
         "rounds": round_no,
         "ok": strong and increase <= allowed,
     }
-    trace = ExtensionTrace(records, final)
-    if not trace.all_passed:
-        raise CertifiedFailureError(
-            "extension failed its final certification", details={"final": final}
-        )
-    return o, trace
+    return o, ExtensionTrace(records, final)

@@ -205,10 +205,6 @@ def diameter(g: Graph) -> int | float:
     return worst
 
 
-def eccentricity(g: Graph, v: int) -> int | float:
-    return max(bfs_distances(g, (v,)))
-
-
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle; UNREACHABLE for forests.
 

@@ -23,7 +23,7 @@ from .graph import (
     min_degree,
     shortest_path_between,
 )
-from .bounds import min_ball_size
+from .bounds import ball_radius, min_ball_size
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def check_ball_bound(g: Graph, samples: int = 100, seed: int = 0) -> BallCheckRe
     if gval == UNREACHABLE:
         raise ValueError("graph has no cycle, so no girth")
     gval = int(gval)
-    radius = (gval + 1) // 2 - 1
+    radius = ball_radius(gval)
     if delta <= 3:
         return BallCheckReport(False, 0, (), 0, min_ball_size(delta, gval), radius)
     floor = min_ball_size(delta, gval)

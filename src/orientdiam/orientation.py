@@ -71,19 +71,6 @@ class Orientation:
             out.append((v if h == u else u, h))
         return out
 
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._out[v]))
-
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self._in[v]))
-
-    def copy(self) -> "Orientation":
-        dup = Orientation(self.base)
-        dup._heads = dict(self._heads)
-        dup._out = [list(x) for x in self._out]
-        dup._in = [list(x) for x in self._in]
-        return dup
-
     def __repr__(self) -> str:
         return f"Orientation({self.base!r}, assigned={len(self._heads)}/{self.base.m})"
 

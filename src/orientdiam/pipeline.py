@@ -159,8 +159,7 @@ def _replay_growth(
     the final core's vertices and edges and the largest distance to it.
     """
     n, floor, gval, eps = g.n, bound.ball_size, bound.girth, bound.epsilon
-    radius = (gval + 1) // 2 - 1
-    reach = bound.scale * gval
+    radius, reach = bound.radius, bound.reach
     failures: list[str] = []
 
     def need(where: str, props: dict[str, bool], detail: str) -> None:
@@ -261,18 +260,22 @@ def _certify_extension(
 ) -> tuple[list[tuple], list[int], list[int]]:
     """The five extension and bound checks, then the core and full diameter claims.
 
-    The round summaries ride in ``extension_increase_within_allowed``: the
-    allowance 4*C(s+1, 2) is the sum of the per-round round-trip caps 4*s_r.
+    The round summaries and extension_final's ``ok`` ride in
+    ``extension_increase_within_allowed``: the allowance 4*C(s+1, 2) is the
+    sum of the per-round round-trip caps 4*s_r, and ``ok`` must state whether
+    the orientation is strong with its increase within that allowance.
     """
     header = _record(single, "extension_header")
     final = _record(single, "extension_final")
-    round_problem = _replay_rounds(final, rounds, s)
-    reach = bound.scale * bound.girth
     allowed = 4 * math.comb(s + 1, 2)
     total = rational_str(bound.total)
     strong = _field(final, "strong", "bool")
     achieved = _field(final, "diameter", "int") if strong else UNREACHABLE
     increase = _field(final, "increase", "int") if strong else UNREACHABLE
+    ok = _field(final, "ok", "bool")
+    problem = _replay_rounds(final, rounds, s)
+    if problem is None and ok != (strong and increase <= allowed):
+        problem = f"extension_final claims ok={ok}"
     core_diam = _field(final, "core_diameter", "int")
     core_claims = [_field(header, "core_diameter", "int"), core_diam]
     achieved_claims = [achieved]
@@ -292,15 +295,15 @@ def _certify_extension(
         ),
         (
             "extension_start_within_reach",
-            start_claims == (core_size, s) and s <= reach - 1,
-            f"s={s}, reach={reach}",
+            start_claims == (core_size, s) and s <= bound.reach - 1,
+            f"s={s}, reach={bound.reach}",
         ),
         (
             "extension_increase_within_allowed",
             allowed_claims == {allowed}
             and increase == achieved - core_diam <= allowed
-            and round_problem is None,
-            f"{increase} <= {allowed}" + (f"; {round_problem}" if round_problem else ""),
+            and problem is None,
+            f"{increase} <= {allowed}" + (f"; {problem}" if problem else ""),
         ),
         (
             "achieved_within_total",
@@ -406,8 +409,8 @@ def certify(
 def run_pipeline(g: Graph, eps: Fraction | int) -> PipelineResult:
     """Produce a strong orientation of g with certified diameter bound.
 
-    Composes the three phases and re-checks every inequality the final bound
-    rests on; any miss raises instead of returning a pretty report.
+    Composes the three phases, then ``certify`` replays their trace: any
+    failed check raises CertifiedFailureError instead of returning a report.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -427,10 +430,12 @@ def run_pipeline(g: Graph, eps: Fraction | int) -> PipelineResult:
     timings["extend"] = time.perf_counter() - t0
 
     invariants = certify(g, growth.trace.to_records() + ext.to_records())
-    achieved = int(ext.final["diameter"])
-    core_diam = int(ext.final["core_diameter"])
-
-    result = PipelineResult(
+    if not all(item["ok"] for item in invariants):
+        raise CertifiedFailureError(
+            "pipeline invariant failed",
+            details={"invariants": [i for i in invariants if not i["ok"]]},
+        )
+    return PipelineResult(
         graph={
             "n": g.n,
             "m": g.m,
@@ -442,14 +447,8 @@ def run_pipeline(g: Graph, eps: Fraction | int) -> PipelineResult:
         growth=growth,
         extension=ext,
         orientation=o,
-        achieved=achieved,
-        core_diameter=core_diam,
+        achieved=ext.final["diameter"],
+        core_diameter=ext.final["core_diameter"],
         invariants=invariants,
         timings=timings,
     )
-    if not result.all_passed:
-        raise CertifiedFailureError(
-            "pipeline invariant failed",
-            details={"invariants": [i for i in invariants if not i["ok"]]},
-        )
-    return result

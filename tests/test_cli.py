@@ -208,6 +208,10 @@ def _failed_verdict(records):
     records[-1]["ok"] = False
 
 
+def _extension_not_ok(records):
+    next(r for r in records if r["type"] == "extension_final")["ok"] = False
+
+
 @pytest.mark.parametrize(
     "edit, check",
     [
@@ -216,6 +220,7 @@ def _failed_verdict(records):
         (_false_roundtrip_probe, "extension_increase_within_allowed"),
         (_zero_max_distance, "growth_properties"),
         (_failed_verdict, "pipeline_verdict_matches"),
+        (_extension_not_ok, "extension_increase_within_allowed"),
     ],
 )
 def test_verify_replays_summary_fields(tmp_path, capsys, edit, check):

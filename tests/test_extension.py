@@ -5,11 +5,7 @@ from hypothesis import given, settings
 
 from conftest import bridgeless_graphs
 from orientdiam.errors import CertifiedFailureError, PreconditionError
-from orientdiam.extension import (
-    core_directed_diameter,
-    extend_orientation,
-    measure_extendability,
-)
+from orientdiam.extension import core_directed_diameter, extend_orientation
 from orientdiam.generators import (
     complete_graph,
     circulant_graph,
@@ -122,14 +118,20 @@ def test_core_must_be_nonempty_and_reach_everything():
         extend_orientation(cycle_graph(4), set(), [])
     two = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     with pytest.raises(PreconditionError, match="reach"):
-        measure_extendability(two, {0})
+        extend_orientation(two, {0}, [])
 
 
-def test_measure_extendability_frozen():
-    assert measure_extendability(cycle_graph(6), {0, 1}) == 2
-    assert measure_extendability(cycle_graph(6), {0}) == 3
-    assert measure_extendability(petersen_graph(), {0, 1, 2, 3, 4}) == 1
-    assert measure_extendability(cycle_graph(5), set(range(5))) == 0
+def test_extension_header_reach_frozen():
+    """The header's s is the largest distance from a vertex to the core."""
+    outer = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+    for g, core, arcs, s in (
+        (cycle_graph(6), {0}, [], 3),
+        (triangle_chain(4), {0, 1, 2}, [(0, 1), (1, 2), (2, 0)], 3),
+        (petersen_graph(), set(range(5)), outer, 1),
+        (cycle_graph(5), set(range(5)), outer, 0),
+    ):
+        _, t = extend_orientation(g, core, arcs)
+        assert t.records[0]["s"] == s
 
 
 def test_core_directed_diameter_frozen():

@@ -24,7 +24,6 @@ from orientdiam.graph import (
     bridges_of,
     diameter,
     distances_within,
-    eccentricity,
     edge_key,
     format_graph,
     girth,
@@ -147,11 +146,6 @@ def test_diameter_frozen_values():
     assert diameter(complete_graph(5)) == 1
     assert diameter(petersen_graph()) == 2
     assert diameter(P4) == 3
-
-
-def test_eccentricity():
-    assert eccentricity(cycle_graph(8), 0) == 4
-    assert eccentricity(P4, 1) == 2
 
 
 def test_girth_frozen_values():

@@ -60,12 +60,6 @@ def test_direction_and_arcs():
     assert o.is_complete()
 
 
-def test_out_in_neighbors():
-    o = directed_cycle(4)
-    assert o.out_neighbors(0) == (1,)
-    assert o.in_neighbors(0) == (3,)
-
-
 def test_directed_distances_partial():
     o = Orientation(cycle_graph(4))
     o.assign(0, 1)

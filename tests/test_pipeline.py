@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import bridgeless_graphs
-from orientdiam.errors import PreconditionError
+from orientdiam.errors import CertifiedFailureError, PreconditionError
 from orientdiam.generators import (
     circulant_graph,
     complete_graph,
@@ -19,6 +19,7 @@ from orientdiam.generators import (
     triangle_chain,
 )
 from orientdiam.graph import Graph
+from orientdiam.growth import grow_core
 from orientdiam.orientation import directed_diameter, is_strong
 from orientdiam.pipeline import certify, run_pipeline
 
@@ -104,6 +105,30 @@ def test_certify_names_first_failed_iteration():
     growth = certify(g, records)[0]
     assert growth["name"] == "growth_properties" and not growth["ok"]
     assert growth["detail"].startswith("iteration 1: f_claim (")
+
+
+# Known refusals: two grown cores that break a growth property, and a small
+# graph whose extension exceeds its quadratic cap. The constructors return
+# them; certify names the failure and run_pipeline raises on it.
+@pytest.mark.parametrize(
+    "args, eps, growth_failure",
+    [
+        ((60, 4, 3, 109), 2, "iteration 0: bridgeless_connected ("),
+        ((60, 4, 3, 103), 2, "iteration 1: property2 ("),
+        ((6, 3, 3, 42), Fraction(1, 2), None),
+    ],
+    ids=["random_60_4_3_109", "random_60_4_3_103", "random_6_3_3_42"],
+)
+def test_refused_runs_are_returned_then_certified_as_failed(args, eps, growth_failure):
+    g = random_bridgeless(*args)
+    growth = certify(g, grow_core(g, eps).trace.to_records())[0]
+    assert growth["name"] == "growth_properties"
+    if growth_failure is None:
+        assert growth["ok"], growth
+    else:
+        assert not growth["ok"] and growth["detail"].startswith(growth_failure)
+    with pytest.raises(CertifiedFailureError):
+        run_pipeline(g, eps)
 
 
 def _digest(obj) -> str:
