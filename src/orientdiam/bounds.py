@@ -75,6 +75,13 @@ def path_scale(g: int, eps: Fraction | int) -> int:
     return math.ceil(Fraction(g - 1) / e)
 
 
+def allowed_increase(s: int) -> int:
+    """Cap 4*C(s+1, 2) on the diameter increase of extending a core of reach s:
+    the sum of the round-trip caps 4*s_r of rounds whose reach falls from s to 1.
+    """
+    return 4 * math.comb(s + 1, 2)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Exact evaluation of the diameter guarantee at one parameter point."""
@@ -118,7 +125,7 @@ class BoundReport:
 
 
 def diameter_bound(n: int, delta: int, g: int, eps: Fraction | int) -> BoundReport:
-    """Evaluate (2g + eps) * n / ball_size + 4 * C(scale * g + 1, 2) exactly."""
+    """Evaluate (2g + eps) * n / ball_size + allowed_increase(scale * g) exactly."""
     if n < 1:
         raise ValueError("order must be at least 1")
     if delta < 2:
@@ -127,7 +134,7 @@ def diameter_bound(n: int, delta: int, g: int, eps: Fraction | int) -> BoundRepo
     h = min_ball_size(delta, g)
     scale = path_scale(g, e)
     core = (2 * g + e) * n / h
-    additive = 4 * math.comb(scale * g + 1, 2)
+    additive = allowed_increase(scale * g)
     return BoundReport(
         n=n,
         min_degree=delta,

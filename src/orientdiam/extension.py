@@ -13,9 +13,9 @@ does not.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from .bounds import allowed_increase
 from .errors import CertifiedFailureError, PreconditionError
 from .graph import UNREACHABLE, Graph, bfs_distances, shortest_path_between
 from .orientation import (
@@ -35,10 +35,7 @@ class ExtensionTrace:
     final: dict
 
     def to_records(self) -> list[dict]:
-        out = list(self.records)
-        if self.final:
-            out.append(dict(self.final))
-        return out
+        return [*self.records, dict(self.final)]
 
 
 def core_directed_diameter(o: Orientation, core_vertices) -> int:
@@ -56,17 +53,12 @@ def _absorb(
     v: int,
     anchor: int,
     q: list[int],
-    i: int,
 ) -> dict:
     """Orient an entry/exit pair for one frontier vertex; returns the step record.
 
     ``q`` is v's escape path to ``a_start`` that avoids the edge to its anchor.
     """
-    if len(q) - 1 != i:
-        raise CertifiedFailureError(
-            "escape path does not match its sweep length",
-            details={"vertex": v, "expected": i},
-        )
+    i = len(q) - 1
     idx = next(k for k in range(1, len(q)) if q[k] in absorbed)
     vprime = q[idx]
     qprime = q[: idx + 1]
@@ -136,7 +128,7 @@ def extend_orientation(
     if s_initial == UNREACHABLE:
         raise PreconditionError("core does not reach the whole graph")
     core_diam = core_directed_diameter(o, a0)
-    allowed = 4 * math.comb(s_initial + 1, 2)
+    allowed = allowed_increase(s_initial)
     records: list[dict] = [
         {
             "type": "extension_header",
@@ -175,13 +167,13 @@ def extend_orientation(
                 )
             escape[v] = q
         steps: list[dict] = []
-        for i in range(1, 2 * s_r + 1):
-            for v in v1:
-                if v in absorbed or len(escape[v]) - 1 != i:
-                    continue
-                rec = _absorb(o, a_start, absorbed, v, anchors[v], escape[v], i)
-                rec["round"] = round_no
-                steps.append(rec)
+        # shortest escape first; the sort is stable, so ties keep vertex order
+        for v in sorted(v1, key=lambda v: len(escape[v])):
+            if v in absorbed:
+                continue
+            rec = _absorb(o, a_start, absorbed, v, anchors[v], escape[v])
+            rec["round"] = round_no
+            steps.append(rec)
         leftovers = [v for v in v1 if v not in absorbed]
         if leftovers:
             raise CertifiedFailureError(

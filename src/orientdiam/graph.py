@@ -307,12 +307,6 @@ def components_of(adj: Mapping[int, Sequence[int]]) -> list[set[int]]:
     return out
 
 
-def is_connected_adj(adj: Mapping[int, Sequence[int]]) -> bool:
-    if not adj:
-        return True
-    return len(components_of(adj)) == 1
-
-
 def bridges_of(adj: Mapping[int, Sequence[int]]) -> set[tuple[int, int]]:
     """All bridges of the graph given as an adjacency mapping.
 
@@ -360,47 +354,66 @@ def bridges(g: Graph) -> set[tuple[int, int]]:
     return bridges_of(g.adjacency())
 
 
+def bridge_witness(adj: Mapping[int, Sequence[int]]) -> tuple[int, int] | str | None:
+    """Why the graph is not connected and bridgeless: its smallest bridge, else
+    ``"disconnected"`` (also when empty); None for one that is, a single vertex
+    included. By Robbins (1939) these are the graphs with a strong orientation.
+    """
+    br = bridges_of(adj)
+    if br:
+        return min(br)
+    return "disconnected" if len(components_of(adj)) != 1 else None
+
+
 def is_bridgeless_connected(g: Graph) -> bool:
     """True when g is connected and has no bridge (n=1 counts as such)."""
-    if g.n == 0:
-        return False
-    if max(bfs_distances(g, (0,))) == UNREACHABLE:
-        return False
-    return not bridges(g)
+    return bridge_witness(g.adjacency()) is None
 
 
 # ---------------------------------------------------------------------------
-# text format: '#' comments, an "n m" header, then one "u v" line per edge
+# text format shared by graphs and orientations: '#' starts a comment, blank
+# lines are skipped, a header ending in the integers n and m comes first, then
+# m rows of two integers each
+
+
+def _two_ints(words: list[str], shape: str, line: str) -> tuple[int, int]:
+    """``words`` as two integers; otherwise an error naming ``line`` and its ``shape``."""
+    try:
+        a, b = words
+        return int(a), int(b)
+    except ValueError:
+        msg = f"line must be '{shape}' with two integers, got {line!r}"
+        raise GraphFormatError(msg) from None
+
+
+def read_rows(text: str, header: str, row: str) -> tuple[int, list[tuple[int, int]]]:
+    """Read n from a ``header``-shaped first line, then its m rows of shape ``row``.
+
+    The header's words before n and m must be those of ``header`` itself.
+    """
+    lines = [s for s in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if s]
+    if not lines:
+        raise GraphFormatError("no content lines found")
+    keyword = header.split()[:-2]
+    words = lines[0].split()
+    rest = words[len(keyword) :] if words[: len(keyword)] == keyword else []
+    n, m = _two_ints(rest, header, lines[0])
+    if len(lines) - 1 != m:
+        raise GraphFormatError(f"expected {m} '{row}' lines, found {len(lines) - 1}")
+    return n, [_two_ints(line.split(), row, line) for line in lines[1:]]
+
+
+def write_rows(header: str, rows: Iterable[tuple[int, int]], comment: str | None) -> str:
+    """The text ``read_rows`` reads: comment lines, the header line, one line per row."""
+    out = [f"# {line}" for line in comment.splitlines()] if comment else []
+    out.append(header)
+    out.extend(f"{u} {v}" for u, v in rows)
+    return "\n".join(out) + "\n"
 
 
 def parse_graph(text: str) -> Graph:
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
-    if not lines:
-        raise GraphFormatError("no content lines found")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise GraphFormatError(f"header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise GraphFormatError(f"header must be two integers, got {lines[0]!r}") from exc
-    body = lines[1:]
-    if len(body) != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(body)}")
-    edges: list[tuple[int, int]] = []
-    for line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"edge line must be 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"edge line must be two integers, got {line!r}") from exc
-        edges.append((u, v))
+    """Parse an "n m" header and one "u v" line per edge."""
+    n, edges = read_rows(text, "n m", "u v")
     try:
         return Graph(n, edges)
     except ValueError as exc:
@@ -408,11 +421,4 @@ def parse_graph(text: str) -> Graph:
 
 
 def format_graph(g: Graph, comment: str | None = None) -> str:
-    out = []
-    if comment:
-        for line in comment.splitlines():
-            out.append(f"# {line}")
-    out.append(f"{g.n} {g.m}")
-    for u, v in g.edges():
-        out.append(f"{u} {v}")
-    return "\n".join(out) + "\n"
+    return write_rows(f"{g.n} {g.m}", g.edges(), comment)

@@ -18,18 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import as_fraction, diameter_bound, rational_str
+from .bounds import BoundReport, as_fraction, diameter_bound, rational_str
 from .errors import CertifiedFailureError, PreconditionError
 from .graph import (
     Graph,
     ball,
     bfs_distances,
-    bridges,
+    bridge_witness,
     bridges_of,
     distances_within,
     edge_key,
     girth,
-    is_bridgeless_connected,
     min_degree,
     shortest_path_between,
 )
@@ -90,8 +89,7 @@ class GrowthTrace:
     def to_records(self) -> list[dict]:
         out = [dict(self.header)]
         out.extend(rec.to_record() for rec in self.iterations)
-        if self.final:
-            out.append(dict(self.final))
+        out.append(dict(self.final))
         return out
 
 
@@ -104,13 +102,7 @@ class GrowthResult:
     centers: tuple[int, ...]
     claimed: frozenset[int]
     trace: GrowthTrace
-    min_degree: int
-    girth: int
-    epsilon: Fraction
-    ball_floor: int
-    scale: int
-    radius: int
-    reach: int
+    bound: BoundReport
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +383,42 @@ def cover_path(
 
 def check_preconditions(g: Graph) -> None:
     """Raise PreconditionError unless g is connected, bridgeless and has 3+ vertices."""
-    if not is_bridgeless_connected(g):
-        br = bridges(g)
-        raise PreconditionError(
-            "graph must be connected and bridgeless",
-            witness=min(br) if br else "disconnected",
-        )
+    witness = bridge_witness(g.adjacency())
+    if witness is not None:
+        raise PreconditionError("graph must be connected and bridgeless", witness=witness)
     if g.n < 3:
         raise PreconditionError("need at least 3 vertices")
+
+
+def header_claims(g: Graph, bound: BoundReport) -> dict:
+    """The growth_header fields that restate g and its bound, in trace order."""
+    return {
+        "n": g.n,
+        "m": g.m,
+        "min_degree": bound.min_degree,
+        "girth": bound.girth,
+        "epsilon": rational_str(bound.epsilon),
+        "ball_floor": bound.ball_size,
+        "scale": bound.scale,
+        "radius": bound.radius,
+        "reach": bound.reach,
+    }
+
+
+def final_claims(
+    iterations: int, far: int, reach: int, core: set[int], b: list[int], f: set[int]
+) -> dict:
+    """The growth_final counts of a core at distance ``far`` from every vertex,
+    with centers B and claimed vertices F; property 1 is ``far <= reach - 1``.
+    """
+    return {
+        "iterations": iterations,
+        "max_distance": far,
+        "property1": far <= reach - 1,
+        "core_vertex_count": len(core),
+        "center_count": len(b),
+        "claimed_count": len(f),
+    }
 
 
 def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
@@ -411,10 +431,8 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     e = as_fraction(eps)
     if e <= 0:
         raise PreconditionError("epsilon must be positive")
-    delta = min_degree(g)
-    gval = int(girth(g))
-    bound = diameter_bound(g.n, delta, gval, e)
-    floor, scale, radius, reach = bound.ball_size, bound.scale, bound.radius, bound.reach
+    bound = diameter_bound(g.n, min_degree(g), int(girth(g)), e)
+    gval, scale, radius, reach = bound.girth, bound.scale, bound.radius, bound.reach
     budget = 50 + 10 * (reach + g.n)
 
     v0 = min(range(g.n), key=lambda v: (-g.degree(v), v))
@@ -424,15 +442,7 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     f_set = ball(g, v0, radius)
     header = {
         "type": "growth_header",
-        "n": g.n,
-        "m": g.m,
-        "min_degree": delta,
-        "girth": gval,
-        "epsilon": rational_str(e),
-        "ball_floor": floor,
-        "scale": scale,
-        "radius": radius,
-        "reach": reach,
+        **header_claims(g, bound),
         "v0": v0,
         "base_claimed": sorted(f_set),
     }
@@ -482,12 +492,7 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
 
     final = {
         "type": "growth_final",
-        "iterations": len(iterations),
-        "max_distance": int(far),
-        "property1": far <= reach - 1,
-        "core_vertex_count": len(h_v),
-        "center_count": len(b_list),
-        "claimed_count": len(f_set),
+        **final_claims(len(iterations), int(far), reach, h_v, b_list, f_set),
     }
     return GrowthResult(
         core_vertices=frozenset(h_v),
@@ -495,11 +500,5 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
         centers=tuple(b_list),
         claimed=frozenset(f_set),
         trace=GrowthTrace(header, iterations, final),
-        min_degree=delta,
-        girth=gval,
-        epsilon=e,
-        ball_floor=floor,
-        scale=scale,
-        radius=radius,
-        reach=reach,
+        bound=bound,
     )

@@ -17,8 +17,7 @@ from .graph import (
     UNREACHABLE,
     Graph,
     ball,
-    bfs_distances,
-    bridges,
+    bridge_witness,
     girth,
     min_degree,
     shortest_path_between,
@@ -135,7 +134,7 @@ def exact_oriented_diameter(g: Graph, budget: int = 24) -> OracleResult:
         )
     if g.n == 1:
         return OracleResult(0, True, 1, ())
-    if max(bfs_distances(g, (0,))) == UNREACHABLE or bridges(g):
+    if bridge_witness(g.adjacency()) is not None:
         return OracleResult(None, False, 0)
     best, leaves, witness = _search(g, fix_first=True, count_all=False)
     if best == UNREACHABLE:  # pragma: no cover - bridgeless always admits one
@@ -151,7 +150,7 @@ def count_strong_orientations(g: Graph, budget: int = 24) -> int:
         )
     if g.n <= 1:
         return 1 if g.n == 1 else 0
-    if max(bfs_distances(g, (0,))) == UNREACHABLE or bridges(g):
+    if bridge_witness(g.adjacency()) is not None:
         return 0
     _, count, _ = _search(g, fix_first=False, count_all=True)
     return count

@@ -16,7 +16,7 @@ from .errors import (
     OrientationConflictError,
     PreconditionError,
 )
-from .graph import UNREACHABLE, Graph, bfs_distances, bridges, edge_key
+from .graph import UNREACHABLE, Graph, bridge_witness, edge_key, read_rows, write_rows
 
 
 class Orientation:
@@ -261,15 +261,10 @@ def orient_adjacency(
 
 def strong_orientation(g: Graph) -> Orientation:
     """A strong orientation of a connected bridgeless graph, via one DFS."""
-    if g.n == 0:
-        raise PreconditionError("the empty graph cannot be oriented")
-    if max(bfs_distances(g, (0,))) == UNREACHABLE:
-        raise PreconditionError("graph is not connected")
-    br = bridges(g)
-    if br:
-        witness = min(br)
+    witness = bridge_witness(g.adjacency())
+    if witness is not None:
         raise PreconditionError(
-            f"graph has a bridge {witness}; no strong orientation exists",
+            f"graph has no strong orientation: not connected and bridgeless ({witness})",
             witness=witness,
         )
     o = Orientation(g)
@@ -289,48 +284,23 @@ def orient_path(o: Orientation, vertices: Sequence[int], forward: bool = True) -
 
 
 # ---------------------------------------------------------------------------
-# text format: "orientation n m" header, then one "tail head" line per edge
+# text format (see graph.read_rows): an "orientation n m" header, then one
+# "tail head" line per edge
 
 
 def parse_orientation(text: str, base: Graph) -> Orientation:
     """Parse an arc listing and check it orients each base edge exactly once."""
-    lines = []
-    for raw in text.splitlines():
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            lines.append(stripped)
-    if not lines:
-        raise GraphFormatError("no content lines found")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "orientation":
-        raise GraphFormatError(f"header must be 'orientation n m', got {lines[0]!r}")
-    try:
-        n, m = int(header[1]), int(header[2])
-    except ValueError as exc:
-        raise GraphFormatError(f"header must end in two integers, got {lines[0]!r}") from exc
-    if n != base.n or m != base.m:
+    n, arcs = read_rows(text, "orientation n m", "tail head")
+    if (n, len(arcs)) != (base.n, base.m):
         raise GraphFormatError(
-            f"header ({n}, {m}) does not match the base graph ({base.n}, {base.m})"
+            f"header ({n}, {len(arcs)}) does not match the base graph ({base.n}, {base.m})"
         )
-    body = lines[1:]
-    if len(body) != m:
-        raise GraphFormatError(f"expected {m} arc lines, found {len(body)}")
     o = Orientation(base)
-    seen: set[tuple[int, int]] = set()
-    for line in body:
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"arc line must be 'tail head', got {line!r}")
-        try:
-            t, h = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise GraphFormatError(f"arc line must be two integers, got {line!r}") from exc
+    for t, h in arcs:
         if not (0 <= t < n and 0 <= h < n) or not base.has_edge(t, h):
             raise GraphFormatError(f"({t}, {h}) is not an edge of the base graph")
-        e = edge_key(t, h)
-        if e in seen:
-            raise GraphFormatError(f"edge {e} oriented twice")
-        seen.add(e)
+        if o.direction(t, h) is not None:
+            raise GraphFormatError(f"edge {edge_key(t, h)} oriented twice")
         o.assign(t, h)
     return o
 
@@ -338,11 +308,4 @@ def parse_orientation(text: str, base: Graph) -> Orientation:
 def format_orientation(o: Orientation, comment: str | None = None) -> str:
     if not o.is_complete():
         raise IncompleteOrientationError("refusing to serialize a partial orientation")
-    out = []
-    if comment:
-        for line in comment.splitlines():
-            out.append(f"# {line}")
-    out.append(f"orientation {o.base.n} {o.base.m}")
-    for t, h in o.arcs():
-        out.append(f"{t} {h}")
-    return "\n".join(out) + "\n"
+    return write_rows(f"orientation {o.base.n} {o.base.m}", o.arcs(), comment)

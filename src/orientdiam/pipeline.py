@@ -7,28 +7,33 @@ all report through it.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import BoundReport, diameter_bound, parse_rational, rational_str
+from .bounds import BoundReport, allowed_increase, diameter_bound, parse_rational, rational_str
 from .errors import CertifiedFailureError, GraphFormatError
-from .extension import ExtensionTrace, core_directed_diameter, extend_orientation
+from .extension import ExtensionTrace, extend_orientation
 from .graph import (
     UNREACHABLE,
     Graph,
     ball,
     bfs_distances,
-    bridges_of,
+    bridge_witness,
     edge_key,
     girth,
-    is_connected_adj,
     min_degree,
 )
-from .growth import GrowthResult, check_preconditions, grow_core, subgraph_adjacency
+from .growth import (
+    GrowthResult,
+    check_preconditions,
+    final_claims,
+    grow_core,
+    header_claims,
+    subgraph_adjacency,
+)
 from .oracle import directed_diameter_of_arcs
-from .orientation import Orientation, directed_diameter, orient_adjacency
+from .orientation import Orientation, diameter_among, directed_diameter, orient_adjacency
 
 
 @dataclass
@@ -165,17 +170,11 @@ def _replay_growth(
     def need(where: str, props: dict[str, bool], detail: str) -> None:
         failures.extend(f"{where}: {name} ({detail})" for name, ok in props.items() if not ok)
 
-    expected = {
-        "n": g.n,
-        "m": g.m,
-        "min_degree": bound.min_degree,
-        "girth": gval,
-        "ball_floor": floor,
-        "scale": bound.scale,
-        "radius": radius,
-        "reach": reach,
+    expected = header_claims(g, bound)
+    props = {
+        key: _field(header, key, "str" if key == "epsilon" else "int") == value
+        for key, value in expected.items()
     }
-    props = {key: _field(header, key, "int") == value for key, value in expected.items()}
     v0 = _field(header, "v0", "vertex", n)
     f_set = ball(g, v0, radius)
     props["base_ball"] = f_set == set(_field(header, "base_claimed", "vertices", n))
@@ -201,7 +200,7 @@ def _replay_growth(
             "index": _field(rec, "index", "int") == pos,
             "edges_real": all(g.has_edge(u, v) for u, v in [*new_h_e, *path_edges]),
             "core_grows": h_v <= new_h_v and h_e <= new_h_e and set(path) <= new_h_v,
-            "bridgeless_connected": is_connected_adj(adj) and not bridges_of(adj),
+            "bridgeless_connected": bridge_witness(adj) is None,
             "f_claim": f_set == set(_field(rec, "f", "vertices", n)),
             "b_claim": b_list == _field(rec, "b", "vertices", n),
             "property2": len(f_set) >= floor * len(b_list),
@@ -212,14 +211,7 @@ def _replay_growth(
         need(f"iteration {pos}", props, f"{sizes}, floor {floor}, girth {gval}")
         h_v, h_e = new_h_v, new_h_e
     far = int(max(bfs_distances(g, h_v)))
-    counts = {
-        "iterations": len(iterations),
-        "max_distance": far,
-        "property1": far <= reach - 1,
-        "core_vertex_count": len(h_v),
-        "center_count": len(b_list),
-        "claimed_count": len(f_set),
-    }
+    counts = final_claims(len(iterations), far, reach, h_v, b_list, f_set)
     claimed = {k: _field(final, k, "bool" if k == "property1" else "int") for k in counts}
     props = {"property1": counts["property1"], "final_counts": claimed == counts}
     need("final core", props, f"max distance {far}, reach {reach}, recomputed {counts}")
@@ -261,13 +253,13 @@ def _certify_extension(
     """The five extension and bound checks, then the core and full diameter claims.
 
     The round summaries and extension_final's ``ok`` ride in
-    ``extension_increase_within_allowed``: the allowance 4*C(s+1, 2) is the
-    sum of the per-round round-trip caps 4*s_r, and ``ok`` must state whether
-    the orientation is strong with its increase within that allowance.
+    ``extension_increase_within_allowed``: the allowance is the sum of the
+    per-round round-trip caps 4*s_r, and ``ok`` must state whether the
+    orientation is strong with its increase within that allowance.
     """
     header = _record(single, "extension_header")
     final = _record(single, "extension_final")
-    allowed = 4 * math.comb(s + 1, 2)
+    allowed = allowed_increase(s)
     total = rational_str(bound.total)
     strong = _field(final, "strong", "bool")
     achieved = _field(final, "diameter", "int") if strong else UNREACHABLE
@@ -391,10 +383,7 @@ def certify(
             if g.has_edge(u, v):  # a non-edge already failed growth_properties
                 head = orientation.direction(u, v)
                 core_arcs.assign(u if head == v else v, head)
-        try:
-            core_actual = core_directed_diameter(core_arcs, core_v)
-        except CertifiedFailureError:
-            core_actual = UNREACHABLE
+        core_actual = diameter_among(core_arcs, core_v)
         checks.append(
             (
                 "trace_claims_match_orientation",
@@ -406,18 +395,27 @@ def certify(
     return [{"name": name, "ok": bool(ok), "detail": detail} for name, ok, detail in checks]
 
 
+def _raise_on_failed(checks: list[dict]) -> None:
+    failed = [c for c in checks if not c["ok"]]
+    if failed:
+        raise CertifiedFailureError(
+            "pipeline invariant failed", details={"invariants": failed}
+        )
+
+
 def run_pipeline(g: Graph, eps: Fraction | int) -> PipelineResult:
     """Produce a strong orientation of g with certified diameter bound.
 
     Composes the three phases, then ``certify`` replays their trace: any
     failed check raises CertifiedFailureError instead of returning a report.
+    When the extension stops on a construction guard first, the growth trace
+    is certified alone, so a core that breaks a growth property is named as
+    such rather than by the guard it tripped.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     growth = grow_core(g, eps)
     timings["grow"] = time.perf_counter() - t0
-
-    bound = diameter_bound(g.n, growth.min_degree, growth.girth, growth.epsilon)
 
     t0 = time.perf_counter()
     core_v = set(growth.core_vertices)
@@ -426,23 +424,19 @@ def run_pipeline(g: Graph, eps: Fraction | int) -> PipelineResult:
     timings["orient_core"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    o, ext = extend_orientation(g, growth.core_vertices, arcs)
+    try:
+        o, ext = extend_orientation(g, growth.core_vertices, arcs)
+    except CertifiedFailureError:
+        _raise_on_failed(certify(g, growth.trace.to_records()))
+        raise
     timings["extend"] = time.perf_counter() - t0
 
     invariants = certify(g, growth.trace.to_records() + ext.to_records())
-    if not all(item["ok"] for item in invariants):
-        raise CertifiedFailureError(
-            "pipeline invariant failed",
-            details={"invariants": [i for i in invariants if not i["ok"]]},
-        )
+    _raise_on_failed(invariants)
+    bound = growth.bound
     return PipelineResult(
-        graph={
-            "n": g.n,
-            "m": g.m,
-            "min_degree": growth.min_degree,
-            "girth": growth.girth,
-        },
-        epsilon=growth.epsilon,
+        graph={"n": g.n, "m": g.m, "min_degree": bound.min_degree, "girth": bound.girth},
+        epsilon=bound.epsilon,
         bound=bound,
         growth=growth,
         extension=ext,

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orientdiam.bounds import (
+    allowed_increase,
     as_fraction,
     degree_only_bound,
     diameter_bound,
@@ -52,6 +53,14 @@ def test_diameter_bound_worked_example():
     assert b.additive_term == 312
     assert b.total == 507
     assert b.floor_total == 507
+
+
+def test_allowed_increase_sums_round_trip_caps():
+    assert [allowed_increase(s) for s in range(5)] == [0, 4, 12, 24, 40]
+    for s in range(1, 30):
+        assert allowed_increase(s) == sum(4 * r for r in range(1, s + 1))
+    b = diameter_bound(120, 3, 3, Fraction(1, 2))
+    assert b.additive_term == allowed_increase(b.reach)
 
 
 def test_diameter_bound_fractional_total():

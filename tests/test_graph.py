@@ -20,6 +20,7 @@ from orientdiam.graph import (
     Graph,
     ball,
     bfs_distances,
+    bridge_witness,
     bridges,
     bridges_of,
     diameter,
@@ -180,6 +181,26 @@ def test_is_bridgeless_connected():
     assert not is_bridgeless_connected(Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
 
 
+def test_bridge_witness_frozen_values():
+    two_triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert bridge_witness(cycle_graph(5).adjacency()) is None
+    assert bridge_witness(Graph(1, []).adjacency()) is None
+    assert bridge_witness(P4.adjacency()) == (0, 1)
+    assert bridge_witness(two_triangles.adjacency()) == "disconnected"
+    assert bridge_witness({}) == "disconnected"
+    # bridges come first: a disconnected graph with a bridge names the bridge
+    assert bridge_witness(Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]).adjacency()) == (3, 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arbitrary_graphs(max_n=8))
+def test_bridge_witness_matches_references(g):
+    br = bridges_by_removal(g)
+    connected = max(max(row) for row in floyd_warshall(g)) != UNREACHABLE
+    expected = min(br) if br else (None if connected else "disconnected")
+    assert bridge_witness(g.adjacency()) == expected
+
+
 def test_min_degree():
     assert min_degree(petersen_graph()) == 3
     assert min_degree(P4) == 1
@@ -191,6 +212,7 @@ def test_parse_format_round_trip():
     text = "# a comment\n3 2\n0 1 # trailing\n1 2\n"
     h = parse_graph(text)
     assert h == Graph(3, [(0, 1), (1, 2)])
+    assert format_graph(h, comment="a comment") == "# a comment\n3 2\n0 1\n1 2\n"
 
 
 def test_parse_rejects_malformed_input():

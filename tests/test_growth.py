@@ -91,8 +91,8 @@ def test_detour_fixture_trace():
     r = grow_core(detour_fixture(), 2)
     assert r.trace.header["v0"] == 0
     assert r.trace.header["base_claimed"] == [0, 1, 2, 3, 9]
-    assert (r.min_degree, r.girth, r.ball_floor) == (2, 3, 3)
-    assert (r.scale, r.radius, r.reach) == (1, 1, 3)
+    assert (r.bound.min_degree, r.bound.girth, r.bound.ball_size) == (2, 3, 3)
+    assert (r.bound.scale, r.bound.radius, r.bound.reach) == (1, 1, 3)
     assert len(r.trace.iterations) == 1
     it = r.trace.iterations[0]
     assert it.path == (0, 3, 4, 5)

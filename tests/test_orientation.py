@@ -103,8 +103,9 @@ def test_strong_orientation_rejects_bridges_with_witness():
     with pytest.raises(PreconditionError) as exc:
         strong_orientation(g)
     assert exc.value.witness == (0, 1)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as exc:
         strong_orientation(Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]))
+    assert exc.value.witness == "disconnected"
 
 
 def test_orient_path_directions():
@@ -116,8 +117,11 @@ def test_orient_path_directions():
 def test_format_parse_round_trip():
     o = strong_orientation(complete_graph(4))
     text = format_orientation(o, comment="round trip")
+    assert text.startswith("# round trip\norientation 4 6\n")
     back = parse_orientation(text, complete_graph(4))
     assert back.arcs() == o.arcs()
+    commented = parse_orientation(text.replace("\n", "  # arc\n", 3), complete_graph(4))
+    assert commented.arcs() == o.arcs()
 
 
 def test_format_refuses_partial():
@@ -138,6 +142,11 @@ def test_parse_orientation_rejects_malformed():
         "orientation 3 3\n0 1\n1 2\n1 2\n",
         "orientation 3 3\n0 1\n1 2\n0 3\n",
         "graph 3 3\n0 1\n1 2\n2 0\n",
+        "orientation 3 3\n0 1\n1 x\n2 0\n",
+        "orientation 3 3 3\n0 1\n1 2\n2 0\n",
+        "orientation 3\n0 1\n1 2\n2 0\n",
+        "orientation 3 3\n0 1 2\n1 2\n2 0\n",
+        "# only a comment\n",
     ]
     for text in bad:
         with pytest.raises(GraphFormatError):

@@ -127,8 +127,11 @@ def test_refused_runs_are_returned_then_certified_as_failed(args, eps, growth_fa
         assert growth["ok"], growth
     else:
         assert not growth["ok"] and growth["detail"].startswith(growth_failure)
-    with pytest.raises(CertifiedFailureError):
+    with pytest.raises(CertifiedFailureError) as exc:
         run_pipeline(g, eps)
+    if growth_failure is not None:
+        assert str(exc.value) == "pipeline invariant failed"
+        assert exc.value.details["invariants"][0]["detail"].startswith(growth_failure)
 
 
 def _digest(obj) -> str:
