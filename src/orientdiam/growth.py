@@ -21,6 +21,7 @@ from fractions import Fraction
 from .bounds import BoundReport, as_fraction, diameter_bound, rational_str
 from .errors import CertifiedFailureError, PreconditionError
 from .graph import (
+    UNREACHABLE,
     Graph,
     ball,
     bfs_distances,
@@ -224,7 +225,7 @@ def _near(
 def _stabilize(
     g: Graph,
     h_v: set[int],
-    dist_h: list[int | float],
+    dist_h: dict[int, int | float],
     near: dict[int, tuple[int, dict[int, int]]],
     path_set: set[int],
     path_edges: frozenset[tuple[int, int]],
@@ -237,74 +238,46 @@ def _stabilize(
 ) -> None:
     """Re-splice the label list until positions under-state no distance.
 
-    Invariant on exit: for label position m (1-based), the vertex is at
-    distance >= m from the pre-iteration core, and any two labels are at
-    least their position difference apart (all distances avoid path edges).
+    Read the pre-iteration core as position 0 and the labels as positions
+    1..k. Invariant on exit: any two positions m1 < m2 are at least m2 - m1
+    apart (all distances avoid path edges). Position 0 is scanned first, so
+    every core violation is mended before any label pair.
 
     Neither ``h_v`` nor ``path_edges`` changes within one ``cover_path``, so
     the distances from the core (``dist_h``) and from each label (``near``)
-    are computed there once and reused. A pair at positions m1 < m2 violates
-    the invariant only at distance < m2 - m1 <= len(labeled) - 1, so the
-    label searches stop at depth len(labeled) - 2: a label missing from one
-    is too far away to violate.
+    are computed there once and reused. A label pair violates only at
+    distance < m2 - m1 <= len(labeled) - 1, so the label searches stop at
+    depth len(labeled) - 2: a label missing from one is too far to violate.
     """
     protected_v = path_set | h_v
     protected_e = h_e_protected | path_edges
     while labeled:
-        viol = next(
-            (
-                (m, q, dist_h[q])
-                for m, q in enumerate(labeled, start=1)
-                if dist_h[q] < m
-            ),
-            None,
-        )
-        if viol is not None:
-            m1, q1, s = viol
-            if not isinstance(s, int) or s <= 0:
-                raise CertifiedFailureError(
-                    "labeled vertex sits inside the core",
-                    details={"vertex": q1, "position": m1},
-                )
-            _bump(counters, budget, {"labeled": list(labeled)})
-            blocked = (path_set - h_v) - {q1}
-            sp = shortest_path_between(
-                g, (q1,), h_v, excluded=path_edges, blocked=blocked
-            )
-            if sp is None or len(sp) - 1 != s:
-                sp = shortest_path_between(g, (q1,), h_v, excluded=path_edges)
-                counters["labeled_on_path"] += sum(
-                    1 for x in sp[1:-1] if x in path_set
-                )
-            candidate = list(reversed(sp[1:-1])) + labeled[m1 - 1 :]
-            _apply_splice(
-                labeled, candidate, sp, hp_v, hp_e, protected_v, protected_e, counters
-            )
-            continue
-        pair = None
         depth = len(labeled) - 2
-        for m1 in range(1, len(labeled)):
-            d1 = _near(g, near, labeled[m1 - 1], depth, path_edges)
-            for m2 in range(m1 + 1, len(labeled) + 1):
-                d = d1.get(labeled[m2 - 1])
-                if d is not None and d < m2 - m1:
-                    pair = (m1, m2, d)
-                    break
-            if pair:
+        for m1 in range(len(labeled)):
+            row = dist_h if m1 == 0 else _near(g, near, labeled[m1 - 1], depth, path_edges)
+            m2 = next((m for m in range(m1 + 1, len(labeled) + 1)
+                       if row.get(labeled[m - 1], UNREACHABLE) < m - m1), None)
+            if m2 is not None:
                 break
-        if pair is None:
+        else:
             return
-        m1, m2, s = pair
-        q1, q2 = labeled[m1 - 1], labeled[m2 - 1]
+        q2 = labeled[m2 - 1]
+        s = row[q2]
+        if m1 == 0 and s <= 0:
+            raise CertifiedFailureError(
+                "labeled vertex sits inside the core",
+                details={"vertex": q2, "position": m2},
+            )
         _bump(counters, budget, {"labeled": list(labeled)})
-        blocked = ((path_set | h_v) - {q1}) - {q2}
-        sp = shortest_path_between(
-            g, (q1,), (q2,), excluded=path_edges, blocked=blocked
-        )
+        # at position 0 the search runs from the label to the core
+        src, dst = ((q2,), h_v) if m1 == 0 else ((labeled[m1 - 1],), (q2,))
+        blocked = protected_v.difference(src, dst)
+        sp = shortest_path_between(g, src, dst, excluded=path_edges, blocked=blocked)
         if sp is None or len(sp) - 1 != s:
-            sp = shortest_path_between(g, (q1,), (q2,), excluded=path_edges)
+            sp = shortest_path_between(g, src, dst, excluded=path_edges)
             counters["labeled_on_path"] += sum(1 for x in sp[1:-1] if x in path_set)
-        candidate = labeled[:m1] + sp[1:-1] + labeled[m2 - 1 :]
+        inner = sp[1:-1][::-1] if m1 == 0 else sp[1:-1]
+        candidate = labeled[:m1] + inner + labeled[m2 - 1 :]
         _apply_splice(
             labeled, candidate, sp, hp_v, hp_e, protected_v, protected_e, counters
         )
@@ -335,7 +308,7 @@ def cover_path(
     hp_e = set(h_e)
     labeled: list[int] = []
     counters = {"rounds": 0, "cover_steps": 0, "splices": 0, "labeled_on_path": 0}
-    dist_h = bfs_distances(g, h_v, excluded=path_edges)
+    dist_h = dict(enumerate(bfs_distances(g, h_v, excluded=path_edges)))
     near: dict[int, tuple[int, dict[int, int]]] = {}
     target_edges = len(path) - 1
     while True:

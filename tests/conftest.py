@@ -200,3 +200,19 @@ def reference_stabilize(
             counters["labeled_on_path"] += sum(1 for x in sp[1:-1] if x in path_set)
         candidate = labeled[:m1] + sp[1:-1] + labeled[m2 - 1 :]
         _apply_splice(labeled, candidate, sp, hp_v, hp_e, protected_v, protected_e, counters)
+
+
+def reference_chain_offset(i, a_val, b_val):
+    """The two-window body that ``extension._chain_offset`` replaced.
+
+    The offsets strictly inside -i..i are tried first and all of -i..i only
+    when none fits; the chosen offset is the one closest to 0, ties going to
+    j >= 0. Kept as the slow path the single clamp is checked against.
+    """
+    lo, hi = b_val - i, i - a_val
+    window = [j for j in range(max(lo, -i + 1), min(hi, i - 1) + 1)]
+    if not window:
+        window = [j for j in range(max(lo, -i), min(hi, i) + 1)]
+    if window:
+        return min(window, key=lambda x: (abs(x), 0 if x >= 0 else 1)), False
+    return min(i, max(-i, b_val - i)), True

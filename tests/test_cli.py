@@ -297,6 +297,23 @@ def test_gen_unknown_family(capsys):
     assert main(["gen", "moebius", "7"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cycle"],
+        ["circulant"],
+        ["circulant", "10"],
+        ["random", "10"],
+        ["theta", "1", "2"],
+        ["complete", "3", "4"],
+        ["petersen", "5"],
+    ],
+)
+def test_gen_wrong_parameter_count_exits_2(capsys, argv):
+    assert main(["gen", *argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_experiment_deterministic_across_jobs(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

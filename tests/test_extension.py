@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import bridgeless_graphs
+from conftest import bridgeless_graphs, reference_chain_offset
 from orientdiam.errors import CertifiedFailureError, PreconditionError
-from orientdiam.extension import core_directed_diameter, extend_orientation
+from orientdiam.extension import _chain_offset, core_directed_diameter, extend_orientation
 from orientdiam.generators import (
     complete_graph,
     circulant_graph,
@@ -95,6 +95,15 @@ def test_chain_case_window_choices():
     )
     assert t.final["diameter"] == 7
     assert [r["s"] for r in rounds_of(t)] == [3, 2, 1]
+
+
+def test_chain_offset_matches_two_window_reference():
+    """One clamp into -i..i picks the offset the two nested windows picked."""
+    for i in range(1, 40):
+        for a_val in range(120):
+            for b_val in range(120):
+                want = reference_chain_offset(i, a_val, b_val)
+                assert _chain_offset(i, a_val, b_val) == want, (i, a_val, b_val)
 
 
 def test_oriented_core_is_respected():

@@ -263,7 +263,7 @@ def test_stabilize_matches_full_bfs_reference():
         }
         fast = (set(hp_v), set(hp_e), labels[:cut], _counters())
         slow = (set(hp_v), set(hp_e), labels[:cut], _counters())
-        dist_h = bfs_distances(g, h_v, excluded=path_edges)
+        dist_h = dict(enumerate(bfs_distances(g, h_v, excluded=path_edges)))
         near: dict = {}
         for extra in (None, labels[cut:]):
             if extra:
@@ -280,6 +280,64 @@ def test_stabilize_matches_full_bfs_reference():
             assert (got, fast) == (want, slow), f"seed {seed}"
             if want is not None:
                 break
+
+
+def pair_fallback_state():
+    """Core {0}, escape path 0-1-2-3, and labels 8..12 whose ends both touch 2.
+
+    The labels hang off the core by the chain 0-4-5-6-7-8, so each sits at
+    least its position away from the core. Labels 8 (position 1) and 12
+    (position 5) are two apart only through the path vertex 2, so the
+    blocked search finds the length-4 route along the labels and the
+    unblocked fallback splices 2 in.
+    """
+    edges = [(0, 1), (1, 2), (2, 3)]
+    edges += [(0, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
+    edges += [(8, 9), (9, 10), (10, 11), (11, 12), (2, 8), (2, 12)]
+    g = Graph(13, edges)
+    path = [0, 1, 2, 3]
+    labels = [8, 9, 10, 11, 12]
+    path_edges = frozenset(edge_key(a, b) for a, b in zip(path, path[1:]))
+    hp_v = {0} | set(path) | set(labels)
+    hp_e = set(path_edges) | {edge_key(a, b) for a, b in zip(labels, labels[1:])}
+    return g, {0}, set(path), path_edges, hp_v, hp_e, labels
+
+
+def _stabilize_both(g, h_v, path_set, path_edges, hp_v, hp_e, labels):
+    """Run the fast body and the reference on copies of one state."""
+    fast = (set(hp_v), set(hp_e), list(labels), _counters())
+    slow = (set(hp_v), set(hp_e), list(labels), _counters())
+    dist_h = dict(enumerate(bfs_distances(g, h_v, excluded=path_edges)))
+    outcomes = []
+    for fn, args, state in (
+        (_stabilize, (g, h_v, dist_h, {}, path_set, path_edges), fast),
+        (reference_stabilize, (g, h_v, path_set, path_edges), slow),
+    ):
+        try:
+            fn(*args, frozenset(), *state, 500)
+            outcomes.append(None)
+        except CertifiedFailureError as exc:
+            outcomes.append((str(exc), exc.details))
+    return outcomes, fast, slow
+
+
+def test_stabilize_pair_fallback_crosses_the_escape_path():
+    outcomes, fast, slow = _stabilize_both(*pair_fallback_state())
+    assert outcomes == [None, None]
+    assert fast == slow
+    assert fast[2] == [8, 2, 12]
+    assert fast[3] == {"rounds": 1, "cover_steps": 0, "splices": 1, "labeled_on_path": 1}
+
+
+def test_stabilize_label_inside_the_core_raises_on_both_sides():
+    # a pair fallback cannot reach the core: a route through a core vertex is
+    # at least m1 + m2 long once no label sits closer to the core than its
+    # position, against the m2 - m1 it must beat; so the label is put there
+    g, h_v, path_set, path_edges, hp_v, hp_e, _ = pair_fallback_state()
+    outcomes, fast, slow = _stabilize_both(g, h_v, path_set, path_edges, hp_v, hp_e, [8, 0])
+    want = ("labeled vertex sits inside the core", {"vertex": 0, "position": 2})
+    assert outcomes == [want, want]
+    assert fast == slow
 
 
 def test_covered_prefix_matches_whole_subgraph_reference():
