@@ -75,9 +75,14 @@ def path_scale(g: int, eps: Fraction | int) -> int:
     return math.ceil(Fraction(g - 1) / e)
 
 
+def round_trip_cap(s: int) -> int:
+    """Cap 4*s on the longest round trip through a vertex absorbed in a round of reach s."""
+    return 4 * s
+
+
 def allowed_increase(s: int) -> int:
     """Cap 4*C(s+1, 2) on the diameter increase of extending a core of reach s:
-    the sum of the round-trip caps 4*s_r of rounds whose reach falls from s to 1.
+    the sum of ``round_trip_cap(s_r)`` over rounds whose reach s_r falls from s to 1.
     """
     return 4 * math.comb(s + 1, 2)
 

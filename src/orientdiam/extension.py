@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import allowed_increase
+from .bounds import allowed_increase, round_trip_cap
 from .errors import CertifiedFailureError, PreconditionError
 from .graph import UNREACHABLE, Graph, bfs_distances, shortest_path_between
 from .orientation import (
@@ -193,7 +193,7 @@ def extend_orientation(
                 "frontier": v1,
                 "absorbed": new,
                 "roundtrip_max": roundtrip,
-                "roundtrip_probe_ok": roundtrip <= 4 * s_r,
+                "roundtrip_probe_ok": roundtrip <= round_trip_cap(s_r),
             }
         )
         records.extend(steps)

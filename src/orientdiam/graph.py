@@ -288,66 +288,55 @@ def ball(
 # same code serves subgraphs)
 
 
-def components_of(adj: Mapping[int, Sequence[int]]) -> list[set[int]]:
-    seen: set[int] = set()
-    out: list[set[int]] = []
-    for root in sorted(adj):
-        if root in seen:
-            continue
-        comp = {root}
-        queue: deque[int] = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        out.append(comp)
-    return out
+def dfs_forest(
+    adj: Mapping[int, Sequence[int]],
+) -> tuple[dict[int, int], dict[int, int], set[tuple[int, int]]]:
+    """One depth-first search over every component: discovery order, parents, bridges.
 
-
-def bridges_of(adj: Mapping[int, Sequence[int]]) -> set[tuple[int, int]]:
-    """All bridges of the graph given as an adjacency mapping.
-
-    Iterative lowpoint DFS (Tarjan 1974); safe for paths longer than the
-    recursion limit. A neighbor listed twice is two parallel edges: the DFS
-    skips one copy of the edge back to its parent, so the other copy counts
-    as a back edge and neither copy is a bridge.
+    Roots are taken in ascending order and neighbors in the order given; a
+    root's parent is -1, so the roots count the components. Lowpoints
+    (Tarjan 1974) give the bridges during the same search. Iterative, so
+    safe for paths longer than the recursion limit. A neighbor listed twice
+    is two parallel edges: the DFS skips one copy of the edge back to its
+    parent, so the other copy counts as a back edge and neither copy is a
+    bridge.
     """
     disc: dict[int, int] = {}
     low: dict[int, int] = {}
+    parent: dict[int, int] = {}
     out: set[tuple[int, int]] = set()
     skipped_parent: set[int] = set()
-    counter = 0
     for root in sorted(adj):
         if root in disc:
             continue
-        disc[root] = low[root] = counter
-        counter += 1
+        disc[root] = low[root] = len(disc)
+        parent[root] = -1
         stack: list[tuple[int, int, Iterable[int]]] = [(root, -1, iter(adj[root]))]
         while stack:
-            u, parent, it = stack[-1]
-            advanced = False
+            u, p, it = stack[-1]
             for w in it:
-                if w == parent and u not in skipped_parent:
+                if w == p and u not in skipped_parent:
                     skipped_parent.add(u)
                     continue
                 if w in disc:
                     low[u] = min(low[u], disc[w])
                     continue
-                disc[w] = low[w] = counter
-                counter += 1
+                disc[w] = low[w] = len(disc)
+                parent[w] = u
                 stack.append((w, u, iter(adj[w])))
-                advanced = True
                 break
-            if not advanced:
+            else:
                 stack.pop()
-                if parent != -1:
-                    low[parent] = min(low[parent], low[u])
-                    if low[u] > disc[parent]:
-                        out.add(edge_key(parent, u))
-    return out
+                if p != -1:
+                    low[p] = min(low[p], low[u])
+                    if low[u] > disc[p]:
+                        out.add(edge_key(p, u))
+    return disc, parent, out
+
+
+def bridges_of(adj: Mapping[int, Sequence[int]]) -> set[tuple[int, int]]:
+    """All bridges of the graph given as an adjacency mapping (see ``dfs_forest``)."""
+    return dfs_forest(adj)[2]
 
 
 def bridges(g: Graph) -> set[tuple[int, int]]:
@@ -359,10 +348,10 @@ def bridge_witness(adj: Mapping[int, Sequence[int]]) -> tuple[int, int] | str | 
     ``"disconnected"`` (also when empty); None for one that is, a single vertex
     included. By Robbins (1939) these are the graphs with a strong orientation.
     """
-    br = bridges_of(adj)
+    _, parent, br = dfs_forest(adj)
     if br:
         return min(br)
-    return "disconnected" if len(components_of(adj)) != 1 else None
+    return "disconnected" if list(parent.values()).count(-1) != 1 else None
 
 
 def is_bridgeless_connected(g: Graph) -> bool:

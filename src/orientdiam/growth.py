@@ -125,8 +125,8 @@ def _covered_prefix(
     one of its vertices or edges: an edge outside a connected subgraph is a
     bridge exactly when it is one after contracting the subgraph.
     Contraction turns the edges from one outside vertex into the core into
-    parallel edges, which ``bridges_of`` handles, and edges with both ends in
-    the core into loops, which are left out.
+    parallel edges, which the DFS of ``graph.dfs_forest`` handles, and
+    edges with both ends in the core into loops, which are left out.
 
     The core is one vertex at iteration 0. A later core that is not
     connected and bridgeless is refused by ``pipeline.certify`` at the

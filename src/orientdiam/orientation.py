@@ -16,7 +16,9 @@ from .errors import (
     OrientationConflictError,
     PreconditionError,
 )
-from .graph import UNREACHABLE, Graph, bridge_witness, edge_key, read_rows, write_rows
+from .graph import (
+    UNREACHABLE, Graph, bridge_witness, dfs_forest, edge_key, read_rows, write_rows
+)
 
 
 class Orientation:
@@ -223,39 +225,21 @@ def directed_diameter(o: Orientation) -> int | float:
 # constructing orientations
 
 
-def orient_adjacency(
-    adj: Mapping[int, Sequence[int]], root: int
-) -> list[tuple[int, int]]:
-    """DFS-orient a connected (sub)graph: tree arcs point down, back arcs point up.
+def orient_adjacency(adj: Mapping[int, Sequence[int]]) -> list[tuple[int, int]]:
+    """DFS-orient a (sub)graph: tree arcs point down, back arcs point up.
 
-    Returns one (tail, head) arc per edge, sorted by canonical edge. On a
-    bridgeless input the resulting digraph is strongly connected. Neighbors
-    are scanned in ascending order, so the result is deterministic.
+    Returns one (tail, head) arc per edge, sorted by canonical edge. The
+    search is ``graph.dfs_forest``'s (roots ascending, neighbors in the order
+    given), so the result is deterministic; on a connected bridgeless input
+    the digraph is strongly connected (Robbins 1939).
     """
-    disc = {root: 0}
-    counter = 1
+    disc, parent, _ = dfs_forest(adj)
     chosen: dict[tuple[int, int], tuple[int, int]] = {}
-    stack: list[tuple[int, int, Iterable[int]]] = [(root, -1, iter(sorted(adj[root])))]
-    while stack:
-        u, parent, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w == parent:
-                continue
-            if w in disc:
-                # every unassigned edge to a visited vertex runs to an ancestor
-                e = edge_key(u, w)
-                if e not in chosen:
-                    chosen[e] = (u, w)
-                continue
-            disc[w] = counter
-            counter += 1
-            chosen[edge_key(u, w)] = (u, w)
-            stack.append((w, u, iter(sorted(adj[w]))))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
+    for u, nbrs in adj.items():
+        for w in nbrs:
+            if disc[u] < disc[w]:
+                # a tree edge points to its end discovered later, a back edge to the earlier
+                chosen[edge_key(u, w)] = (u, w) if parent[w] == u else (w, u)
     return [chosen[e] for e in sorted(chosen)]
 
 
@@ -268,7 +252,7 @@ def strong_orientation(g: Graph) -> Orientation:
             witness=witness,
         )
     o = Orientation(g)
-    for tail, head in orient_adjacency(g.adjacency(), 0):
+    for tail, head in orient_adjacency(g.adjacency()):
         o.assign(tail, head)
     return o
 

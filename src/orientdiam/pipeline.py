@@ -11,7 +11,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import BoundReport, allowed_increase, diameter_bound, parse_rational, rational_str
+from .bounds import (
+    BoundReport, allowed_increase, diameter_bound, parse_rational, rational_str, round_trip_cap
+)
 from .errors import CertifiedFailureError, GraphFormatError
 from .extension import ExtensionTrace, extend_orientation
 from .graph import (
@@ -223,8 +225,8 @@ def _replay_rounds(final: dict, rounds: list[dict], s: int) -> str | None:
 
     Rounds are numbered 1..k with k the ``rounds`` of extension_final, their
     reach ``s`` falls strictly from the header's s to at least 1, and each
-    round-trip probe flag states whether ``roundtrip_max <= 4*s`` (a
-    non-negative maximum) for that round.
+    round-trip probe flag states whether ``roundtrip_max`` (a non-negative
+    maximum) is at most ``round_trip_cap(s)`` for that round.
     """
     claimed = _field(final, "rounds", "int")
     if claimed != len(rounds):
@@ -239,7 +241,7 @@ def _replay_rounds(final: dict, rounds: list[dict], s: int) -> str | None:
             return f"round record {k} is numbered {number}"
         if not 1 <= s_r < prev or (k == 1 and s_r != s):
             return f"round {k}: reach {s_r} does not fall from {prev - 1}"
-        if top < 0 or probe != (top <= 4 * s_r):
+        if top < 0 or probe != (top <= round_trip_cap(s_r)):
             return f"round {k}: roundtrip_probe_ok {probe} for roundtrip_max {top}, s {s_r}"
         prev = s_r
     if s and not rounds:
@@ -254,7 +256,7 @@ def _certify_extension(
 
     The round summaries and extension_final's ``ok`` ride in
     ``extension_increase_within_allowed``: the allowance is the sum of the
-    per-round round-trip caps 4*s_r, and ``ok`` must state whether the
+    per-round caps ``round_trip_cap(s_r)``, and ``ok`` must state whether the
     orientation is strong with its increase within that allowance.
     """
     header = _record(single, "extension_header")
@@ -418,9 +420,7 @@ def run_pipeline(g: Graph, eps: Fraction | int) -> PipelineResult:
     timings["grow"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    core_v = set(growth.core_vertices)
-    core_adj = subgraph_adjacency(core_v, set(growth.core_edges))
-    arcs = orient_adjacency(core_adj, min(core_v))
+    arcs = orient_adjacency(subgraph_adjacency(set(growth.core_vertices), set(growth.core_edges)))
     timings["orient_core"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -128,6 +128,42 @@ def reference_shortest_path(g, sources, targets, excluded=(), blocked=()):
     return path
 
 
+def reference_orient_adjacency(adj, root):
+    """The second DFS that ``orientation.orient_adjacency`` replaced.
+
+    Its own iterative search from ``root``, neighbors sorted, every edge back
+    to the parent skipped; a tree edge is oriented away from the root when
+    the search crosses it and any other edge toward the visited end. Kept as
+    the slow path the orientation read off ``graph.dfs_forest`` is checked
+    against.
+    """
+    disc = {root: 0}
+    counter = 1
+    chosen = {}
+    stack = [(root, -1, iter(sorted(adj[root])))]
+    while stack:
+        u, parent, it = stack[-1]
+        advanced = False
+        for w in it:
+            if w == parent:
+                continue
+            if w in disc:
+                # every unassigned edge to a visited vertex runs to an ancestor
+                e = edge_key(u, w)
+                if e not in chosen:
+                    chosen[e] = (u, w)
+                continue
+            disc[w] = counter
+            counter += 1
+            chosen[edge_key(u, w)] = (u, w)
+            stack.append((w, u, iter(sorted(adj[w]))))
+            advanced = True
+            break
+        if not advanced:
+            stack.pop()
+    return [chosen[e] for e in sorted(chosen)]
+
+
 def reference_covered_prefix(path, hp_v, hp_e):
     """The whole-subgraph bridge search that ``growth._covered_prefix`` replaced.
 

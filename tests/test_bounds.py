@@ -17,6 +17,7 @@ from orientdiam.bounds import (
     parse_rational,
     path_scale,
     rational_str,
+    round_trip_cap,
     triangle_comparison,
 )
 
@@ -58,7 +59,8 @@ def test_diameter_bound_worked_example():
 def test_allowed_increase_sums_round_trip_caps():
     assert [allowed_increase(s) for s in range(5)] == [0, 4, 12, 24, 40]
     for s in range(1, 30):
-        assert allowed_increase(s) == sum(4 * r for r in range(1, s + 1))
+        assert round_trip_cap(s) == 4 * s
+        assert allowed_increase(s) == sum(round_trip_cap(r) for r in range(1, s + 1))
     b = diameter_bound(120, 3, 3, Fraction(1, 2))
     assert b.additive_term == allowed_increase(b.reach)
 

@@ -23,6 +23,7 @@ from orientdiam.graph import (
     bridge_witness,
     bridges,
     bridges_of,
+    dfs_forest,
     diameter,
     distances_within,
     edge_key,
@@ -175,6 +176,14 @@ def test_bridges_of_parallel_edges():
     assert bridges_of({0: [1], 1: [0, 2, 2], 2: [1, 1]}) == {(0, 1)}
 
 
+def test_dfs_forest_order_and_roots():
+    # roots ascending, neighbors in the order given, parent -1 at each root
+    disc, parent, br = dfs_forest({0: [2, 1], 1: [0], 2: [0], 3: []})
+    assert disc == {0: 0, 2: 1, 1: 2, 3: 3}
+    assert parent == {0: -1, 2: 0, 1: 0, 3: -1}
+    assert br == {(0, 1), (0, 2)}
+
+
 def test_is_bridgeless_connected():
     assert is_bridgeless_connected(cycle_graph(5))
     assert not is_bridgeless_connected(P4)
@@ -188,6 +197,8 @@ def test_bridge_witness_frozen_values():
     assert bridge_witness(P4.adjacency()) == (0, 1)
     assert bridge_witness(two_triangles.adjacency()) == "disconnected"
     assert bridge_witness({}) == "disconnected"
+    # parallel edges are never bridges, and the DFS still counts two roots
+    assert bridge_witness({0: [1, 1], 1: [0, 0], 2: [3, 3], 3: [2, 2]}) == "disconnected"
     # bridges come first: a disconnected graph with a bridge names the bridge
     assert bridge_witness(Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]).adjacency()) == (3, 4)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import arbitrary_graphs, bridgeless_graphs
+from conftest import arbitrary_graphs, bridgeless_graphs, reference_orient_adjacency
 from orientdiam.errors import (
     CertifiedFailureError,
     GraphFormatError,
@@ -16,6 +16,7 @@ from orientdiam.errors import (
 from orientdiam.extension import core_directed_diameter
 from orientdiam.generators import complete_graph, cycle_graph
 from orientdiam.graph import UNREACHABLE, Graph, is_bridgeless_connected
+from orientdiam.growth import subgraph_adjacency
 from orientdiam.oracle import directed_diameter_of_arcs
 from orientdiam.orientation import (
     Orientation,
@@ -25,6 +26,7 @@ from orientdiam.orientation import (
     directed_distances_to,
     format_orientation,
     is_strong,
+    orient_adjacency,
     orient_path,
     parse_orientation,
     strong_orientation,
@@ -246,3 +248,22 @@ def test_directed_distance_probe_matches_full_bfs(data):
     v = data.draw(st.integers(0, o.base.n - 1))
     assert directed_distance(o, v, targets) == directed_distances_to(o, targets)[v]
     assert directed_distance(o, v, targets, reverse=True) == directed_distances_from(o, targets)[v]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bridgeless_graphs(), st.data())
+def test_orient_adjacency_matches_reference_dfs(g, data):
+    # the whole graph, then a connected subgraph: the component of a random
+    # vertex in a random edge subset, bridges and non-zero labels included
+    assert orient_adjacency(g.adjacency()) == reference_orient_adjacency(g.adjacency(), 0)
+    kept = [e for e in g.edges() if data.draw(st.booleans())]
+    comp = {data.draw(st.integers(0, g.n - 1))}
+    grew = True
+    while grew:
+        grew = False
+        for u, v in kept:
+            if (u in comp) != (v in comp):
+                comp |= {u, v}
+                grew = True
+    adj = subgraph_adjacency(comp, {(u, v) for u, v in kept if u in comp})
+    assert orient_adjacency(adj) == reference_orient_adjacency(adj, min(comp))

@@ -107,17 +107,20 @@ def test_certify_names_first_failed_iteration():
     assert growth["detail"].startswith("iteration 1: f_claim (")
 
 
-# Known refusals: two grown cores that break a growth property, and a small
+# Known refusals: three grown cores that break a growth property, and a small
 # graph whose extension exceeds its quadratic cap. The constructors return
-# them; certify names the failure and run_pipeline raises on it.
+# them; certify names the failure and run_pipeline raises on it. (14, 3, 3, 38)
+# is the smallest known eps = 2 refusal, one that the random draws of
+# test_growth_certifies_random_graphs can hit.
 @pytest.mark.parametrize(
     "args, eps, growth_failure",
     [
         ((60, 4, 3, 109), 2, "iteration 0: bridgeless_connected ("),
         ((60, 4, 3, 103), 2, "iteration 1: property2 ("),
         ((6, 3, 3, 42), Fraction(1, 2), None),
+        ((14, 3, 3, 38), 2, "iteration 0: property2 ("),
     ],
-    ids=["random_60_4_3_109", "random_60_4_3_103", "random_6_3_3_42"],
+    ids=["random_60_4_3_109", "random_60_4_3_103", "random_6_3_3_42", "random_14_3_3_38"],
 )
 def test_refused_runs_are_returned_then_certified_as_failed(args, eps, growth_failure):
     g = random_bridgeless(*args)
