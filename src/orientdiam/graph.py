@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Set
 
 from .errors import GraphFormatError
 
@@ -349,8 +349,15 @@ def bridge_witness(adj: Mapping[int, Sequence[int]]) -> tuple[int, int] | str | 
     included. By Robbins (1939) these are the graphs with a strong orientation.
     """
     _, parent, br = dfs_forest(adj)
-    if br:
-        return min(br)
+    return forest_witness(parent, br)
+
+
+def forest_witness(
+    parent: Mapping[int, int], bridges: Set[tuple[int, int]]
+) -> tuple[int, int] | str | None:
+    """``bridge_witness`` read off the parents and bridges of one ``dfs_forest``."""
+    if bridges:
+        return min(bridges)
     return "disconnected" if list(parent.values()).count(-1) != 1 else None
 
 

@@ -17,7 +17,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph import (
-    UNREACHABLE, Graph, bridge_witness, dfs_forest, edge_key, read_rows, write_rows
+    UNREACHABLE, Graph, dfs_forest, edge_key, forest_witness, read_rows, write_rows
 )
 
 
@@ -234,6 +234,13 @@ def orient_adjacency(adj: Mapping[int, Sequence[int]]) -> list[tuple[int, int]]:
     the digraph is strongly connected (Robbins 1939).
     """
     disc, parent, _ = dfs_forest(adj)
+    return _forest_arcs(adj, disc, parent)
+
+
+def _forest_arcs(
+    adj: Mapping[int, Sequence[int]], disc: Mapping[int, int], parent: Mapping[int, int]
+) -> list[tuple[int, int]]:
+    """``orient_adjacency`` read off the discovery order and parents of one DFS."""
     chosen: dict[tuple[int, int], tuple[int, int]] = {}
     for u, nbrs in adj.items():
         for w in nbrs:
@@ -244,15 +251,21 @@ def orient_adjacency(adj: Mapping[int, Sequence[int]]) -> list[tuple[int, int]]:
 
 
 def strong_orientation(g: Graph) -> Orientation:
-    """A strong orientation of a connected bridgeless graph, via one DFS."""
-    witness = bridge_witness(g.adjacency())
+    """A strong orientation of a connected bridgeless graph, via one DFS.
+
+    That search both certifies the precondition (``graph.bridge_witness``)
+    and gives the arcs (``orient_adjacency``).
+    """
+    adj = g.adjacency()
+    disc, parent, bridges = dfs_forest(adj)
+    witness = forest_witness(parent, bridges)
     if witness is not None:
         raise PreconditionError(
             f"graph has no strong orientation: not connected and bridgeless ({witness})",
             witness=witness,
         )
     o = Orientation(g)
-    for tail, head in orient_adjacency(g.adjacency()):
+    for tail, head in _forest_arcs(adj, disc, parent):
         o.assign(tail, head)
     return o
 

@@ -34,7 +34,7 @@ from .growth import (
     header_claims,
     subgraph_adjacency,
 )
-from .oracle import directed_diameter_of_arcs
+from .oracle import bounded_diameter_of_arcs
 from .orientation import Orientation, diameter_among, directed_diameter, orient_adjacency
 
 
@@ -329,12 +329,14 @@ def certify(
 
     Returns named checks ``{"name", "ok", "detail"}``: with records, the growth
     checks and, when the trace holds an extension, the extension and bound
-    checks; with an orientation, its strongness and a cross-checked directed
-    diameter, computed once, and, with records, whether every diameter claim
-    of the trace matches it. Without an orientation the trace's diameters are
-    taken as claimed, which is sound only for diameters measured from the
-    orientation in hand, as in ``run_pipeline``. ``records`` is None to check
-    an orientation alone. A malformed record raises GraphFormatError; with
+    checks; with an orientation, its strongness and its directed diameter,
+    computed once by ``orientation.directed_diameter`` and cross-checked by
+    ``oracle.bounded_diameter_of_arcs``, an exact eccentricity-bounding search
+    on the raw arc list that shares no code with it, and, with records,
+    whether every diameter claim of the trace matches it. Without an
+    orientation the trace's diameters are taken as claimed, which is sound
+    only for diameters measured from the orientation in hand, as in
+    ``run_pipeline``. ``records`` is None to check an orientation alone. A malformed record raises GraphFormatError; with
     records, a graph that is not connected and bridgeless PreconditionError.
     """
     checks: list[tuple] = []
@@ -376,9 +378,9 @@ def certify(
             checks.append(_check_verdict(single["pipeline_final"], checks))
     if orientation is not None:
         diam = directed_diameter(orientation)
-        slow = directed_diameter_of_arcs(g.n, orientation.arcs())
+        other = bounded_diameter_of_arcs(g.n, orientation.arcs())
         checks.append(("orientation_strong", diam != UNREACHABLE, f"directed diameter {diam}"))
-        checks.append(("orientation_diameter_cross_check", diam == slow, f"{diam} == {slow}"))
+        checks.append(("orientation_diameter_cross_check", diam == other, f"{diam} == {other}"))
     if orientation is not None and records is not None:
         core_arcs = Orientation(g)
         for u, v in sorted(core_e):

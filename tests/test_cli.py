@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from orientdiam import pipeline
 from orientdiam.cli import main
 from orientdiam.generators import cycle_graph, petersen_graph, triangle_chain
 from orientdiam.graph import format_graph
@@ -150,6 +151,18 @@ def test_verify_refuses_forged_diameters(tmp_path, capsys):
     assert code == 4
     failed = [c["name"] for c in data["checks"] if not c["ok"]]
     assert failed == ["trace_claims_match_orientation"]
+
+
+def test_verify_cross_check_is_independent_of_directed_diameter(tmp_path, capsys, monkeypatch):
+    gpath, opath, _, _ = orient_artifacts(tmp_path, cycle_graph(8))
+    capsys.readouterr()
+    true_diameter = pipeline.directed_diameter
+    monkeypatch.setattr(pipeline, "directed_diameter", lambda o: true_diameter(o) + 1)
+    code, data = run_json(capsys, ["verify", gpath, "--orientation", opath])
+    assert code == 4
+    failed = [c for c in data["checks"] if not c["ok"]]
+    assert [c["name"] for c in failed] == ["orientation_diameter_cross_check"]
+    assert failed[0]["detail"] == "8 == 7"
 
 
 def _non_object_line(records, n):

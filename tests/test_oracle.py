@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import bridgeless_graphs
 from orientdiam.errors import BudgetExceededError
@@ -18,7 +18,9 @@ from orientdiam.generators import (
     triangle_chain,
 )
 from orientdiam.graph import UNREACHABLE, Graph
+from orientdiam import oracle
 from orientdiam.oracle import (
+    bounded_diameter_of_arcs,
     check_ball_bound,
     count_strong_orientations,
     directed_diameter_of_arcs,
@@ -107,6 +109,37 @@ def test_directed_diameter_of_arcs():
     assert directed_diameter_of_arcs(4, arcs) == 3
     broken = [(0, 1), (1, 2), (3, 2), (3, 0)]
     assert directed_diameter_of_arcs(4, broken) == UNREACHABLE
+
+
+def test_bounded_diameter_frozen_values():
+    four_cycle = [(0, 1), (1, 2), (2, 3), (3, 0)]
+    broken = [(0, 1), (1, 2), (3, 2), (3, 0)]
+    for n, arcs in [(0, []), (1, []), (4, four_cycle), (4, broken)]:
+        assert bounded_diameter_of_arcs(n, arcs) == directed_diameter_of_arcs(n, arcs)
+
+
+def test_bounded_diameter_switches_to_plain_bfs_on_a_directed_cycle(monkeypatch):
+    # every vertex of C_50 has eccentricity 49 and no bound prunes another:
+    # 17 pivots (34 searches) leave 33 candidates, each then searched once,
+    # where bounding alone would take 100 searches
+    calls = []
+    bfs = oracle._bfs
+    monkeypatch.setattr(oracle, "_bfs", lambda adj, s: calls.append(s) or bfs(adj, s))
+    assert bounded_diameter_of_arcs(50, [(i, (i + 1) % 50) for i in range(50)]) == 49
+    assert len(calls) == 34 + 33
+
+
+@given(bridgeless_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bounded_diameter_matches_reference(g, data):
+    arcs = strong_orientation(g).arcs()
+    indices = st.sets(st.integers(min_value=0, max_value=len(arcs) - 1))
+    flip = data.draw(indices)
+    keep = data.draw(indices)
+    flipped = [(h, t) if i in flip else (t, h) for i, (t, h) in enumerate(arcs)]
+    partial = [a for i, a in enumerate(arcs) if i in keep]
+    for variant in (arcs, flipped, partial):
+        assert bounded_diameter_of_arcs(g.n, variant) == directed_diameter_of_arcs(g.n, variant)
 
 
 def test_ball_check_gates_low_degree():
