@@ -214,9 +214,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _fraction(text: str) -> Fraction:
     try:
-        return parse_rational(text)
+        value = parse_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence, Set
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import GraphFormatError
 
@@ -90,23 +90,18 @@ def bfs_distances(
     g: Graph,
     sources: Iterable[int],
     excluded: Iterable[tuple[int, int]] = (),
-    blocked: Iterable[int] = (),
 ) -> list[int | float]:
     """BFS distances from a source set; ``UNREACHABLE`` marks unreached vertices.
 
-    ``excluded`` edges are treated as deleted; ``blocked`` vertices are never
-    entered (sources may not be blocked). Multi-source: the distance is to the
-    nearest source.
+    ``excluded`` edges are treated as deleted. Multi-source: the distance is
+    to the nearest source.
     """
     ex = _normalize_excluded(excluded)
-    blk = set(blocked)
     dist: list[int | float] = [UNREACHABLE] * g.n
     queue: deque[int] = deque()
     for s in sorted(set(sources)):
         if not 0 <= s < g.n:
             raise ValueError(f"source {s} out of range")
-        if s in blk:
-            raise ValueError(f"source {s} is blocked")
         dist[s] = 0
         queue.append(s)
     if not queue:
@@ -115,7 +110,7 @@ def bfs_distances(
         u = queue.popleft()
         du = dist[u]
         for w in g.neighbors(u):
-            if dist[w] != UNREACHABLE or w in blk:
+            if dist[w] != UNREACHABLE:
                 continue
             if ex and edge_key(u, w) in ex:
                 continue
@@ -349,15 +344,8 @@ def bridge_witness(adj: Mapping[int, Sequence[int]]) -> tuple[int, int] | str | 
     included. By Robbins (1939) these are the graphs with a strong orientation.
     """
     _, parent, br = dfs_forest(adj)
-    return forest_witness(parent, br)
-
-
-def forest_witness(
-    parent: Mapping[int, int], bridges: Set[tuple[int, int]]
-) -> tuple[int, int] | str | None:
-    """``bridge_witness`` read off the parents and bridges of one ``dfs_forest``."""
-    if bridges:
-        return min(bridges)
+    if br:
+        return min(br)
     return "disconnected" if list(parent.values()).count(-1) != 1 else None
 
 

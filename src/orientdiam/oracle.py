@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the construction code: the
 searcher works on bitmasks, the two diameter cross-checkers on raw arc lists
 (a plain BFS from every vertex, the reference, and the eccentricity-bounding
-search that ``pipeline.certify`` runs), so agreement with the main pipeline is
-meaningful evidence.
+search that ``pipeline.certify`` runs on the whole orientation and on the
+core's arcs alone), so agreement with the main pipeline is meaningful
+evidence.
 """
 
 from __future__ import annotations

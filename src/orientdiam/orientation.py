@@ -17,7 +17,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph import (
-    UNREACHABLE, Graph, dfs_forest, edge_key, forest_witness, read_rows, write_rows
+    UNREACHABLE, Graph, bridge_witness, dfs_forest, edge_key, read_rows, write_rows
 )
 
 
@@ -234,13 +234,6 @@ def orient_adjacency(adj: Mapping[int, Sequence[int]]) -> list[tuple[int, int]]:
     the digraph is strongly connected (Robbins 1939).
     """
     disc, parent, _ = dfs_forest(adj)
-    return _forest_arcs(adj, disc, parent)
-
-
-def _forest_arcs(
-    adj: Mapping[int, Sequence[int]], disc: Mapping[int, int], parent: Mapping[int, int]
-) -> list[tuple[int, int]]:
-    """``orient_adjacency`` read off the discovery order and parents of one DFS."""
     chosen: dict[tuple[int, int], tuple[int, int]] = {}
     for u, nbrs in adj.items():
         for w in nbrs:
@@ -251,21 +244,19 @@ def _forest_arcs(
 
 
 def strong_orientation(g: Graph) -> Orientation:
-    """A strong orientation of a connected bridgeless graph, via one DFS.
+    """A strong orientation of a connected bridgeless graph (Robbins 1939).
 
-    That search both certifies the precondition (``graph.bridge_witness``)
-    and gives the arcs (``orient_adjacency``).
+    ``graph.bridge_witness`` checks the precondition and ``orient_adjacency``
+    gives the arcs, each with its own DFS.
     """
-    adj = g.adjacency()
-    disc, parent, bridges = dfs_forest(adj)
-    witness = forest_witness(parent, bridges)
+    witness = bridge_witness(g.adjacency())
     if witness is not None:
         raise PreconditionError(
             f"graph has no strong orientation: not connected and bridgeless ({witness})",
             witness=witness,
         )
     o = Orientation(g)
-    for tail, head in _forest_arcs(adj, disc, parent):
+    for tail, head in orient_adjacency(g.adjacency()):
         o.assign(tail, head)
     return o
 

@@ -35,7 +35,7 @@ from .growth import (
     subgraph_adjacency,
 )
 from .oracle import bounded_diameter_of_arcs
-from .orientation import Orientation, diameter_among, directed_diameter, orient_adjacency
+from .orientation import Orientation, directed_diameter, orient_adjacency
 
 
 @dataclass
@@ -333,11 +333,14 @@ def certify(
     computed once by ``orientation.directed_diameter`` and cross-checked by
     ``oracle.bounded_diameter_of_arcs``, an exact eccentricity-bounding search
     on the raw arc list that shares no code with it, and, with records,
-    whether every diameter claim of the trace matches it. Without an
+    whether every diameter claim of the trace matches the orientation. The
+    core diameter claims are measured by that same independent search on the
+    core's arcs alone, so no code that made a claim checks it. Without an
     orientation the trace's diameters are taken as claimed, which is sound
     only for diameters measured from the orientation in hand, as in
-    ``run_pipeline``. ``records`` is None to check an orientation alone. A malformed record raises GraphFormatError; with
-    records, a graph that is not connected and bridgeless PreconditionError.
+    ``run_pipeline``. ``records`` is None to check an orientation alone. A
+    malformed record raises GraphFormatError; with records, a graph that is
+    not connected and bridgeless PreconditionError.
     """
     checks: list[tuple] = []
     if records is not None:
@@ -377,17 +380,17 @@ def certify(
         if "pipeline_final" in single:
             checks.append(_check_verdict(single["pipeline_final"], checks))
     if orientation is not None:
+        arcs = orientation.arcs()
         diam = directed_diameter(orientation)
-        other = bounded_diameter_of_arcs(g.n, orientation.arcs())
+        other = bounded_diameter_of_arcs(g.n, arcs)
         checks.append(("orientation_strong", diam != UNREACHABLE, f"directed diameter {diam}"))
         checks.append(("orientation_diameter_cross_check", diam == other, f"{diam} == {other}"))
     if orientation is not None and records is not None:
-        core_arcs = Orientation(g)
-        for u, v in sorted(core_e):
-            if g.has_edge(u, v):  # a non-edge already failed growth_properties
-                head = orientation.direction(u, v)
-                core_arcs.assign(u if head == v else v, head)
-        core_actual = diameter_among(core_arcs, core_v)
+        # the core's arcs renumbered 0..k-1; a non-edge of g is no arc, and
+        # already failed growth_properties
+        index = {v: i for i, v in enumerate(sorted(core_v))}
+        core_arcs = [(index[t], index[h]) for t, h in arcs if edge_key(t, h) in core_e]
+        core_actual = bounded_diameter_of_arcs(len(index), core_arcs)
         checks.append(
             (
                 "trace_claims_match_orientation",

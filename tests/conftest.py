@@ -93,14 +93,19 @@ def reference_shortest_path(g, sources, targets, excluded=(), blocked=()):
 
     One full BFS from the targets, then a walk down the distance labels from
     the nearest smallest-id source; kept as the slow path the early-exit
-    search is checked against.
+    search is checked against. Blocked vertices lose their edges, so the
+    search neither enters nor starts from them.
     """
     ex = _normalize_excluded(excluded)
     src = sorted(set(sources))
     tgt = set(targets)
     if not src or not tgt:
         raise ValueError("sources and targets must be non-empty")
-    dist_t = bfs_distances(g, tgt, excluded=ex, blocked=blocked)
+    blk = set(blocked)
+    if not blk.isdisjoint(tgt):
+        raise ValueError(f"target {min(blk & tgt)} is blocked")
+    g = Graph(g.n, [(u, v) for u, v in g.edges() if u not in blk and v not in blk])
+    dist_t = bfs_distances(g, tgt, excluded=ex)
     start = None
     best = UNREACHABLE
     for s in src:
@@ -109,13 +114,12 @@ def reference_shortest_path(g, sources, targets, excluded=(), blocked=()):
             start = s
     if start is None or best == UNREACHABLE:
         return None
-    blk = set(blocked)
     path = [start]
     cur = start
     remaining = dist_t[start]
     while remaining > 0:
         for w in g.neighbors(cur):
-            if w in blk or dist_t[w] != remaining - 1:
+            if dist_t[w] != remaining - 1:
                 continue
             if ex and edge_key(cur, w) in ex:
                 continue

@@ -1,10 +1,14 @@
 """Command-line interface tests: exit codes, JSON output, file round-trips."""
 
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from orientdiam import pipeline
+from orientdiam import extension, pipeline
 from orientdiam.cli import main
 from orientdiam.generators import cycle_graph, petersen_graph, triangle_chain
 from orientdiam.graph import format_graph
@@ -165,6 +169,27 @@ def test_verify_cross_check_is_independent_of_directed_diameter(tmp_path, capsys
     assert failed[0]["detail"] == "8 == 7"
 
 
+def test_verify_catches_a_core_diameter_defect_shared_with_the_construction(
+    tmp_path, capsys, monkeypatch
+):
+    """A kernel that understates every core diameter fools orient, not verify."""
+    true_diameter_among = extension.diameter_among
+
+    def understated(o, vertices):
+        vertices = set(vertices)
+        diam = true_diameter_among(o, vertices)
+        return diam - 1 if len(vertices) < o.base.n and diam > 0 else diam
+
+    monkeypatch.setattr(extension, "diameter_among", understated)
+    monkeypatch.setattr(pipeline, "diameter_among", understated, raising=False)
+    gpath, opath, tpath, _ = orient_artifacts(tmp_path, triangle_chain(12), "2")
+    capsys.readouterr()
+    code, data = run_json(capsys, ["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
+    assert code == 4
+    failed = [c["name"] for c in data["checks"] if not c["ok"]]
+    assert failed == ["trace_claims_match_orientation"]
+
+
 def _non_object_line(records, n):
     records.insert(1, [1, 2, 3])
 
@@ -261,7 +286,8 @@ def test_orient_bridge_exit_code(tmp_path, capsys):
 
 def test_orient_rejects_decimal_epsilon(tmp_path, capsys):
     gpath = write_graph(tmp_path, "c8.txt", cycle_graph(8))
-    assert main(["orient", gpath, "--epsilon", "0.5"]) == 2
+    for epsilon in ("0.5", "0"):
+        assert main(["orient", gpath, "--epsilon", epsilon]) == 2
 
 
 def test_missing_and_malformed_files(tmp_path, capsys):
@@ -341,3 +367,98 @@ def test_experiment_deterministic_across_jobs(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert summary["graphs"] == 16
     assert summary["failed"] == 0
+
+
+# ---------------------------------------------------------------------------
+# verify on edited files: it may accept or refuse them, but never raise
+
+FILES = ("graph", "orientation", "trace")
+_RETYPED = (None, "x", 1.5, -1, True, [], {}, [[0, 0]])
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """Lines of the graph, orientation and trace files of one small run."""
+    tmp = tmp_path_factory.mktemp("small_run")
+    with redirect_stdout(StringIO()):
+        paths = orient_artifacts(tmp, triangle_chain(12), "2")[:3]
+    return tmp, {name: Path(path).read_text().splitlines() for name, path in zip(FILES, paths)}
+
+
+def _int_paths(obj, path=()):
+    """Paths to every int (not bool) inside nested lists and dicts."""
+    if type(obj) is int:
+        yield path
+    elif isinstance(obj, (list, dict)):
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from _int_paths(value, (*path, key))
+
+
+def _edit_trace_record(data, lines):
+    """Drop or retype a key of one record, or perturb one integer anywhere."""
+    records = [json.loads(line) for line in lines]
+    kind = data.draw(st.sampled_from(("drop", "retype", "perturb")))
+    if kind == "perturb":
+        *where, last = data.draw(st.sampled_from(list(_int_paths(records))))
+        holder = records
+        for step in where:
+            holder = holder[step]
+        holder[last] += data.draw(st.sampled_from((-2, -1, 1, 2, 1000)))
+    else:
+        rec = data.draw(st.sampled_from(records))
+        key = data.draw(st.sampled_from(sorted(rec)))
+        if kind == "drop":
+            del rec[key]
+        else:
+            rec[key] = data.draw(st.sampled_from(_RETYPED))
+    return [json.dumps(rec) for rec in records]
+
+
+def _edit_row(data, lines):
+    """Flip the two integers of a row (an arc, in an orientation), perturb or retype one."""
+    i = data.draw(st.integers(0, len(lines) - 1))
+    words = lines[i].split()
+    kind = data.draw(st.sampled_from(("flip", "perturb", "retype")))
+    if kind == "flip":
+        words[-2:] = words[-1], words[-2]
+    else:
+        k = data.draw(st.sampled_from((-2, -1)))
+        if kind == "retype":
+            words[k] = data.draw(st.sampled_from(("x", "1.5", "-")))
+        elif words[k].lstrip("-").isdigit():  # not retyped by an earlier edit
+            words[k] = str(int(words[k]) + data.draw(st.sampled_from((-1, 1, 1000))))
+    lines[i] = " ".join(words)
+    return lines
+
+
+def _edit_lines(data, lines):
+    """Duplicate, drop or move one line."""
+    i = data.draw(st.integers(0, len(lines) - 1))
+    j = data.draw(st.integers(0, len(lines) - 1))
+    kind = data.draw(st.sampled_from(("duplicate", "drop", "move")))
+    if kind == "duplicate":
+        lines.insert(j, lines[i])
+    elif kind == "drop":
+        del lines[i]
+    else:
+        lines.insert(j, lines.pop(i))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verify_never_raises_on_edited_files(small_run, data):
+    tmp, texts = small_run
+    files = {name: list(lines) for name, lines in texts.items()}
+    for _ in range(data.draw(st.integers(1, 2))):
+        name = data.draw(st.sampled_from(FILES))
+        edit = _edit_trace_record if name == "trace" else _edit_row
+        edit = data.draw(st.sampled_from((edit, _edit_lines)))
+        files[name] = edit(data, files[name])
+    paths = {name: tmp / f"edited.{name}" for name in FILES}
+    for name, lines in files.items():
+        paths[name].write_text("\n".join(lines) + "\n")
+    argv = ["verify", str(paths["graph"]), "--orientation", str(paths["orientation"]),
+            "--trace", str(paths["trace"])]
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        assert main(argv) in (0, 2, 3, 4)

@@ -79,11 +79,6 @@ def test_bfs_distances_multisource():
     assert bfs_distances(P4, (0, 3)) == [0, 1, 1, 0]
 
 
-def test_bfs_distances_blocked_vertices():
-    d = bfs_distances(P4, (0,), blocked=(2,))
-    assert d[3] == UNREACHABLE and d[1] == 1
-
-
 def test_shortest_path_lexicographic():
     g = cycle_graph(6)
     assert shortest_path_between(g, (0,), (3,)) == [0, 1, 2, 3]
