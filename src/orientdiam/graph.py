@@ -119,6 +119,11 @@ def bfs_distances(
     return dist
 
 
+# the last frozenset of targets found in range, and the n it was checked against:
+# immutable and held here by reference, so it stays in range for that n
+_targets_in_range: tuple[frozenset[int] | None, int] = (None, 0)
+
+
 def shortest_path_between(
     g: Graph,
     sources: Iterable[int],
@@ -131,7 +136,9 @@ def shortest_path_between(
     Tie-break: among shortest paths, the one starting at the smallest-id
     source whose vertex sequence is lexicographically smallest. Returns None
     when no path exists. ``blocked`` vertices are excluded as interior (and
-    as source/target) vertices; a blocked or out-of-range target raises.
+    as source/target) vertices; a blocked or out-of-range target raises. The
+    range check is skipped when ``targets`` is the very frozenset that last
+    passed it for the same n, as the extension's per-round core is.
 
     The search runs forward from the sources one layer at a time and stops
     at the first layer that meets the targets, so its cost is the ball of
@@ -139,14 +146,19 @@ def shortest_path_between(
     met keeps, layer by layer, the vertices that lead to one of them; the
     path then takes the smallest kept vertex of every layer that extends it.
     """
+    global _targets_in_range
     ex = _normalize_excluded(excluded)
     blk = set(blocked)
     src = sorted(set(sources))
     tgt = targets if isinstance(targets, (set, frozenset)) else set(targets)
     if not src or not tgt:
         raise ValueError("sources and targets must be non-empty")
-    if min(tgt) < 0 or max(tgt) >= g.n:
-        raise ValueError(f"target out of range for n={g.n}")
+    checked, checked_n = _targets_in_range
+    if checked is not tgt or checked_n != g.n:
+        if min(tgt) < 0 or max(tgt) >= g.n:
+            raise ValueError(f"target out of range for n={g.n}")
+        if isinstance(tgt, frozenset):
+            _targets_in_range = (tgt, g.n)
     if not blk.isdisjoint(tgt):
         raise ValueError(f"target {min(blk.intersection(tgt))} is blocked")
     if src[0] < 0 or src[-1] >= g.n:

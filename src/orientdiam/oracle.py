@@ -5,7 +5,9 @@ searcher works on bitmasks, the two diameter cross-checkers on raw arc lists
 (a plain BFS from every vertex, the reference, and the eccentricity-bounding
 search that ``pipeline.certify`` runs on the whole orientation and on the
 core's arcs alone), so agreement with the main pipeline is meaningful
-evidence.
+evidence. The construction's ``orientation.diameter_among`` bounds
+eccentricities too; what keeps the check independent is separate code, not
+a different algorithm.
 """
 
 from __future__ import annotations

@@ -146,36 +146,60 @@ def directed_distance(
     return UNREACHABLE
 
 
-def diameter_among(o: Orientation, vertices: Iterable[int]) -> int | float:
-    """Largest directed distance between two of the given vertices.
+def _bfs_among(
+    adj: list[list[int]], s: int, member: list[bool], size: int
+) -> tuple[list[int], int | float]:
+    """Distances from s over list adjacency (-1 where unreached), and the
+    largest to a member of the vertex set, UNREACHABLE when one is missed.
 
-    Paths may use every assigned arc, also outside the vertex set. Bit-parallel
-    BFS from all of them at once (Akiba, Iwata & Yoshida, SIGMOD 2013): bit i
-    of ``seen[v]`` is set once the i-th vertex lies within the current radius
-    of v, and each level ORs into v only the bits its in-neighbors gained in
-    the previous level. The radius at which every vertex of the set holds
-    every bit is the answer; UNREACHABLE when a level gains nothing first.
+    The search may leave the set. It stops at the layer that reaches the
+    last of the ``size`` members (s included when it is one), so the
+    distances to non-members beyond that layer stay -1.
     """
-    verts = sorted(set(vertices))
-    n = o.base.n
-    if verts and not (0 <= verts[0] and verts[-1] < n):
-        raise ValueError("vertex out of range")
-    full = (1 << len(verts)) - 1
+    dist = [-1] * len(adj)
+    dist[s] = 0
+    left = size - member[s]
+    layer = [s]
+    d = 0
+    while layer and left:
+        d += 1
+        nxt = []
+        for u in layer:
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    nxt.append(w)
+        left -= sum(map(member.__getitem__, nxt))
+        layer = nxt
+    return dist, UNREACHABLE if left else d
+
+
+def _bit_levels(pull: list[list[int]], sources: list[int], targets: list[int]) -> int | float:
+    """Levels until every target lies within reach of every source; UNREACHABLE
+    when a level gains nothing first.
+
+    Bit-parallel BFS (Akiba, Iwata & Yoshida, SIGMOD 2013): bit i of
+    ``seen[v]`` is set once ``sources[i]`` lies within the current radius of
+    v, and each level ORs into v only the bits its ``pull`` neighbors gained
+    in the previous level. With ``pull`` the in-lists the radius runs from
+    the sources to v, with the out-lists from v to the sources.
+    """
+    n = len(pull)
+    full = (1 << len(sources)) - 1
     seen = [0] * n
     gained = [0] * n  # the bits each vertex gained in the previous level
-    for i, v in enumerate(verts):
+    for i, v in enumerate(sources):
         seen[v] = gained[v] = 1 << i
-    inn = o._in
-    waiting = [v for v in verts if seen[v] != full]
+    waiting = [v for v in targets if seen[v] != full]
     # vertices that can still gain bits, and those that only pass theirs on once
-    hungry = [v for v in range(n) if seen[v] != full and inn[v]]
-    relay = [v for v in verts if seen[v] == full or not inn[v]]
+    hungry = [v for v in range(n) if seen[v] != full and pull[v]]
+    relay = [v for v in sources if seen[v] == full or not pull[v]]
     d = 0
     while waiting:
         news = []
         for v in hungry:
             acc = 0
-            for u in inn[v]:
+            for u in pull[v]:
                 acc |= gained[u]
             news.append(acc & ~seen[v])
         for v in relay:
@@ -196,6 +220,95 @@ def diameter_among(o: Orientation, vertices: Iterable[int]) -> int | float:
         d += 1
         waiting = [v for v in waiting if seen[v] != full]
     return d
+
+
+def _largest_eccentricity(
+    adj: list[list[int]], cands: list[int], upper: list[int], best: int,
+    member: list[bool], size: int,
+) -> int | float:
+    """``best``, raised by one plain BFS from each candidate whose upper bound still exceeds it."""
+    for w in cands:
+        if upper[w] > best:
+            best = max(best, _bfs_among(adj, w, member, size)[1])
+    return best
+
+
+def diameter_among(o: Orientation, vertices: Iterable[int]) -> int | float:
+    """Largest directed distance between two of the given vertices, S; exact.
+
+    Paths may use every assigned arc, also outside S; eccentricities are
+    measured to S. Each pivot v of S runs one forward and one backward BFS,
+    and the triangle inequality bounds every candidate w of S (Takes &
+    Kosters 2011, directed as in Crescenzi, Grossi, Lanzi & Marino 2013):
+    ``max(d(w,v), ecc_out(v) - d(v,w)) <= ecc_out(w) <= d(w,v) +
+    ecc_out(v)``, mirrored for ``ecc_in``. A vertex stops being a candidate
+    in a direction once its upper bound there is at most ``best``, the
+    largest eccentricity measured; the answer is found when either direction
+    has none left. Pivots alternate between the largest upper bound and the
+    smallest lower bound, ties going to the smallest id. The candidates left
+    in the smaller direction are finished, with no tuned constant:
+
+    - once fewer are left than BFS runs spent, by one plain BFS each (a
+      directed cycle, where no bound prunes);
+    - once the runs spent reach ``best``, by ``_bit_levels`` from all of
+      them: it costs about one BFS per level, and ``best`` is a lower bound
+      on the diameter, the levels it would need from all of S (ski rental:
+      rent until the rent paid reaches the price).
+
+    UNREACHABLE when the first pivot's searches miss a vertex of S; 0 for an
+    S of at most one vertex. ``oracle.bounded_diameter_of_arcs`` bounds the
+    same way in separate code, as the independent check in ``certify``.
+    """
+    verts = sorted(set(vertices))
+    n = o.base.n
+    if verts and not (0 <= verts[0] and verts[-1] < n):
+        raise ValueError("vertex out of range")
+    size = len(verts)
+    if size <= 1:
+        return 0
+    member = [False] * n
+    for v in verts:
+        member[v] = True
+    adjs = (o._out, o._in)
+    # per direction (0 out, 1 in): bounds on every member's eccentricity, and
+    # the members, ascending, whose upper bound still exceeds ``best``
+    upper = ([n] * n, [n] * n)
+    lower = ([0] * n, [0] * n)
+    cands = (list(verts), list(verts))
+    best = 0
+    spent = 0
+    by_upper = True
+    while cands[0] and cands[1]:
+        few = 0 if len(cands[0]) <= len(cands[1]) else 1
+        if spent >= len(cands[few]):
+            return _largest_eccentricity(adjs[few], cands[few], upper[few], best, member, size)
+        if 0 < best <= spent:
+            # out-eccentricities pull bits along in-arcs, in-eccentricities along out-arcs
+            return max(best, _bit_levels(adjs[1 - few], cands[few], verts))
+        if by_upper:
+            v = -max((upper[k][w], -w) for k in (0, 1) for w in cands[k])[1]
+        else:
+            v = min((lower[k][w], w) for k in (0, 1) for w in cands[k])[1]
+        by_upper = not by_upper
+        fwd, ecc_out = _bfs_among(adjs[0], v, member, size)
+        bwd, ecc_in = _bfs_among(adjs[1], v, member, size)
+        if ecc_out == UNREACHABLE or ecc_in == UNREACHABLE:
+            return UNREACHABLE
+        spent += 2
+        best = max(best, ecc_out, ecc_in)
+        # out-eccentricities read d(w, v) from bwd and d(v, w) from fwd; in, the mirror
+        for k, ecc, to_v, from_v in ((0, ecc_out, bwd, fwd), (1, ecc_in, fwd, bwd)):
+            up, lo = upper[k], lower[k]
+            for w in cands[k]:
+                a, b = to_v[w], from_v[w]
+                if a + ecc < up[w]:
+                    up[w] = a + ecc
+                if a > lo[w]:
+                    lo[w] = a
+                if ecc - b > lo[w]:
+                    lo[w] = ecc - b
+            cands[k][:] = [w for w in cands[k] if up[w] > best]
+    return best
 
 
 def is_strong(o: Orientation) -> bool:

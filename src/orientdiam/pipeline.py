@@ -331,10 +331,12 @@ def certify(
     checks and, when the trace holds an extension, the extension and bound
     checks; with an orientation, its strongness and its directed diameter,
     computed once by ``orientation.directed_diameter`` and cross-checked by
-    ``oracle.bounded_diameter_of_arcs``, an exact eccentricity-bounding search
-    on the raw arc list that shares no code with it, and, with records,
-    whether every diameter claim of the trace matches the orientation. The
-    core diameter claims are measured by that same independent search on the
+    ``oracle.bounded_diameter_of_arcs`` on the raw arc list, and, with
+    records, whether every diameter claim of the trace matches the
+    orientation. Both searches bound eccentricities, so the cross-check is
+    independent because it is separate code (its own arc lists and BFS, no
+    import from ``orientation``), not a different algorithm. The core
+    diameter claims are measured by that same independent search on the
     core's arcs alone, so no code that made a claim checks it. Without an
     orientation the trace's diameters are taken as claimed, which is sound
     only for diameters measured from the orientation in hand, as in

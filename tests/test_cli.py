@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orientdiam import extension, pipeline
+from orientdiam import extension, orientation, pipeline
 from orientdiam.cli import main
-from orientdiam.generators import cycle_graph, petersen_graph, triangle_chain
+from orientdiam.generators import cycle_graph, petersen_graph, random_bridgeless, triangle_chain
 from orientdiam.graph import format_graph
 from orientdiam.orientation import directed_diameter, is_strong, parse_orientation
 
@@ -167,6 +167,28 @@ def test_verify_cross_check_is_independent_of_directed_diameter(tmp_path, capsys
     failed = [c for c in data["checks"] if not c["ok"]]
     assert [c["name"] for c in failed] == ["orientation_diameter_cross_check"]
     assert failed[0]["detail"] == "8 == 7"
+
+
+def test_verify_catches_an_understating_kernel_fallback(tmp_path, capsys, monkeypatch):
+    """A diameter_among whose bit-parallel exit returns one less than the truth."""
+    gpath, opath, _, _ = orient_artifacts(tmp_path, random_bridgeless(800, 4, 3, 0))
+    capsys.readouterr()
+    true_kernel, true_diameter_among = orientation._bit_levels, orientation.diameter_among
+    taken = []
+
+    def understated(o, vertices):
+        taken.clear()
+        diam = true_diameter_among(o, vertices)
+        return diam - 1 if taken else diam
+
+    monkeypatch.setattr(orientation, "_bit_levels", lambda *a: taken.append(1) or true_kernel(*a))
+    monkeypatch.setattr(orientation, "diameter_among", understated)
+    code, data = run_json(capsys, ["verify", gpath, "--orientation", opath])
+    assert taken, "the orientation's diameter must reach the kernel fallback"
+    assert code == 4
+    failed = [c for c in data["checks"] if not c["ok"]]
+    assert [c["name"] for c in failed] == ["orientation_diameter_cross_check"]
+    assert failed[0]["detail"] == "24 == 25"
 
 
 def test_verify_catches_a_core_diameter_defect_shared_with_the_construction(

@@ -107,6 +107,24 @@ def test_shortest_path_unreachable_and_errors():
             shortest_path_between(P4, sources, targets, blocked=blocked)
 
 
+def test_shortest_path_range_check_survives_the_target_memo():
+    """Only the same frozenset, checked for the same n, skips the range check."""
+    core = frozenset({1, 2})
+    assert shortest_path_between(P4, (0,), core) == [0, 1]
+    assert shortest_path_between(P4, (3,), core) == [3, 2]
+    with pytest.raises(ValueError):
+        shortest_path_between(P4, (0,), frozenset({1, 4}))  # a fresh frozenset
+    with pytest.raises(ValueError):
+        shortest_path_between(Graph(2, [(0, 1)]), (0,), core)  # the same one, smaller n
+    reused = {1, 2}
+    assert shortest_path_between(P4, (0,), reused) == [0, 1]
+    reused.add(4)
+    with pytest.raises(ValueError):
+        shortest_path_between(P4, (0,), reused)  # a mutable set, changed in between
+    with pytest.raises(ValueError):
+        shortest_path_between(P4, (0,), reused)
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_shortest_path_matches_reference(data):

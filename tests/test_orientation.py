@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,12 +16,14 @@ from orientdiam.errors import (
     PreconditionError,
 )
 from orientdiam.extension import core_directed_diameter
-from orientdiam.generators import complete_graph, cycle_graph
+from orientdiam import orientation
+from orientdiam.generators import circulant_graph, complete_graph, cycle_graph
 from orientdiam.graph import UNREACHABLE, Graph, is_bridgeless_connected
 from orientdiam.growth import subgraph_adjacency
 from orientdiam.oracle import directed_diameter_of_arcs
 from orientdiam.orientation import (
     Orientation,
+    diameter_among,
     directed_diameter,
     directed_distance,
     directed_distances_from,
@@ -220,19 +224,27 @@ def vertex_sets(n: int, min_size: int = 0):
 @settings(max_examples=300, deadline=None)
 @given(random_orientations(complete=True))
 def test_directed_diameter_matches_arc_list(o):
-    # strong or not: the bit-parallel kernel agrees with per-source BFS on raw arcs
+    # strong or not: the hybrid search agrees with per-source BFS on raw arcs
     assert directed_diameter(o) == directed_diameter_of_arcs(o.base.n, o.arcs())
+
+
+def per_vertex_diameter(o: Orientation, vertices) -> int | float:
+    """One directed BFS from each vertex of the set: the slow path of ``diameter_among``."""
+    worst = 0
+    for v in sorted(vertices):
+        dist = directed_distances_from(o, (v,))
+        worst = max(worst, max(dist[w] for w in vertices))
+    return worst
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_core_directed_diameter_matches_per_vertex_bfs(data):
-    o = data.draw(random_orientations(complete=False))
+    # complete or partial, any subset: empty, single, not strong, or one
+    # whose shortest paths leave it
+    o = data.draw(random_orientations(complete=data.draw(st.booleans())))
     core = data.draw(vertex_sets(o.base.n))
-    worst = 0
-    for v in sorted(core):
-        dist = directed_distances_from(o, (v,))
-        worst = max(worst, max(dist[w] for w in core))
+    worst = per_vertex_diameter(o, core)
     if worst == UNREACHABLE:
         with pytest.raises(CertifiedFailureError):
             core_directed_diameter(o, core)
@@ -267,3 +279,55 @@ def test_orient_adjacency_matches_reference_dfs(g, data):
                 grew = True
     adj = subgraph_adjacency(comp, {(u, v) for u, v in kept if u in comp})
     assert orient_adjacency(adj) == reference_orient_adjacency(adj, min(comp))
+
+
+def test_diameter_among_frozen_subsets():
+    c8 = directed_cycle(8)
+    assert diameter_among(c8, ()) == 0
+    assert diameter_among(c8, (5,)) == 0
+    assert diameter_among(c8, (0, 4)) == 4  # every path between them leaves the set
+    assert diameter_among(c8, (1, 2, 3)) == 7  # from 3 to 2
+    path = Orientation(cycle_graph(4))
+    orient_path(path, [0, 1, 2])
+    assert diameter_among(path, (0, 2)) == UNREACHABLE
+    with pytest.raises(ValueError):
+        diameter_among(c8, (0, 8))
+
+
+def _dense_random_orientation(n: int, p: float, seed: int) -> Orientation:
+    rng = random.Random(seed)
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    o = Orientation(g)
+    for u, v in g.edges():
+        o.assign(*((u, v) if rng.random() < 0.5 else (v, u)))
+    return o
+
+
+@pytest.mark.parametrize(
+    "o, exit_taken",
+    [
+        (strong_orientation(circulant_graph(200, (1, 2))), None),
+        (directed_cycle(50), "_largest_eccentricity"),
+        (_dense_random_orientation(16, 0.5, 3), "_largest_eccentricity"),
+        (_dense_random_orientation(200, 0.08, 1), "_bit_levels"),
+        (_dense_random_orientation(12, 0.5, 3), "_bit_levels"),
+    ],
+    ids=["circulant-prunes", "cycle-plain-bfs", "random-plain-bfs", "random-kernel", "small-kernel"],
+)
+def test_diameter_among_takes_each_exit(monkeypatch, o, exit_taken):
+    """Bounds finish a long circulant, plain BFS a directed cycle, where no
+    bound prunes, and the bit-parallel kernel a short-diameter orientation.
+
+    On the three random ones the pivots' largest eccentricity falls short of
+    the diameter when the fallback starts, so a fallback that returned too
+    little (one that skipped its BFS runs, or pulled the kernel's bits the
+    wrong way on the 12-vertex one) would fail here."""
+    taken = []
+    for name in ("_largest_eccentricity", "_bit_levels"):
+        fallback = getattr(orientation, name)
+        monkeypatch.setattr(
+            orientation, name, lambda *a, f=fallback, name=name: taken.append(name) or f(*a)
+        )
+    diam = directed_diameter(o)
+    assert diam == per_vertex_diameter(o, range(o.base.n)) != UNREACHABLE
+    assert taken == ([exit_taken] if exit_taken else [])
