@@ -8,6 +8,7 @@ regenerated bit-for-bit.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import InfeasibleSpecError
@@ -83,6 +84,14 @@ def random_bridgeless(n: int, delta: int, girth_floor: int, seed: int) -> Graph:
     at least girth_floor - 1. The last-added edge of any cycle closes it at
     length >= girth_floor, so the floor is maintained throughout. Raises
     InfeasibleSpecError when some vertex can no longer be topped up.
+
+    Each chord joins a uniform deficient vertex u (degree < delta) to a
+    uniform deficient vertex far enough from u, or, when there is none, to
+    any vertex far enough. The deficient vertices are kept in one sorted
+    list, and each draw picks an index into the list it would come from
+    without building that list, by skipping past the few vertices close to
+    u. So a chord costs O(|close| log n) plus one list deletion, not a scan
+    of all n vertices, and generation is near-linear in n.
     """
     if n < max(3, girth_floor):
         raise ValueError("order must be at least max(3, girth_floor)")
@@ -92,6 +101,8 @@ def random_bridgeless(n: int, delta: int, girth_floor: int, seed: int) -> Graph:
         raise ValueError("need 2 <= delta < n - 1")
     rng = random.Random(seed)
     adj: list[set[int]] = [{(i - 1) % n, (i + 1) % n} for i in range(n)]
+    # degrees only grow, so a vertex leaves this list once and never returns
+    deficient = [v for v in range(n) if len(adj[v]) < delta]
 
     def close_to(u: int) -> set[int]:
         # vertices within girth_floor - 2 of u (its neighbors included, as the
@@ -108,23 +119,37 @@ def random_bridgeless(n: int, delta: int, girth_floor: int, seed: int) -> Graph:
             frontier = nxt
         return close
 
-    while True:
-        deficient = [v for v in range(n) if len(adj[v]) < delta]
-        if not deficient:
-            break
+    def pick(k: int, skipped: list[int]) -> int:
+        # choice(range(k)) draws from the RNG exactly as choice() on a list of
+        # length k; the index is then shifted past the sorted skipped positions
+        i = rng.choice(range(k))
+        for p in skipped:
+            if p > i:
+                break
+            i += 1
+        return i
+
+    while deficient:
         u = rng.choice(deficient)
         close = close_to(u)
-        cands = [w for w in range(n) if w not in close]
-        if not cands:
+        if len(close) == n:
             # distances only shrink as edges arrive, so u can never recover
             raise InfeasibleSpecError(
                 f"vertex {u} stuck at degree {len(adj[u])} < {delta} "
                 f"with girth floor {girth_floor} (n={n}, seed={seed})"
             )
-        low = [w for w in cands if len(adj[w]) < delta]
-        v = rng.choice(low or cands)
+        # v is drawn from deficient minus close, or when that is empty from
+        # range(n) minus close; skipped holds the close deficient positions
+        skipped = sorted(bisect_left(deficient, w) for w in close if len(adj[w]) < delta)
+        if len(skipped) < len(deficient):
+            v = deficient[pick(len(deficient) - len(skipped), skipped)]
+        else:
+            v = pick(n - len(close), sorted(close))
         adj[u].add(v)
         adj[v].add(u)
+        for x in (u, v):
+            if len(adj[x]) == delta:
+                del deficient[bisect_left(deficient, x)]
     return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
 
 

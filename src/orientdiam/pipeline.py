@@ -99,6 +99,18 @@ _SINGLE_RECORDS = (
     "pipeline_final",
 )
 _LOG_RECORDS = ("growth_iteration", "extension_round", "extension_step")
+# log-only fields: never recomputed, but checked for type and vertex range
+_LOG_FIELDS = {
+    "growth_iteration": {"labeled": "vertices"},
+    "extension_step": {
+        "vertex": "vertex",
+        "anchor": "vertex",
+        "vprime": "vertex",
+        "path": "vertices",
+        "escape": "int",
+        "case": "str",
+    },
+}
 
 
 def _is_vertex(x, n: int) -> bool:
@@ -132,8 +144,11 @@ def _field(rec: dict, key: str, kind: str, n: int = 0):
     return rec[key]
 
 
-def _split_records(records: list) -> tuple[dict[str, dict], dict[str, list[dict]]]:
-    """Index the once-only records by type, and list the per-step records by type."""
+def _split_records(records: list, n: int) -> tuple[dict[str, dict], dict[str, list[dict]]]:
+    """Index the once-only records by type, and list the per-step records by type.
+
+    The log-only fields of ``_LOG_FIELDS`` are checked here, once per record.
+    """
     single: dict[str, dict] = {}
     logs: dict[str, list[dict]] = {kind: [] for kind in _LOG_RECORDS}
     for pos, rec in enumerate(records, start=1):
@@ -141,6 +156,8 @@ def _split_records(records: list) -> tuple[dict[str, dict], dict[str, list[dict]
             raise GraphFormatError(f"trace record {pos} is not a JSON object")
         kind = _field(rec, "type", "str")
         if kind in logs:
+            for key, key_kind in _LOG_FIELDS.get(kind, {}).items():
+                _field(rec, key, key_kind, n)
             logs[kind].append(rec)
         elif kind in _SINGLE_RECORDS:
             if kind in single:
@@ -347,7 +364,7 @@ def certify(
     checks: list[tuple] = []
     if records is not None:
         check_preconditions(g)
-        single, logs = _split_records(records)
+        single, logs = _split_records(records, g.n)
         iterations = logs["growth_iteration"]
         header = _record(single, "growth_header")
         try:

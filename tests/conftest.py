@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 from hypothesis import assume, strategies as st
@@ -256,3 +257,55 @@ def reference_chain_offset(i, a_val, b_val):
     if window:
         return min(window, key=lambda x: (abs(x), 0 if x >= 0 else 1)), False
     return min(i, max(-i, b_val - i)), True
+
+
+def reference_random_bridgeless(n: int, delta: int, girth_floor: int, seed: int) -> Graph:
+    """The body that ``generators.random_bridgeless`` replaced, unchanged.
+
+    It rebuilds the deficient, candidate and low-degree lists by scanning all
+    n vertices once per chord and draws with ``rng.choice`` on them. Kept as
+    the slow path the sorted-list generator is checked against: both must
+    give the same edges, or raise the same error with the same message.
+    """
+    if n < max(3, girth_floor):
+        raise ValueError("order must be at least max(3, girth_floor)")
+    if girth_floor < 3:
+        raise ValueError("girth floor must be at least 3")
+    if not 2 <= delta < n - 1:
+        raise ValueError("need 2 <= delta < n - 1")
+    rng = random.Random(seed)
+    adj: list[set[int]] = [{(i - 1) % n, (i + 1) % n} for i in range(n)]
+
+    def close_to(u: int) -> set[int]:
+        # vertices within girth_floor - 2 of u (its neighbors included, as the
+        # floor is at least 3); a chord to any of them would close a short cycle
+        close = {u}
+        frontier = [u]
+        for _ in range(girth_floor - 2):
+            nxt = []
+            for x in frontier:
+                for w in adj[x]:
+                    if w not in close:
+                        close.add(w)
+                        nxt.append(w)
+            frontier = nxt
+        return close
+
+    while True:
+        deficient = [v for v in range(n) if len(adj[v]) < delta]
+        if not deficient:
+            break
+        u = rng.choice(deficient)
+        close = close_to(u)
+        cands = [w for w in range(n) if w not in close]
+        if not cands:
+            # distances only shrink as edges arrive, so u can never recover
+            raise InfeasibleSpecError(
+                f"vertex {u} stuck at degree {len(adj[u])} < {delta} "
+                f"with girth floor {girth_floor} (n={n}, seed={seed})"
+            )
+        low = [w for w in cands if len(adj[w]) < delta]
+        v = rng.choice(low or cands)
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])

@@ -293,6 +293,30 @@ def test_verify_replays_summary_fields(tmp_path, capsys, edit, check):
     assert check in [c["name"] for c in data["checks"] if not c["ok"]]
 
 
+def _first(records, kind):
+    return next(rec for rec in records if rec["type"] == kind)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda recs: _first(recs, "growth_iteration").update(labeled=[3, 5, 1008]),
+        lambda recs: _first(recs, "extension_step").update(path=None),
+        lambda recs: _first(recs, "extension_step").update(case=None),
+        lambda recs: _first(recs, "extension_step").pop("anchor"),
+    ],
+    ids=["labeled_out_of_range", "path_null", "case_null", "anchor_missing"],
+)
+def test_verify_rejects_malformed_log_fields(tmp_path, capsys, edit):
+    """Log-only fields are not recomputed, but a malformed one still exits 2."""
+    gpath, opath, tpath, records = orient_artifacts(tmp_path, triangle_chain(12), "2")
+    edit(records)
+    tpath.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    capsys.readouterr()
+    assert main(["verify", gpath, "--orientation", opath, "--trace", str(tpath)]) == 2
+    assert "missing or not" in capsys.readouterr().err
+
+
 def test_verify_requires_an_artifact(tmp_path, capsys):
     gpath = write_graph(tmp_path, "c8.txt", cycle_graph(8))
     assert main(["verify", gpath]) == 2

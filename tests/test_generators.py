@@ -21,6 +21,8 @@ from orientdiam.generators import (
 )
 from orientdiam.graph import girth, is_bridgeless_connected, min_degree
 
+from conftest import reference_random_bridgeless
+
 
 def test_cycle_graph():
     g = cycle_graph(7)
@@ -94,8 +96,9 @@ def test_random_bridgeless_deterministic():
 
 def test_random_bridgeless_infeasible_spec():
     # girth 5 with minimum degree 4 needs at least 1 + 4 + 12 = 17 vertices
-    with pytest.raises(InfeasibleSpecError):
+    with pytest.raises(InfeasibleSpecError) as exc:
         random_bridgeless(10, 4, 5, seed=0)
+    assert str(exc.value) == "vertex 6 stuck at degree 3 < 4 with girth floor 5 (n=10, seed=0)"
     with pytest.raises(ValueError):
         random_bridgeless(10, 1, 3, seed=0)
 
@@ -177,3 +180,32 @@ def test_random_bridgeless_always_meets_contract(n, delta, floor, seed):
     assert girth(g) >= floor
     assert is_bridgeless_connected(g)
     assert g == random_bridgeless(n, delta, floor, seed)
+
+
+def _outcome(build, *args):
+    """The edges a generator returns, or the type and message of its refusal."""
+    try:
+        return build(*args).edges()
+    except (InfeasibleSpecError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=80),
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=3, max_value=6),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_random_bridgeless_matches_reference(n, delta, floor, seed):
+    # the sorted-list draws consume the RNG as the per-chord list scans did
+    assert _outcome(random_bridgeless, n, delta, floor, seed) == _outcome(
+        reference_random_bridgeless, n, delta, floor, seed
+    )
+
+
+# a stuck vertex; a draw from all far vertices when no far one is deficient;
+# two graphs with many deficient draws
+@pytest.mark.parametrize("args", [(10, 4, 5, 0), (9, 3, 4, 0), (60, 5, 4, 9), (300, 4, 3, 1)])
+def test_random_bridgeless_matches_reference_frozen(args):
+    assert _outcome(random_bridgeless, *args) == _outcome(reference_random_bridgeless, *args)
