@@ -140,16 +140,21 @@ def shortest_path_between(
     range check is skipped when ``targets`` is the very frozenset that last
     passed it for the same n, as the extension's per-round core is.
 
-    The search runs forward from the sources one layer at a time and stops
-    at the first layer that meets the targets, so its cost is the ball of
-    that radius, not the whole graph. A backward pass from the targets it
-    met keeps, layer by layer, the vertices that lead to one of them; the
-    path then takes the smallest kept vertex of every layer that extends it.
+    The search runs one layer at a time from the smaller end and stops at
+    the first layer that meets the other, so its cost is the ball of that
+    radius around the smaller end, not the whole graph or the larger end; a
+    set passed as the larger end is read in place (its range checked by
+    ``min`` and ``max``), neither copied nor sorted. From the targets (fewer targets than sources), the path starts
+    at the smallest source of the last layer and walks down to the smallest
+    usable neighbour one layer closer. From the sources, a backward pass from
+    the targets met keeps, layer by layer, the vertices that lead to one of
+    them; the path then takes the smallest kept vertex of every layer that
+    extends it.
     """
     global _targets_in_range
     ex = _normalize_excluded(excluded)
     blk = set(blocked)
-    src = sorted(set(sources))
+    src = sources if isinstance(sources, (set, frozenset)) else set(sources)
     tgt = targets if isinstance(targets, (set, frozenset)) else set(targets)
     if not src or not tgt:
         raise ValueError("sources and targets must be non-empty")
@@ -161,17 +166,23 @@ def shortest_path_between(
             _targets_in_range = (tgt, g.n)
     if not blk.isdisjoint(tgt):
         raise ValueError(f"target {min(blk.intersection(tgt))} is blocked")
-    if src[0] < 0 or src[-1] >= g.n:
+    from_targets = len(tgt) < len(src)
+    if from_targets:
+        start, stop, lo, hi = tgt, src, min(src), max(src)
+    else:
+        start, stop = sorted(src), tgt
+        lo, hi = start[0], start[-1]
+    if lo < 0 or hi >= g.n:
         raise ValueError(f"source out of range for n={g.n}")
 
     def usable(u: int, w: int) -> bool:
         return not ex or edge_key(u, w) not in ex
 
-    layer = [s for s in src if s not in blk]
+    layer = [s for s in start if s not in blk]
     dist = dict.fromkeys(blk, -1)  # blocked vertices count as seen, on no layer
     dist.update(dict.fromkeys(layer, 0))
     depth = 0
-    while layer and tgt.isdisjoint(layer):
+    while layer and stop.isdisjoint(layer):
         depth += 1
         nxt = []
         for u in layer:
@@ -183,6 +194,13 @@ def shortest_path_between(
         layer = nxt
     if not layer:
         return None
+    if from_targets:
+        cur = min(src.intersection(layer))
+        path = [cur]
+        for k in range(depth - 1, -1, -1):
+            cur = next(w for w in g.neighbors(cur) if dist.get(w) == k and usable(cur, w))
+            path.append(cur)
+        return path
     good = [tgt.intersection(layer)]
     for k in range(depth - 1, -1, -1):
         ahead = good[-1]

@@ -15,6 +15,7 @@ or protect a value the construction itself reads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +28,6 @@ from .graph import (
     bfs_distances,
     bridge_witness,
     bridges_of,
-    distances_within,
     edge_key,
     girth,
     min_degree,
@@ -114,10 +114,14 @@ def _covered_prefix(
     g: Graph,
     path: list[int],
     h_v: set[int],
-    hp_v: set[int],
+    added: Iterable[int],
     hp_e: set[tuple[int, int]],
 ) -> int:
     """Number of leading path edges that are not bridges of core + path.
+
+    ``added`` holds the working core's vertices outside ``h_v`` and off the
+    path (in ``cover_path``, the labels), so the search costs the path and
+    its detours, not the core.
 
     The bridge search runs on core + path with the pre-iteration core
     ``h_v`` contracted to ``path[0]``, its only vertex on the path. This is
@@ -134,7 +138,7 @@ def _covered_prefix(
     """
     rep = path[0]
     path_edges = {edge_key(a, b) for a, b in zip(path, path[1:])}
-    outside = (hp_v - h_v).union(path[1:])
+    outside = set(added).union(path[1:])
     adj: dict[int, list[int]] = {rep: []}
     adj.update((x, []) for x in outside)
     for x in outside:
@@ -203,30 +207,64 @@ def _apply_splice(
     counters["splices"] += 1
 
 
+class _LabelSearch:
+    """BFS from one label with the path edges deleted, deepened on demand.
+
+    It keeps its distances, the depth it has reached and its last layer, so
+    a deeper request only expands that layer. ``core`` is the first depth at
+    which the search met the core ``h_v``: by symmetry, the label's distance
+    to the core with the path edges avoided, once it is not UNREACHABLE.
+    """
+
+    __slots__ = ("dist", "depth", "frontier", "core")
+
+    def __init__(self, v: int, h_v: set[int]):
+        self.dist = {v: 0}
+        self.depth = 0
+        self.frontier = [v]
+        self.core: int | float = 0 if v in h_v else UNREACHABLE
+
+    def deepen(
+        self, g: Graph, depth: int, h_v: set[int], path_edges: frozenset[tuple[int, int]]
+    ) -> None:
+        """Extend the search until it reaches ``depth`` or runs out of vertices."""
+        dist, layer = self.dist, self.frontier
+        while self.depth < depth and layer:
+            d = self.depth + 1
+            nxt = []
+            for u in layer:
+                for w in g.neighbors(u):
+                    if w in dist or edge_key(u, w) in path_edges:
+                        continue
+                    dist[w] = d
+                    nxt.append(w)
+            if self.core == UNREACHABLE and not h_v.isdisjoint(nxt):
+                self.core = d
+            layer = nxt
+            self.depth = d
+        self.frontier = layer
+
+
 def _near(
     g: Graph,
-    near: dict[int, tuple[int, dict[int, int]]],
+    near: dict[int, _LabelSearch],
     v: int,
     depth: int,
+    h_v: set[int],
     path_edges: frozenset[tuple[int, int]],
-) -> dict[int, int]:
-    """Distances from v avoiding path edges, exact up to ``depth``, memoized in ``near``.
-
-    A cached search is reused when it went at least ``depth`` deep and
-    redone to ``depth`` otherwise.
-    """
-    hit = near.get(v)
-    if hit is None or hit[0] < depth:
-        hit = (depth, distances_within(g, v, depth, excluded=path_edges))
-        near[v] = hit
-    return hit[1]
+) -> _LabelSearch:
+    """The search from v in ``near``, started if new, exact up to ``depth``."""
+    search = near.get(v)
+    if search is None:
+        search = near[v] = _LabelSearch(v, h_v)
+    search.deepen(g, depth, h_v, path_edges)
+    return search
 
 
 def _stabilize(
     g: Graph,
     h_v: set[int],
-    dist_h: dict[int, int | float],
-    near: dict[int, tuple[int, dict[int, int]]],
+    near: dict[int, _LabelSearch],
     path_set: set[int],
     path_edges: frozenset[tuple[int, int]],
     h_e_protected: frozenset[tuple[int, int]],
@@ -244,25 +282,31 @@ def _stabilize(
     every core violation is mended before any label pair.
 
     Neither ``h_v`` nor ``path_edges`` changes within one ``cover_path``, so
-    the distances from the core (``dist_h``) and from each label (``near``)
-    are computed there once and reused. A label pair violates only at
-    distance < m2 - m1 <= len(labeled) - 1, so the label searches stop at
-    depth len(labeled) - 2: a label missing from one is too far to violate.
+    each label's search (``near``) lives there for the whole call and is
+    only deepened as the list grows. A violation needs a distance below
+    m2 - m1 <= k, so every search runs to depth k - 1: a label missing from
+    one is too far to violate, and a search that has not met the core by
+    then puts its label at least k from it. The distance from the core is
+    read off the label's own search, so no BFS from the core is needed.
     """
-    protected_v = path_set | h_v
-    protected_e = h_e_protected | path_edges
     while labeled:
-        depth = len(labeled) - 2
-        for m1 in range(len(labeled)):
-            row = dist_h if m1 == 0 else _near(g, near, labeled[m1 - 1], depth, path_edges)
-            m2 = next((m for m in range(m1 + 1, len(labeled) + 1)
-                       if row.get(labeled[m - 1], UNREACHABLE) < m - m1), None)
-            if m2 is not None:
-                break
-        else:
-            return
+        depth = len(labeled) - 1
+        m1 = 0
+        m2 = next((m for m, x in enumerate(labeled, start=1)
+                   if _near(g, near, x, depth, h_v, path_edges).core < m), None)
+        if m2 is None:
+            for m1 in range(1, len(labeled)):
+                row = near[labeled[m1 - 1]].dist
+                m2 = next((m for m in range(m1 + 1, len(labeled) + 1)
+                           if row.get(labeled[m - 1], UNREACHABLE) < m - m1), None)
+                if m2 is not None:
+                    break
+            else:
+                return
+        protected_v = path_set | h_v
+        protected_e = h_e_protected | path_edges
         q2 = labeled[m2 - 1]
-        s = row[q2]
+        s = near[q2].core if m1 == 0 else row[q2]
         if m1 == 0 and s <= 0:
             raise CertifiedFailureError(
                 "labeled vertex sits inside the core",
@@ -297,9 +341,12 @@ def cover_path(
     into the working subgraph as soon as it is safe, so detour searches
     always start from everything already secured.
 
-    The core ``h_v``/``h_e`` and the path edges stay fixed for the whole
-    call, so the distances from the core and the label searches of
-    ``_stabilize`` are computed once here and shared by every cover step.
+    Each detour is searched from the uncovered suffix, the smaller end, and
+    stops at the first layer that meets the working core, so a cover step
+    costs the ball around the suffix, not the core. The core ``h_v``/``h_e``
+    and the path edges stay fixed for the whole call, so the label searches
+    of ``_stabilize`` live here and are deepened, never redone, by every
+    cover step; they also give each label's distance to the core.
     """
     path_edges = frozenset(edge_key(a, b) for a, b in zip(path, path[1:]))
     path_set = set(path)
@@ -308,11 +355,10 @@ def cover_path(
     hp_e = set(h_e)
     labeled: list[int] = []
     counters = {"rounds": 0, "cover_steps": 0, "splices": 0, "labeled_on_path": 0}
-    dist_h = dict(enumerate(bfs_distances(g, h_v, excluded=path_edges)))
-    near: dict[int, tuple[int, dict[int, int]]] = {}
+    near: dict[int, _LabelSearch] = {}
     target_edges = len(path) - 1
     while True:
-        cp = _covered_prefix(g, path, h_v, hp_v, hp_e)
+        cp = _covered_prefix(g, path, h_v, labeled, hp_e)
         for t in range(cp):
             hp_v.add(path[t])
             hp_v.add(path[t + 1])
@@ -336,7 +382,6 @@ def cover_path(
         _stabilize(
             g,
             h_v,
-            dist_h,
             near,
             path_set,
             path_edges,
@@ -394,8 +439,35 @@ def final_claims(
     }
 
 
+def _lower_distances(g: Graph, dist: list[int | float], added: set[int]) -> None:
+    """Lower ``dist``, the distances to a core, in place after ``added`` joins it.
+
+    Distances only fall as the core grows. The BFS from the added vertices
+    goes on from a vertex only when it lowered it: a vertex whose distance
+    falls is next to an added vertex or to one whose distance fell too, so
+    the cost is the region that moved closer, not the graph.
+    """
+    layer = list(added)
+    for x in layer:
+        dist[x] = 0
+    while layer:
+        nxt = []
+        for u in layer:
+            du = dist[u] + 1
+            for w in g.neighbors(u):
+                if dist[w] > du:
+                    dist[w] = du
+                    nxt.append(w)
+        layer = nxt
+
+
 def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     """Iterate path covering until every vertex is within reach of the core.
+
+    The distances to the core come from one BFS and are then lowered in
+    place as the core grows. The escape path is searched from its target,
+    the smaller end, and ``cover_path`` works near the path, so one
+    iteration costs about the neighbourhood of its escape path.
 
     The result and its trace are claims until ``pipeline.certify`` replays
     them: a core that breaks a property is returned, not refused here.
@@ -421,8 +493,8 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     }
 
     iterations: list[IterationRecord] = []
+    dist = bfs_distances(g, h_v)
     while True:
-        dist = bfs_distances(g, h_v)
         far = max(dist)
         if far < reach:
             break
@@ -431,7 +503,7 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
                 "more growth iterations than vertices",
                 details={"header": header},
             )
-        target = min(v for v in range(g.n) if dist[v] == reach)
+        target = dist.index(reach)
         path = shortest_path_between(g, h_v, (target,))
         path_edges = [(a, b) for a, b in zip(path, path[1:])]
         hp_v, hp_e, labeled, counters = cover_path(g, h_v, h_e, path, budget)
@@ -445,6 +517,7 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
         for c in centers:
             f_set |= ball(g, c, radius, excluded=() if fallback else path_edges)
         b_list.extend(centers)
+        _lower_distances(g, dist, hp_v - h_v)
         h_v, h_e = hp_v, hp_e
         iterations.append(
             IterationRecord(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .bounds import (
     BoundReport, allowed_increase, diameter_bound, parse_rational, rational_str, round_trip_cap
@@ -117,14 +118,21 @@ def _is_vertex(x, n: int) -> bool:
     return type(x) is int and 0 <= x < n
 
 
+def _are_vertices(xs: list, n: int) -> bool:
+    """Every element of xs an int (a bool is not) in range(n), in C-level passes."""
+    return not xs or (set(map(type, xs)) == {int} and 0 <= min(xs) and max(xs) < n)
+
+
 _FIELD_KINDS = {
     "int": lambda x, n: type(x) is int,
     "bool": lambda x, n: type(x) is bool,
     "str": lambda x, n: type(x) is str,
     "vertex": _is_vertex,
-    "vertices": lambda x, n: type(x) is list and all(_is_vertex(v, n) for v in x),
+    "vertices": lambda x, n: type(x) is list and _are_vertices(x, n),
     "edges": lambda x, n: type(x) is list
-    and all(type(e) is list and len(e) == 2 and all(_is_vertex(v, n) for v in e) for e in x),
+    and set(map(type, x)) <= {list}
+    and set(map(len, x)) <= {2}
+    and _are_vertices(list(chain.from_iterable(x)), n),
     "checks": lambda x, n: type(x) is list
     and all(
         type(c) is dict and type(c.get("name")) is str and type(c.get("ok")) is bool for c in x

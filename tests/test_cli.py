@@ -317,6 +317,23 @@ def test_verify_rejects_malformed_log_fields(tmp_path, capsys, edit):
     assert "missing or not" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["h_vertices", "h_edges"])
+@pytest.mark.parametrize(
+    "value",
+    [[True], [1.0], [-1], ["n"], [[0, 1, 2]], [[0, True]]],
+    ids=["bool", "float", "negative", "n", "triple", "bool_end"],
+)
+def test_verify_rejects_malformed_vertex_lists(tmp_path, capsys, field, value):
+    """A vertex list holds ints in range(n) and an edge list pairs of them; else exit 2."""
+    g = triangle_chain(12)
+    gpath, opath, tpath, records = orient_artifacts(tmp_path, g, "2")
+    _first(records, "growth_iteration")[field] = [g.n if x == "n" else x for x in value]
+    tpath.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    capsys.readouterr()
+    assert main(["verify", gpath, "--orientation", opath, "--trace", str(tpath)]) == 2
+    assert f"field {field!r} missing or not" in capsys.readouterr().err
+
+
 def test_verify_requires_an_artifact(tmp_path, capsys):
     gpath = write_graph(tmp_path, "c8.txt", cycle_graph(8))
     assert main(["verify", gpath]) == 2

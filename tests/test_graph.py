@@ -128,7 +128,12 @@ def test_shortest_path_range_check_survives_the_target_memo():
 @settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_shortest_path_matches_reference(data):
-    """The early-exit search equals the full BFS from the targets it replaced."""
+    """The early-exit search equals the full BFS from the targets it replaced.
+
+    Sources range up to every vertex, so both ends are drawn as the smaller
+    one: the search from the targets with blocked vertices and excluded
+    edges as well as the search from the sources.
+    """
     g = data.draw(
         st.one_of(
             arbitrary_graphs(max_n=10),
@@ -137,7 +142,9 @@ def test_shortest_path_matches_reference(data):
         )
     )
     vertex = st.integers(0, g.n - 1)
-    sources = data.draw(st.lists(vertex, min_size=1, max_size=3))
+    sources = data.draw(st.lists(vertex, min_size=1, max_size=g.n))
+    if data.draw(st.booleans()):
+        sources = set(sources)  # read in place when it is the larger end
     targets = data.draw(st.lists(vertex, min_size=1, max_size=3))
     if data.draw(st.integers(0, 9)) == 0:
         targets.append(g.n)  # out of range: both raise

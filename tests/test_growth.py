@@ -7,12 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bridgeless_graphs, reference_covered_prefix, reference_stabilize
+from conftest import (
+    arbitrary_graphs,
+    bridgeless_graphs,
+    reference_covered_prefix,
+    reference_stabilize,
+)
 from orientdiam.errors import CertifiedFailureError, PreconditionError
 from orientdiam.generators import circulant_graph, triangle_chain
-from orientdiam.graph import Graph, ball, bfs_distances, edge_key, shortest_path_between
+from orientdiam.graph import (
+    UNREACHABLE,
+    Graph,
+    ball,
+    bfs_distances,
+    distances_within,
+    edge_key,
+    shortest_path_between,
+)
 from orientdiam.growth import (
     _covered_prefix,
+    _LabelSearch,
     _stabilize,
     grow_core,
     subgraph_adjacency,
@@ -193,6 +207,71 @@ def test_growth_certifies_random_graphs(g, eps):
     reverify_growth(g, r)
 
 
+def escape_paths_follow_bfs(g: Graph, eps) -> None:
+    """Each escape path ends at the smallest vertex at the reach from the core before it.
+
+    The full BFS from the previous core is the reference for the distances
+    ``grow_core`` lowers in place.
+    """
+    r = grow_core(g, eps)
+    reach = r.bound.reach
+    core = {r.trace.header["v0"]}
+    for rec in r.trace.iterations:
+        assert rec.path[-1] == bfs_distances(g, core).index(reach)
+        assert len(rec.path) - 1 == reach
+        core = set(rec.h_vertices)
+    assert max(bfs_distances(g, core)) < reach
+
+
+@settings(max_examples=20, deadline=None)
+@given(bridgeless_graphs(max_n=40), st.sampled_from([Fraction(1, 2), 1]))
+def test_escape_paths_follow_bfs_on_random_graphs(g, eps):
+    escape_paths_follow_bfs(g, eps)
+
+
+@pytest.mark.parametrize("perm_seed", [1, 2])
+def test_escape_paths_follow_bfs_on_relabeled_circulants(perm_seed):
+    perm = list(range(120))
+    random.Random(perm_seed).shuffle(perm)
+    g = Graph(120, [(perm[u], perm[v]) for u, v in circulant_graph(120, (1, 2)).edges()])
+    escape_paths_follow_bfs(g, Fraction(1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_resumed_label_search_matches_fresh_search(data):
+    """A search deepened step by step equals a fresh depth-bounded BFS at each depth.
+
+    Depths run past the eccentricity, so the frontier runs dry, and past
+    components the excluded edges cut off; the core depth is the first
+    depth with a core vertex in the fresh search.
+    """
+    g = data.draw(st.one_of(arbitrary_graphs(max_n=12), bridgeless_graphs(max_n=30)))
+    vertex = st.integers(0, g.n - 1)
+    v = data.draw(vertex)
+    h_v = set(data.draw(st.lists(vertex, max_size=4)))
+    cut = data.draw(st.lists(st.sampled_from(g.edges()), max_size=4)) if g.m else []
+    path_edges = frozenset(edge_key(a, b) for a, b in cut)
+    depths = sorted(data.draw(st.lists(st.integers(0, g.n + 1), min_size=1, max_size=6)))
+    search = _LabelSearch(v, h_v)
+    for depth in depths:
+        search.deepen(g, depth, h_v, path_edges)
+        fresh = distances_within(g, v, depth, excluded=path_edges)
+        assert search.dist == fresh
+        assert search.core == min((d for x, d in fresh.items() if x in h_v), default=UNREACHABLE)
+
+
+def test_resumed_label_search_runs_dry():
+    """On P5 without the edge (2, 3), the search from 0 stops after depth 2."""
+    g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    search = _LabelSearch(0, {4})
+    for depth, want in ((1, {0: 0, 1: 1}), (3, {0: 0, 1: 1, 2: 2}), (6, {0: 0, 1: 1, 2: 2})):
+        search.deepen(g, depth, {4}, frozenset({(2, 3)}))
+        assert search.dist == want
+        assert search.core == UNREACHABLE
+    assert search.frontier == [] and search.depth == 3
+
+
 # ---------------------------------------------------------------------------
 # the fast covering steps against the slow bodies they replaced
 
@@ -243,10 +322,11 @@ def _outcome(fn, *args):
 
 
 def test_stabilize_matches_full_bfs_reference():
-    """Two label rounds on one cache, as ``cover_path`` makes them.
+    """Three label rounds on one cache, as ``cover_path`` makes them.
 
-    The second round grows the label list past the depth the first round's
-    searches reached, so a cache that ignored its depth would miss pairs.
+    Each later round grows the label list past the depth the earlier
+    rounds' searches reached, so a cache that ignored its depth, or a
+    resumed search that lost its frontier, would miss pairs.
     """
     for seed in range(1200):
         rng = random.Random(seed)
@@ -257,20 +337,20 @@ def test_stabilize_matches_full_bfs_reference():
         labels = _label_walk(rng, g, avoid, rng.choice(
             [v for v in range(g.n) if v not in avoid]), rng.randint(2, 14))
         cut = rng.randint(1, len(labels) - 1)
+        cut2 = rng.randint(cut, len(labels))
         hp_v = h_v | path_set | set(labels)
         hp_e = set(h_e) | set(path_edges) | {
             edge_key(a, b) for a, b in zip(labels, labels[1:]) if g.has_edge(a, b)
         }
         fast = (set(hp_v), set(hp_e), labels[:cut], _counters())
         slow = (set(hp_v), set(hp_e), labels[:cut], _counters())
-        dist_h = dict(enumerate(bfs_distances(g, h_v, excluded=path_edges)))
         near: dict = {}
-        for extra in (None, labels[cut:]):
+        for extra in (None, labels[cut:cut2], labels[cut2:]):
             if extra:
                 fast[2].extend(x for x in extra if x not in fast[2])
                 slow[2].extend(x for x in extra if x not in slow[2])
             got = _outcome(
-                _stabilize, g, h_v, dist_h, near, path_set, path_edges,
+                _stabilize, g, h_v, near, path_set, path_edges,
                 frozenset(h_e), fast[0], fast[1], fast[2], fast[3], 500,
             )
             want = _outcome(
@@ -307,10 +387,9 @@ def _stabilize_both(g, h_v, path_set, path_edges, hp_v, hp_e, labels):
     """Run the fast body and the reference on copies of one state."""
     fast = (set(hp_v), set(hp_e), list(labels), _counters())
     slow = (set(hp_v), set(hp_e), list(labels), _counters())
-    dist_h = dict(enumerate(bfs_distances(g, h_v, excluded=path_edges)))
     outcomes = []
     for fn, args, state in (
-        (_stabilize, (g, h_v, dist_h, {}, path_set, path_edges), fast),
+        (_stabilize, (g, h_v, {}, path_set, path_edges), fast),
         (reference_stabilize, (g, h_v, path_set, path_edges), slow),
     ):
         try:
@@ -353,4 +432,4 @@ def test_covered_prefix_matches_whole_subgraph_reference():
             if u in hp_v and v in hp_v and rng.random() < keep
         }
         want = reference_covered_prefix(path, hp_v, hp_e)
-        assert _covered_prefix(g, path, h_v, hp_v, hp_e) == want, f"seed {seed}"
+        assert _covered_prefix(g, path, h_v, hp_v - h_v, hp_e) == want, f"seed {seed}"
