@@ -46,9 +46,44 @@ def subgraph_adjacency(
     return {v: sorted(ws) for v, ws in adj.items()}
 
 
+def contracted_adjacency(
+    core: set[int],
+    rep: int,
+    vertices: Iterable[int],
+    edges: Iterable[tuple[int, int]],
+) -> dict[int, list[int]]:
+    """Adjacency of a core plus new ``vertices`` and ``edges``, the core contracted to ``rep``.
+
+    Let H be a connected subgraph on the vertex set ``core`` and H' be H
+    plus the new vertices and edges. An edge of H' outside H is a bridge of
+    H' exactly when it is a bridge after contracting H to one vertex, and
+    H' is connected exactly when the contraction is. So a connected and
+    bridgeless H grows into a connected and bridgeless H' exactly when this
+    adjacency is (``graph.bridge_witness`` is None), and the test costs what
+    was added, not H.
+
+    ``rep`` stands for the whole core: a core vertex, or an id that is no
+    vertex of H'. An edge from a new vertex into the core becomes an edge to
+    ``rep``, parallel to the others, which the DFS of ``graph.dfs_forest``
+    handles; an edge with both ends in the core becomes a loop and is left
+    out. Every end outside the core must be one of ``vertices``.
+    """
+    adj: dict[int, list[int]] = {rep: []}
+    adj.update((x, []) for x in vertices)
+    for u, w in edges:
+        u = rep if u in core else u
+        w = rep if w in core else w
+        if u != w:
+            adj[u].append(w)
+            adj[w].append(u)
+    return adj
+
+
 @dataclass(frozen=True)
 class IterationRecord:
-    """Everything one growth iteration did, snapshotted for re-verification."""
+    """What one growth iteration did, and the vertices, edges and claimed
+    vertices it added; the core and the claimed set are their unions.
+    """
 
     index: int
     path: tuple[int, ...]
@@ -58,10 +93,9 @@ class IterationRecord:
     cover_steps: int
     splices: int
     labeled_on_path: int
-    h_vertices: tuple[int, ...]
-    h_edges: tuple[tuple[int, int], ...]
-    b: tuple[int, ...]
-    f: tuple[int, ...]
+    added_vertices: tuple[int, ...]
+    added_edges: tuple[tuple[int, int], ...]
+    added_claimed: tuple[int, ...]
 
     def to_record(self) -> dict:
         return {
@@ -74,10 +108,9 @@ class IterationRecord:
             "cover_steps": self.cover_steps,
             "splices": self.splices,
             "labeled_on_path": self.labeled_on_path,
-            "h_vertices": list(self.h_vertices),
-            "h_edges": [list(e) for e in self.h_edges],
-            "b": list(self.b),
-            "f": list(self.f),
+            "added_vertices": list(self.added_vertices),
+            "added_edges": [list(e) for e in self.added_edges],
+            "added_claimed": list(self.added_claimed),
         }
 
 
@@ -124,13 +157,9 @@ def _covered_prefix(
     its detours, not the core.
 
     The bridge search runs on core + path with the pre-iteration core
-    ``h_v`` contracted to ``path[0]``, its only vertex on the path. This is
-    exact while that core is connected, since ``cover_path`` never removes
-    one of its vertices or edges: an edge outside a connected subgraph is a
-    bridge exactly when it is one after contracting the subgraph.
-    Contraction turns the edges from one outside vertex into the core into
-    parallel edges, which the DFS of ``graph.dfs_forest`` handles, and
-    edges with both ends in the core into loops, which are left out.
+    ``h_v`` contracted to ``path[0]``, its only vertex on the path
+    (``contracted_adjacency``). This is exact while that core is connected,
+    since ``cover_path`` never removes one of its vertices or edges.
 
     The core is one vertex at iteration 0. A later core that is not
     connected and bridgeless is refused by ``pipeline.certify`` at the
@@ -139,20 +168,13 @@ def _covered_prefix(
     rep = path[0]
     path_edges = {edge_key(a, b) for a, b in zip(path, path[1:])}
     outside = set(added).union(path[1:])
-    adj: dict[int, list[int]] = {rep: []}
-    adj.update((x, []) for x in outside)
-    for x in outside:
-        for w in g.neighbors(x):
-            e = edge_key(x, w)
-            if e not in hp_e and e not in path_edges:
-                continue
-            if w in h_v:
-                adj[x].append(rep)
-                adj[rep].append(x)
-            elif x < w:
-                adj[x].append(w)
-                adj[w].append(x)
-    br = bridges_of(adj)
+    edges = [
+        (x, w)
+        for x in outside
+        for w in g.neighbors(x)
+        if (x < w or w in h_v) and ((e := edge_key(x, w)) in hp_e or e in path_edges)
+    ]
+    br = bridges_of(contracted_adjacency(h_v, rep, outside, edges))
     cp = 0
     for a, b in zip(path, path[1:]):
         if edge_key(a, b) in br:
@@ -487,6 +509,7 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     f_set = ball(g, v0, radius)
     header = {
         "type": "growth_header",
+        "schema": 2,
         **header_claims(g, bound),
         "v0": v0,
         "base_claimed": sorted(f_set),
@@ -514,11 +537,14 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
             centers = [path[c * gval] for c in range(1, scale + 1)]
         else:
             centers = list(sel)
+        claimed = set()
         for c in centers:
-            f_set |= ball(g, c, radius, excluded=() if fallback else path_edges)
+            claimed |= ball(g, c, radius, excluded=() if fallback else path_edges)
+        claimed -= f_set
+        f_set |= claimed
         b_list.extend(centers)
-        _lower_distances(g, dist, hp_v - h_v)
-        h_v, h_e = hp_v, hp_e
+        added = hp_v - h_v
+        _lower_distances(g, dist, added)
         iterations.append(
             IterationRecord(
                 index=len(iterations),
@@ -529,12 +555,12 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
                 cover_steps=counters["cover_steps"],
                 splices=counters["splices"],
                 labeled_on_path=counters["labeled_on_path"],
-                h_vertices=tuple(sorted(h_v)),
-                h_edges=tuple(sorted(h_e)),
-                b=tuple(b_list),
-                f=tuple(sorted(f_set)),
+                added_vertices=tuple(sorted(added)),
+                added_edges=tuple(sorted(hp_e - h_e)),
+                added_claimed=tuple(sorted(claimed)),
             )
         )
+        h_v, h_e = hp_v, hp_e
 
     final = {
         "type": "growth_final",

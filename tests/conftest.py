@@ -7,19 +7,28 @@ from itertools import combinations
 
 from hypothesis import assume, strategies as st
 
-from orientdiam.errors import InfeasibleSpecError
-from orientdiam.errors import CertifiedFailureError
+from orientdiam.bounds import BoundReport
+from orientdiam.errors import CertifiedFailureError, GraphFormatError, InfeasibleSpecError
 from orientdiam.graph import (
     UNREACHABLE,
     Graph,
     _normalize_excluded,
+    ball,
     bfs_distances,
+    bridge_witness,
     bridges_of,
     edge_key,
     shortest_path_between,
 )
 from orientdiam.generators import random_bridgeless
-from orientdiam.growth import _apply_splice, _bump, subgraph_adjacency
+from orientdiam.growth import (
+    _apply_splice,
+    _bump,
+    final_claims,
+    header_claims,
+    subgraph_adjacency,
+)
+from orientdiam.pipeline import _field
 
 
 @st.composite
@@ -309,3 +318,104 @@ def reference_random_bridgeless(n: int, delta: int, girth_floor: int, seed: int)
         adj[u].add(v)
         adj[v].add(u)
     return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
+def expand_schema1(records: list[dict]) -> list[dict]:
+    """Trace records as schema 1 wrote them, rebuilt from schema-2 records.
+
+    Each growth iteration's ``added_vertices``, ``added_edges`` and
+    ``added_claimed`` become the snapshots ``h_vertices``, ``h_edges`` and
+    ``f`` of the core and the claimed set after it, and ``b`` lists v0 and
+    every center so far; the header loses its ``schema`` tag. Each list is
+    applied as a difference (an entry already present is taken out), the
+    inverse of the diff ``pipeline`` takes of schema-1 snapshots. Other
+    records are copied. The input is not changed.
+    """
+    out = []
+    for rec in records:
+        rec = dict(rec)
+        if rec["type"] == "growth_header":
+            del rec["schema"]
+            h_v, h_e, f, b = {rec["v0"]}, set(), set(rec["base_claimed"]), [rec["v0"]]
+        elif rec["type"] == "growth_iteration":
+            h_v = h_v ^ set(rec.pop("added_vertices"))
+            h_e = h_e ^ {edge_key(u, v) for u, v in rec.pop("added_edges")}
+            f = f ^ set(rec.pop("added_claimed"))
+            b = b + rec["centers"]
+            rec.update(
+                h_vertices=sorted(h_v),
+                h_edges=[list(e) for e in sorted(h_e)],
+                b=list(b),
+                f=sorted(f),
+            )
+        out.append(rec)
+    return out
+
+
+def reference_replay_growth(
+    g: Graph, header: dict, iterations: list[dict], final: dict, bound: BoundReport
+) -> tuple[str | None, set[int], set[tuple[int, int]], int]:
+    """The snapshot replay that ``pipeline._replay_growth`` replaced, unchanged.
+
+    It reads schema-1 iterations (``expand_schema1``): each rebuilds the whole
+    core's adjacency and runs ``bridge_witness`` over it, and compares the
+    recomputed claimed set F and center list B with the snapshots ``f`` and
+    ``b``. Kept as the slow path the incremental replay is checked against.
+
+    Returns the first failure as "where: property (detail)", or None, then
+    the final core's vertices and edges and the largest distance to it.
+    """
+    n, floor, gval, eps = g.n, bound.ball_size, bound.girth, bound.epsilon
+    radius, reach = bound.radius, bound.reach
+    failures: list[str] = []
+
+    def need(where: str, props: dict[str, bool], detail: str) -> None:
+        failures.extend(f"{where}: {name} ({detail})" for name, ok in props.items() if not ok)
+
+    expected = header_claims(g, bound)
+    props = {
+        key: _field(header, key, "str" if key == "epsilon" else "int") == value
+        for key, value in expected.items()
+    }
+    v0 = _field(header, "v0", "vertex", n)
+    f_set = ball(g, v0, radius)
+    props["base_ball"] = f_set == set(_field(header, "base_claimed", "vertices", n))
+    props["base_floor"] = len(f_set) >= floor
+    need("header", props, f"recomputed {expected}, |ball({v0})|={len(f_set)}")
+    b_list = [v0]
+    h_v: set[int] = {v0}
+    h_e: set[tuple[int, int]] = set()
+    for pos, rec in enumerate(iterations):
+        path = _field(rec, "path", "vertices", n)
+        centers = _field(rec, "centers", "vertices", n)
+        new_h_v = set(_field(rec, "h_vertices", "vertices", n))
+        new_h_e = {edge_key(u, v) for u, v in _field(rec, "h_edges", "edges", n)}
+        if not new_h_v or any(u not in new_h_v or v not in new_h_v for u, v in new_h_e):
+            raise GraphFormatError(f"growth iteration {pos}: h_edges leave h_vertices")
+        path_edges = list(zip(path, path[1:]))
+        excluded = () if _field(rec, "fallback", "bool") else path_edges
+        for c in centers:
+            f_set |= ball(g, c, radius, excluded=excluded)
+        b_list = b_list + centers
+        adj = subgraph_adjacency(new_h_v, new_h_e)
+        props = {
+            "index": _field(rec, "index", "int") == pos,
+            "edges_real": all(g.has_edge(u, v) for u, v in [*new_h_e, *path_edges]),
+            "core_grows": h_v <= new_h_v and h_e <= new_h_e and set(path) <= new_h_v,
+            "bridgeless_connected": bridge_witness(adj) is None,
+            "f_claim": f_set == set(_field(rec, "f", "vertices", n)),
+            "b_claim": b_list == _field(rec, "b", "vertices", n),
+            "property2": len(f_set) >= floor * len(b_list),
+            "property3": len(new_h_v) <= (2 * gval + eps) * len(b_list),
+            "centers_fresh": len(set(b_list)) == len(b_list),
+        }
+        sizes = f"|H|={len(new_h_v)} |F|={len(f_set)} |B|={len(b_list)}"
+        need(f"iteration {pos}", props, f"{sizes}, floor {floor}, girth {gval}")
+        h_v, h_e = new_h_v, new_h_e
+    far = int(max(bfs_distances(g, h_v)))
+    counts = final_claims(len(iterations), far, reach, h_v, b_list, f_set)
+    claimed = {k: _field(final, k, "bool" if k == "property1" else "int") for k in counts}
+    props = {"property1": counts["property1"], "final_counts": claimed == counts}
+    need("final core", props, f"max distance {far}, reach {reach}, recomputed {counts}")
+    return (failures[0] if failures else None), h_v, h_e, far
+

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import expand_schema1
 from orientdiam import extension, orientation, pipeline
 from orientdiam.cli import main
 from orientdiam.generators import cycle_graph, petersen_graph, random_bridgeless, triangle_chain
-from orientdiam.graph import format_graph
+from orientdiam.graph import format_graph, parse_graph
 from orientdiam.orientation import directed_diameter, is_strong, parse_orientation
 
 
@@ -221,22 +222,52 @@ def _drop_v0(records, n):
 
 
 def _h_edge_off_graph(records, n):
+    records[:] = expand_schema1(records)
     it = next(r for r in records if r["type"] == "growth_iteration")
     it["h_edges"][0][1] = n
 
 
 def _h_edge_off_core(records, n):
+    records[:] = expand_schema1(records)
     it = next(r for r in records if r["type"] == "growth_iteration")
     it["h_edges"][0][1] = min(set(range(n)) - set(it["h_vertices"]))
+
+
+def _added_edge_off_graph(records, n):
+    next(r for r in records if r["type"] == "growth_iteration")["added_edges"][0][1] = n
+
+
+def _added_edge_off_core(records, n):
+    it = next(r for r in records if r["type"] == "growth_iteration")
+    it["added_edges"][0][1] = min(set(range(n)) - {records[0]["v0"], *it["added_vertices"]})
 
 
 def _integer_epsilon(records, n):
     records[0]["epsilon"] = 2
 
 
+def _unknown_schema(records, n):
+    records[0]["schema"] = 3
+
+
+def _b_without_a_center(records, n):
+    records[:] = expand_schema1(records)
+    next(r for r in records if r["type"] == "growth_iteration")["b"].pop()
+
+
 @pytest.mark.parametrize(
     "edit",
-    [_non_object_line, _drop_v0, _h_edge_off_graph, _h_edge_off_core, _integer_epsilon],
+    [
+        _non_object_line,
+        _drop_v0,
+        _h_edge_off_graph,
+        _h_edge_off_core,
+        _integer_epsilon,
+        _added_edge_off_graph,
+        _added_edge_off_core,
+        _unknown_schema,
+        _b_without_a_center,
+    ],
 )
 def test_verify_malformed_trace_exits_2(tmp_path, capsys, edit):
     g = triangle_chain(12)
@@ -317,21 +348,98 @@ def test_verify_rejects_malformed_log_fields(tmp_path, capsys, edit):
     assert "missing or not" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["h_vertices", "h_edges"])
+@pytest.mark.parametrize(
+    "field", ["h_vertices", "h_edges", "added_vertices", "added_edges", "added_claimed"]
+)
 @pytest.mark.parametrize(
     "value",
     [[True], [1.0], [-1], ["n"], [[0, 1, 2]], [[0, True]]],
     ids=["bool", "float", "negative", "n", "triple", "bool_end"],
 )
 def test_verify_rejects_malformed_vertex_lists(tmp_path, capsys, field, value):
-    """A vertex list holds ints in range(n) and an edge list pairs of them; else exit 2."""
+    """A vertex list holds ints in range(n) and an edge list pairs of them; else exit 2.
+
+    The ``h_*`` snapshots are edited in the trace as schema 1 wrote it, the
+    ``added_*`` lists in the schema-2 trace ``orient`` writes.
+    """
     g = triangle_chain(12)
     gpath, opath, tpath, records = orient_artifacts(tmp_path, g, "2")
+    if field.startswith("h_"):
+        records = expand_schema1(records)
     _first(records, "growth_iteration")[field] = [g.n if x == "n" else x for x in value]
     tpath.write_text("\n".join(json.dumps(r) for r in records) + "\n")
     capsys.readouterr()
     assert main(["verify", gpath, "--orientation", opath, "--trace", str(tpath)]) == 2
     assert f"field {field!r} missing or not" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_repeated_extension_step(tmp_path, capsys):
+    """Each extension step absorbs a new vertex, so a step written twice exits 2."""
+    gpath, opath, tpath, records = orient_artifacts(tmp_path, triangle_chain(12), "2")
+    step = records.index(_first(records, "extension_step"))
+    records.insert(step, dict(records[step]))
+    tpath.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    capsys.readouterr()
+    assert main(["verify", gpath, "--orientation", opath, "--trace", str(tpath)]) == 2
+    assert "two extension_step records for vertex" in capsys.readouterr().err
+
+
+SCHEMA1 = Path(__file__).parent / "data" / "schema1"
+
+
+@pytest.mark.parametrize("name", ["triangle_chain_12", "circulant_200_1_2"])
+def test_verify_accepts_schema1_traces(tmp_path, capsys, name):
+    """Traces written before schema 2, with whole-core snapshots, still verify.
+
+    The files were written by ``orient`` at eps 2 (triangle_chain 12) and
+    1/2 (circulant 200 1 2) before the trace carried added sets; the checks
+    are those ``verify`` printed for them then. Today's trace of the same run,
+    expanded to schema 1, is the committed one record for record.
+    """
+    files = [str(SCHEMA1 / f"{name}.{ext}") for ext in ("txt", "orientation", "jsonl")]
+    code, data = run_json(capsys, ["verify", files[0], "--orientation", files[1],
+                                   "--trace", files[2]])
+    assert code == 0
+    assert data == json.loads((SCHEMA1 / f"{name}.checks.json").read_text())
+    old = [json.loads(line) for line in Path(files[2]).read_text().splitlines()]
+    epsilon = old[0]["epsilon"]
+    g = parse_graph(Path(files[0]).read_text())
+    _, _, _, records = orient_artifacts(tmp_path, g, epsilon)
+    assert records[0]["schema"] == 2
+    assert expand_schema1(records) == old
+
+
+def _lose_from_snapshot(records, vertex):
+    """Take a vertex (with its edges), or an edge, of the first snapshot out of the second."""
+    first, second = [r for r in records if r["type"] == "growth_iteration"][:2]
+    if vertex:
+        x = first["h_vertices"][-1]
+        second["h_vertices"].remove(x)
+        second["h_edges"] = [e for e in second["h_edges"] if x not in e]
+    else:
+        second["h_edges"].remove(first["h_edges"][-1])
+
+
+@pytest.mark.parametrize(
+    "vertex, sizes",
+    [(True, "|H|=46 |F|=45 |B|=9"), (False, "|H|=47 |F|=45 |B|=9")],
+    ids=["vertex", "edge"],
+)
+def test_verify_refuses_a_schema1_snapshot_that_shrinks(tmp_path, capsys, vertex, sizes):
+    """A core only grows: a snapshot that loses a vertex or an edge fails core_grows.
+
+    The detail is the one the snapshot replay gave for these edits.
+    """
+    paths = [str(SCHEMA1 / f"circulant_200_1_2.{ext}") for ext in ("txt", "orientation", "jsonl")]
+    records = [json.loads(line) for line in Path(paths[2]).read_text().splitlines()]
+    _lose_from_snapshot(records, vertex)
+    tpath = tmp_path / "shrunk.jsonl"
+    tpath.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    code, data = run_json(capsys, ["verify", paths[0], "--orientation", paths[1],
+                                   "--trace", str(tpath)])
+    assert code == 4
+    detail = f"iteration 1: core_grows ({sizes}, floor 5, girth 3)"
+    assert data["checks"][0] == {"name": "growth_properties", "ok": False, "detail": detail}
 
 
 def test_verify_requires_an_artifact(tmp_path, capsys):

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from conftest import (
     arbitrary_graphs,
     bridgeless_graphs,
+    expand_schema1,
     reference_covered_prefix,
+    reference_replay_growth,
     reference_stabilize,
 )
-from orientdiam.errors import CertifiedFailureError, PreconditionError
+from orientdiam.errors import CertifiedFailureError, GraphFormatError, PreconditionError
 from orientdiam.generators import circulant_graph, triangle_chain
 from orientdiam.graph import (
     UNREACHABLE,
@@ -31,7 +33,7 @@ from orientdiam.growth import (
     grow_core,
     subgraph_adjacency,
 )
-from orientdiam.pipeline import certify
+from orientdiam.pipeline import _replay_growth, certify
 
 
 def detour_fixture() -> Graph:
@@ -81,6 +83,12 @@ def check_subgraph_bridgeless(vertices, edges) -> None:
         assert reachable(e) == len(verts), f"edge {e} is a bridge"
 
 
+def snapshot_iterations(result) -> list[dict]:
+    """The growth iterations as schema 1 wrote them, with the whole core after each."""
+    records = expand_schema1(result.trace.to_records())
+    return [rec for rec in records if rec["type"] == "growth_iteration"]
+
+
 def failed_checks(g: Graph, result) -> list[dict]:
     return [c for c in certify(g, result.trace.to_records()) if not c["ok"]]
 
@@ -93,8 +101,9 @@ def reverify_growth(g: Graph, result) -> None:
     """
     assert not failed_checks(g, result)
     hdr = result.trace.header
-    for rec in result.trace.iterations:
-        check_subgraph_bridgeless(rec.h_vertices, rec.h_edges)
+    snapshots = snapshot_iterations(result)
+    for rec, snap in zip(result.trace.iterations, snapshots, strict=True):
+        check_subgraph_bridgeless(snap["h_vertices"], snap["h_edges"])
         path_edges = list(zip(rec.path, rec.path[1:]))
         excluded = None if rec.fallback else path_edges
         for c in rec.centers:
@@ -114,10 +123,17 @@ def test_detour_fixture_trace():
     assert it.centers == (7,)
     assert not it.fallback
     assert (it.cover_steps, it.splices, it.labeled_on_path) == (1, 0, 0)
-    assert it.h_vertices == (0, 3, 4, 5, 6, 7, 8, 9)
-    assert it.h_edges == (
+    assert it.added_vertices == (3, 4, 5, 6, 7, 8, 9)
+    assert it.added_edges == (
         (0, 3), (0, 9), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9),
     )
+    assert it.added_claimed == (6, 7, 8)
+    snap = snapshot_iterations(r)[0]
+    assert snap["h_vertices"] == [0, 3, 4, 5, 6, 7, 8, 9]
+    assert snap["h_edges"] == [
+        [0, 3], [0, 9], [3, 4], [4, 5], [5, 6], [6, 7], [7, 8], [8, 9],
+    ]
+    assert (snap["b"], snap["f"]) == ([0, 7], [0, 1, 2, 3, 6, 7, 8, 9])
     assert sorted(r.core_vertices) == [0, 3, 4, 5, 6, 7, 8, 9]
     assert r.centers == (0, 7)
     assert sorted(r.claimed) == [0, 1, 2, 3, 6, 7, 8, 9]
@@ -138,6 +154,11 @@ def test_splice_fixture_trace():
     assert (it.cover_steps, it.splices, it.labeled_on_path) == (2, 1, 0)
     assert sorted(r.core_vertices) == [0, 1, 2, 3, 6, 7]
     assert 4 not in r.core_vertices  # splice evicted the superseded detour
+    assert it.added_vertices == (1, 2, 3, 6, 7)
+    assert it.added_claimed == (2, 3, 7)
+    snap = snapshot_iterations(r)[0]
+    assert snap["h_vertices"] == [0, 1, 2, 3, 6, 7]
+    assert snap["h_edges"] == [[0, 1], [0, 6], [1, 2], [2, 3], [3, 7], [6, 7]]
     assert r.centers == (0, 3)
     assert sorted(r.claimed) == [0, 1, 2, 3, 4, 6, 7]
     assert not failed_checks(splice_fixture(), r)
@@ -152,6 +173,10 @@ def test_multi_iteration_triangle_chain():
     assert r.centers == (2, 8, 14, 20)
     assert all(not it.fallback for it in r.trace.iterations)
     assert all(it.splices == 0 for it in r.trace.iterations)
+    sizes = [len(snap["h_vertices"]) for snap in snapshot_iterations(r)]
+    assert sizes == [7, 13, 19]
+    assert sizes == [1 + sum(len(it.added_vertices) for it in r.trace.iterations[: k + 1])
+                     for k in range(3)]
     assert not failed_checks(g, r)
     reverify_growth(g, r)
 
@@ -219,7 +244,7 @@ def escape_paths_follow_bfs(g: Graph, eps) -> None:
     for rec in r.trace.iterations:
         assert rec.path[-1] == bfs_distances(g, core).index(reach)
         assert len(rec.path) - 1 == reach
-        core = set(rec.h_vertices)
+        core |= set(rec.added_vertices)
     assert max(bfs_distances(g, core)) < reach
 
 
@@ -433,3 +458,93 @@ def test_covered_prefix_matches_whole_subgraph_reference():
         }
         want = reference_covered_prefix(path, hp_v, hp_e)
         assert _covered_prefix(g, path, h_v, hp_v - h_v, hp_e) == want, f"seed {seed}"
+
+
+# ---------------------------------------------------------------------------
+# the incremental replay against the snapshot replay it replaced
+
+
+@st.composite
+def growth_traces(draw):
+    """A graph and the schema-2 growth records of one grow_core run on it.
+
+    Small random graphs rarely grow past their first vertex below eps = 2
+    (and some of them are refused there), so relabeled circulants, which
+    take several iterations, are drawn too.
+    """
+    if draw(st.booleans()):
+        g = draw(bridgeless_graphs(max_n=40))
+        eps = 2
+    else:
+        n = draw(st.integers(40, 150))
+        perm = draw(st.permutations(range(n)))
+        base = circulant_graph(n, draw(st.sampled_from([(1, 2), (1, 3)])))
+        g = Graph(n, [(perm[u], perm[v]) for u, v in base.edges()])
+        eps = draw(st.sampled_from([1, 2]))
+    r = grow_core(g, eps)
+    return g, r.bound, r.trace.to_records()
+
+
+def _edit_iteration(data, records, edit):
+    """Apply one named edit to a random growth iteration of the records, in place."""
+    iterations = records[1:-1]
+    if edit == "none" or not iterations:
+        return
+    i = data.draw(st.integers(0, len(iterations) - 1))
+    rec = iterations[i]
+    earlier = iterations[:i]
+    if edit == "drop_added_edge":
+        del rec["added_edges"][data.draw(st.integers(0, len(rec["added_edges"]) - 1))]
+    elif edit == "core_vertex_added":
+        # listed again, a core vertex is taken out of the core and leaves its
+        # core edges behind, so both replays refuse the record as malformed
+        core = [records[0]["v0"], *(v for it in earlier for v in it["added_vertices"])]
+        rec["added_vertices"] = sorted({*rec["added_vertices"], data.draw(st.sampled_from(core))})
+    elif edit == "drop_claimed" and rec["added_claimed"]:
+        del rec["added_claimed"][data.draw(st.integers(0, len(rec["added_claimed"]) - 1))]
+    elif edit == "repeat_center":
+        centers = [records[0]["v0"], *(c for it in earlier for c in it["centers"])]
+        rec["centers"].append(data.draw(st.sampled_from(centers + rec["centers"])))
+
+
+def _replay_outcome(replay, g, bound, records):
+    """The replay's result, or the type of the format error it raised."""
+    header, *iterations, final = records
+    try:
+        return replay(g, header, iterations, final, bound)
+    except GraphFormatError:
+        return GraphFormatError
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    growth_traces(),
+    st.sampled_from(
+        ["none", "drop_added_edge", "core_vertex_added", "drop_claimed", "repeat_center"]
+    ),
+    st.data(),
+)
+def test_incremental_replay_matches_snapshot_replay(trace, edit, data):
+    """Same first failure, final core and distance as the snapshot replay, on
+    valid traces and on edited ones; schema-1 records, diffed back into added
+    sets, give the same again.
+    """
+    g, bound, records = trace
+    _edit_iteration(data, records, edit)
+    snapshots = expand_schema1(records)
+    want = _replay_outcome(reference_replay_growth, g, bound, snapshots)
+    assert _replay_outcome(_replay_growth, g, bound, records) == want
+    assert _replay_outcome(_replay_growth, g, bound, snapshots) == want
+
+
+def test_repeated_center_fails_centers_fresh_on_both_replays():
+    """Where property 2 has room for one more center, a repeated one fails
+    ``centers_fresh`` itself (the random edits above trip property 2 first).
+    """
+    g = triangle_chain(12)
+    r = grow_core(g, 2)
+    records = r.trace.to_records()
+    records[2]["centers"].append(records[0]["v0"])
+    want = "iteration 1: centers_fresh (|H|=13 |F|=15 |B|=4, floor 3, girth 3)"
+    assert _replay_outcome(_replay_growth, g, r.bound, records)[0] == want
+    assert _replay_outcome(reference_replay_growth, g, r.bound, expand_schema1(records))[0] == want

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import bridgeless_graphs
+from conftest import bridgeless_graphs, expand_schema1
 from orientdiam.errors import CertifiedFailureError, PreconditionError
 from orientdiam.generators import (
     circulant_graph,
@@ -54,7 +54,7 @@ def test_petersen_pipeline_frozen():
     assert d["epsilon"] == "1/2"
     assert d["bound"]["total"] == "13225/4"
     assert d["ok"] is True
-    assert set(d["timings"]) == {"grow", "orient_core", "extend"}
+    assert set(d["timings"]) == {"grow", "orient_core", "extend", "certify"}
 
 
 def test_triangle_chain_pipeline_frozen():
@@ -100,8 +100,8 @@ def test_certify_names_first_failed_iteration():
     g = triangle_chain(12)
     records = run_pipeline(g, 2).trace_records()
     iterations = [rec for rec in records if rec["type"] == "growth_iteration"]
-    iterations[1]["f"] = iterations[1]["f"][1:]
-    iterations[2]["b"] = iterations[2]["b"][:-1]
+    iterations[1]["added_claimed"] = iterations[1]["added_claimed"][1:]
+    iterations[2]["centers"] = iterations[2]["centers"] * 2
     growth = certify(g, records)[0]
     assert growth["name"] == "growth_properties" and not growth["ok"]
     assert growth["detail"].startswith("iteration 1: f_claim (")
@@ -148,7 +148,8 @@ def _relabeled(g: Graph, seed: int) -> Graph:
 
 
 # SHA-256 digests taken from the plain full-BFS implementation: of
-# json.dumps([arcs, trace records], sort_keys=True) at eps = 1/2, and of the
+# json.dumps([arcs, trace records], sort_keys=True) at eps = 1/2, the trace
+# records as schema 1 wrote them (``expand_schema1``), and of the
 # edge lists of random_bridgeless(800, 4, 3, s). A speedup must leave every
 # output byte in place. The circulants are growth-heavy: C_300(1, 3) has
 # girth 4, 3 growth iterations and 2 splices; the relabeled C_200(1, 2) has
@@ -183,7 +184,7 @@ PINNED_EDGES = [
 def test_pipeline_output_pinned(label):
     make, digest = PINNED_RUNS[label]
     r = run_pipeline(make(), Fraction(1, 2))
-    assert _digest([r.orientation.arcs(), r.trace_records()]) == digest
+    assert _digest([r.orientation.arcs(), expand_schema1(r.trace_records())]) == digest
 
 
 def test_random_bridgeless_edges_pinned():
