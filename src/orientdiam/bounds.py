@@ -158,19 +158,3 @@ def degree_only_bound(n: int, delta: int) -> Fraction:
     if n < 1 or delta < 1:
         raise ValueError("need n >= 1 and delta >= 1")
     return Fraction(7 * n, delta + 1)
-
-
-def triangle_comparison(
-    n: int, delta: int, eps: Fraction | int
-) -> tuple[Fraction, Fraction]:
-    """Leading terms at girth 3: this bound's (6+eps)n/(delta+1) next to 7n/(delta+1).
-
-    This is the abstract's girth-3 claim: for 0 < eps < 1 the bound improves
-    on Surmacs' degree-only 7n/(delta+1), the first term strictly below the
-    second.
-    """
-    e = as_fraction(eps)
-    if not 0 < e < 1:
-        raise ValueError("the comparison needs 0 < eps < 1")
-    ours = (6 + e) * n / Fraction(delta + 1)
-    return ours, degree_only_bound(n, delta)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence, Set
 
 from .errors import GraphFormatError
 
@@ -86,6 +86,93 @@ def _normalize_excluded(excluded) -> frozenset[tuple[int, int]]:
     return frozenset(edge_key(u, v) for u, v in excluded)
 
 
+class LayeredBFS:
+    """Breadth-first search over an indexable adjacency, one layer at a time.
+
+    ``adj[u]`` lists the vertices u reaches: ``Graph._adj``, or an
+    orientation's out- or in-lists. The search keeps ``dist`` (depth by
+    vertex reached), ``depth`` (the last layer expanded, counted also when it
+    came out empty) and ``frontier`` (that layer), so a deeper request only
+    expands the layers beyond it. A vertex already in ``dist`` is never
+    entered, so a caller may seed it with vertices to avoid. Three optional
+    inputs:
+
+    - ``excluded``: canonical edge keys, treated as deleted;
+    - ``cap``: a list of distances; w joins layer d only while
+      ``cap[w] > d``, which then becomes d, and every source's becomes 0.
+      With the distances to a core and the vertices added to it as sources,
+      this lowers them in place: a vertex whose distance falls is next to a
+      source or to one whose distance fell too, so the cost is the region
+      that moved closer, not the graph;
+    - ``meets``: a set; ``met`` is the first depth whose layer holds one of
+      its vertices, UNREACHABLE until then.
+    """
+
+    __slots__ = ("adj", "dist", "depth", "frontier", "excluded", "cap", "meets", "met")
+
+    def __init__(
+        self,
+        adj: Sequence[Sequence[int]],
+        sources: Iterable[int],
+        excluded: Set[tuple[int, int]] = frozenset(),
+        cap: list[int | float] | None = None,
+        meets: Set[int] | None = None,
+    ):
+        self.adj, self.excluded, self.cap, self.meets = adj, excluded, cap, meets
+        self.dist = dict.fromkeys(sources, 0)
+        self.depth = 0
+        self.frontier = list(self.dist)
+        if cap is not None:
+            for s in self.frontier:
+                cap[s] = 0
+        hit = meets is not None and not meets.isdisjoint(self.frontier)
+        self.met: int | float = 0 if hit else UNREACHABLE
+
+    def deepen(self, depth: int | float = UNREACHABLE, to_meet: bool = False) -> None:
+        """Expand layers until the search reaches ``depth`` or runs dry, or,
+        with ``to_meet``, until it has met ``meets``.
+        """
+        adj, dist, ex, cap, meets = self.adj, self.dist, self.excluded, self.cap, self.meets
+        layer, d = self.frontier, self.depth
+        while layer and d < depth and not (to_meet and self.met <= d):
+            d += 1
+            nxt = []
+            for u in layer:
+                for w in adj[u]:
+                    if w in dist or (ex and edge_key(u, w) in ex):
+                        continue
+                    if cap is not None:
+                        if cap[w] <= d:
+                            continue
+                        cap[w] = d
+                    dist[w] = d
+                    nxt.append(w)
+            if meets is not None and self.met == UNREACHABLE and not meets.isdisjoint(nxt):
+                self.met = d
+            layer = nxt
+        self.frontier, self.depth = layer, d
+
+
+def all_distances(
+    adj: Sequence[Sequence[int]],
+    sources: Iterable[int],
+    excluded: Set[tuple[int, int]] = frozenset(),
+) -> list[int | float]:
+    """Distances over ``adj`` from the nearest of the sources to every vertex,
+    ``UNREACHABLE`` for those not reached; every source must be in range.
+    """
+    search = LayeredBFS(adj, sources, excluded)
+    if not search.frontier:
+        raise ValueError("need at least one source")
+    if min(search.frontier) < 0 or max(search.frontier) >= len(adj):
+        raise ValueError(f"source out of range for n={len(adj)}")
+    search.deepen()
+    out: list[int | float] = [UNREACHABLE] * len(adj)
+    for v, d in search.dist.items():
+        out[v] = d
+    return out
+
+
 def bfs_distances(
     g: Graph,
     sources: Iterable[int],
@@ -96,27 +183,7 @@ def bfs_distances(
     ``excluded`` edges are treated as deleted. Multi-source: the distance is
     to the nearest source.
     """
-    ex = _normalize_excluded(excluded)
-    dist: list[int | float] = [UNREACHABLE] * g.n
-    queue: deque[int] = deque()
-    for s in sorted(set(sources)):
-        if not 0 <= s < g.n:
-            raise ValueError(f"source {s} out of range")
-        dist[s] = 0
-        queue.append(s)
-    if not queue:
-        raise ValueError("need at least one source")
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in g.neighbors(u):
-            if dist[w] != UNREACHABLE:
-                continue
-            if ex and edge_key(u, w) in ex:
-                continue
-            dist[w] = du + 1
-            queue.append(w)
-    return dist
+    return all_distances(g._adj, sources, _normalize_excluded(excluded))
 
 
 # the last frozenset of targets found in range, and the n it was checked against:
@@ -178,20 +245,11 @@ def shortest_path_between(
     def usable(u: int, w: int) -> bool:
         return not ex or edge_key(u, w) not in ex
 
-    layer = [s for s in start if s not in blk]
-    dist = dict.fromkeys(blk, -1)  # blocked vertices count as seen, on no layer
-    dist.update(dict.fromkeys(layer, 0))
-    depth = 0
-    while layer and stop.isdisjoint(layer):
-        depth += 1
-        nxt = []
-        for u in layer:
-            for w in g.neighbors(u):
-                if w in dist or not usable(u, w):
-                    continue
-                dist[w] = depth
-                nxt.append(w)
-        layer = nxt
+    search = LayeredBFS(g._adj, (s for s in start if s not in blk), ex, meets=stop)
+    dist = search.dist
+    dist.update(dict.fromkeys(blk, -1))  # blocked vertices count as seen, on no layer
+    search.deepen(to_meet=True)
+    layer, depth = search.frontier, search.depth
     if not layer:
         return None
     if from_targets:
@@ -264,38 +322,6 @@ def min_degree(g: Graph) -> int:
     return min(g.degree(v) for v in range(g.n))
 
 
-def distances_within(
-    g: Graph,
-    v: int,
-    depth: int,
-    excluded: Iterable[tuple[int, int]] = (),
-) -> dict[int, int]:
-    """BFS distances from v to every vertex at most ``depth`` away, as a dict.
-
-    ``excluded`` edges are treated as deleted. The search stops at the given
-    depth, so its cost is the ball, not the graph; a vertex missing from the
-    result is farther than ``depth`` (or unreachable).
-    """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    ex = _normalize_excluded(excluded)
-    dist = {v: 0}
-    queue: deque[int] = deque([v])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du == depth:
-            continue
-        for w in g.neighbors(u):
-            if w in dist:
-                continue
-            if ex and edge_key(u, w) in ex:
-                continue
-            dist[w] = du + 1
-            queue.append(w)
-    return dist
-
-
 def ball(
     g: Graph,
     v: int,
@@ -305,7 +331,9 @@ def ball(
     """Vertices within the given distance of v after deleting ``excluded`` edges."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    return set(distances_within(g, v, radius, excluded))
+    search = LayeredBFS(g._adj, (v,), _normalize_excluded(excluded))
+    search.deepen(radius)
+    return set(search.dist)
 
 
 # ---------------------------------------------------------------------------

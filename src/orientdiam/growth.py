@@ -24,6 +24,7 @@ from .errors import CertifiedFailureError, PreconditionError
 from .graph import (
     UNREACHABLE,
     Graph,
+    LayeredBFS,
     ball,
     bfs_distances,
     bridge_witness,
@@ -229,64 +230,30 @@ def _apply_splice(
     counters["splices"] += 1
 
 
-class _LabelSearch:
-    """BFS from one label with the path edges deleted, deepened on demand.
-
-    It keeps its distances, the depth it has reached and its last layer, so
-    a deeper request only expands that layer. ``core`` is the first depth at
-    which the search met the core ``h_v``: by symmetry, the label's distance
-    to the core with the path edges avoided, once it is not UNREACHABLE.
-    """
-
-    __slots__ = ("dist", "depth", "frontier", "core")
-
-    def __init__(self, v: int, h_v: set[int]):
-        self.dist = {v: 0}
-        self.depth = 0
-        self.frontier = [v]
-        self.core: int | float = 0 if v in h_v else UNREACHABLE
-
-    def deepen(
-        self, g: Graph, depth: int, h_v: set[int], path_edges: frozenset[tuple[int, int]]
-    ) -> None:
-        """Extend the search until it reaches ``depth`` or runs out of vertices."""
-        dist, layer = self.dist, self.frontier
-        while self.depth < depth and layer:
-            d = self.depth + 1
-            nxt = []
-            for u in layer:
-                for w in g.neighbors(u):
-                    if w in dist or edge_key(u, w) in path_edges:
-                        continue
-                    dist[w] = d
-                    nxt.append(w)
-            if self.core == UNREACHABLE and not h_v.isdisjoint(nxt):
-                self.core = d
-            layer = nxt
-            self.depth = d
-        self.frontier = layer
-
-
 def _near(
     g: Graph,
-    near: dict[int, _LabelSearch],
+    near: dict[int, LayeredBFS],
     v: int,
     depth: int,
     h_v: set[int],
     path_edges: frozenset[tuple[int, int]],
-) -> _LabelSearch:
-    """The search from v in ``near``, started if new, exact up to ``depth``."""
+) -> LayeredBFS:
+    """The search from v in ``near``, started if new, exact up to ``depth``.
+
+    By symmetry its ``met``, once not UNREACHABLE, is v's distance to the
+    core ``h_v`` with the path edges avoided.
+    """
     search = near.get(v)
     if search is None:
-        search = near[v] = _LabelSearch(v, h_v)
-    search.deepen(g, depth, h_v, path_edges)
+        search = near[v] = LayeredBFS(g._adj, (v,), path_edges, meets=h_v)
+    search.deepen(depth)
     return search
 
 
 def _stabilize(
     g: Graph,
     h_v: set[int],
-    near: dict[int, _LabelSearch],
+    near: dict[int, LayeredBFS],
     path_set: set[int],
     path_edges: frozenset[tuple[int, int]],
     h_e_protected: frozenset[tuple[int, int]],
@@ -315,7 +282,7 @@ def _stabilize(
         depth = len(labeled) - 1
         m1 = 0
         m2 = next((m for m, x in enumerate(labeled, start=1)
-                   if _near(g, near, x, depth, h_v, path_edges).core < m), None)
+                   if _near(g, near, x, depth, h_v, path_edges).met < m), None)
         if m2 is None:
             for m1 in range(1, len(labeled)):
                 row = near[labeled[m1 - 1]].dist
@@ -328,7 +295,7 @@ def _stabilize(
         protected_v = path_set | h_v
         protected_e = h_e_protected | path_edges
         q2 = labeled[m2 - 1]
-        s = near[q2].core if m1 == 0 else row[q2]
+        s = near[q2].met if m1 == 0 else row[q2]
         if m1 == 0 and s <= 0:
             raise CertifiedFailureError(
                 "labeled vertex sits inside the core",
@@ -377,7 +344,7 @@ def cover_path(
     hp_e = set(h_e)
     labeled: list[int] = []
     counters = {"rounds": 0, "cover_steps": 0, "splices": 0, "labeled_on_path": 0}
-    near: dict[int, _LabelSearch] = {}
+    near: dict[int, LayeredBFS] = {}
     target_edges = len(path) - 1
     while True:
         cp = _covered_prefix(g, path, h_v, labeled, hp_e)
@@ -461,28 +428,6 @@ def final_claims(
     }
 
 
-def _lower_distances(g: Graph, dist: list[int | float], added: set[int]) -> None:
-    """Lower ``dist``, the distances to a core, in place after ``added`` joins it.
-
-    Distances only fall as the core grows. The BFS from the added vertices
-    goes on from a vertex only when it lowered it: a vertex whose distance
-    falls is next to an added vertex or to one whose distance fell too, so
-    the cost is the region that moved closer, not the graph.
-    """
-    layer = list(added)
-    for x in layer:
-        dist[x] = 0
-    while layer:
-        nxt = []
-        for u in layer:
-            du = dist[u] + 1
-            for w in g.neighbors(u):
-                if dist[w] > du:
-                    dist[w] = du
-                    nxt.append(w)
-        layer = nxt
-
-
 def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     """Iterate path covering until every vertex is within reach of the core.
 
@@ -544,7 +489,7 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
         f_set |= claimed
         b_list.extend(centers)
         added = hp_v - h_v
-        _lower_distances(g, dist, added)
+        LayeredBFS(g._adj, added, cap=dist).deepen()
         iterations.append(
             IterationRecord(
                 index=len(iterations),

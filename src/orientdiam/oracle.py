@@ -12,22 +12,12 @@ a different algorithm.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from collections.abc import Iterable
 
 from .errors import BudgetExceededError
-from .graph import (
-    UNREACHABLE,
-    Graph,
-    ball,
-    bridge_witness,
-    girth,
-    min_degree,
-    shortest_path_between,
-)
-from .bounds import ball_radius, min_ball_size
+from .graph import UNREACHABLE, Graph, bridge_witness
 
 
 @dataclass(frozen=True)
@@ -269,65 +259,3 @@ def bounded_diameter_of_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> int | f
                     lo[w] = ecc - b
             cands[k][:] = [w for w in cands[k] if up[w] > best]
     return best
-
-
-# ---------------------------------------------------------------------------
-# sampled check of the ball-size floor
-
-
-@dataclass(frozen=True)
-class BallCheckReport:
-    """Result of sampling (vertex, shortest path) pairs against the ball floor."""
-
-    eligible: bool  # minimum degree above 3, so the floor applies
-    checked: int
-    failures: tuple[tuple[int, int, int], ...]  # (source, target, center)
-    skipped: int
-    floor: int
-    radius: int
-
-    @property
-    def all_passed(self) -> bool:
-        return not self.failures
-
-
-def check_ball_bound(g: Graph, samples: int = 100, seed: int = 0) -> BallCheckReport:
-    """Sample shortest paths P and off-path centers x; check the ball floor.
-
-    Each check removes E(P) and verifies the ball of radius ceil(girth/2)-1
-    around x still holds at least min_ball_size(delta, girth) vertices.
-    Centers on the path are excluded, matching the floor's hypothesis.
-    """
-    delta = min_degree(g)
-    gval = girth(g)
-    if gval == UNREACHABLE:
-        raise ValueError("graph has no cycle, so no girth")
-    gval = int(gval)
-    radius = ball_radius(gval)
-    if delta <= 3:
-        return BallCheckReport(False, 0, (), 0, min_ball_size(delta, gval), radius)
-    floor = min_ball_size(delta, gval)
-    rng = random.Random(seed)
-    checked = 0
-    skipped = 0
-    failures: list[tuple[int, int, int]] = []
-    attempts = 0
-    while checked < samples and attempts < 50 * samples:
-        attempts += 1
-        s = rng.randrange(g.n)
-        t = rng.randrange(g.n)
-        if s == t:
-            skipped += 1
-            continue
-        path = shortest_path_between(g, (s,), (t,))
-        on_path = set(path)
-        off = [x for x in range(g.n) if x not in on_path]
-        if not off:
-            skipped += 1
-            continue
-        x = off[rng.randrange(len(off))]
-        excluded = list(zip(path, path[1:]))
-        if len(ball(g, x, radius, excluded=excluded)) < floor:
-            failures.append((s, t, x))
-        checked += 1
-    return BallCheckReport(True, checked, tuple(failures), skipped, floor, radius)

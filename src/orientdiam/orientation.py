@@ -7,7 +7,6 @@ behaves as the digraph of its assigned arcs.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Mapping, Sequence, Set
 
 from .errors import (
@@ -17,7 +16,8 @@ from .errors import (
     PreconditionError,
 )
 from .graph import (
-    UNREACHABLE, Graph, bridge_witness, dfs_forest, edge_key, read_rows, write_rows
+    UNREACHABLE, Graph, LayeredBFS, all_distances, bridge_witness, dfs_forest, edge_key,
+    read_rows, write_rows,
 )
 
 
@@ -58,10 +58,6 @@ class Orientation:
             raise ValueError(f"({u}, {v}) is not an edge of the base graph")
         return self._heads.get(edge_key(u, v))
 
-    @property
-    def assigned_count(self) -> int:
-        return len(self._heads)
-
     def is_complete(self) -> bool:
         return len(self._heads) == self.base.m
 
@@ -81,35 +77,14 @@ class Orientation:
 # directed distances
 
 
-def _directed_bfs(o: Orientation, seeds: Iterable[int], reverse: bool) -> list[int | float]:
-    dist: list[int | float] = [UNREACHABLE] * o.base.n
-    queue: deque[int] = deque()
-    for s in sorted(set(seeds)):
-        if not 0 <= s < o.base.n:
-            raise ValueError(f"vertex {s} out of range")
-        dist[s] = 0
-        queue.append(s)
-    if not queue:
-        raise ValueError("need at least one seed vertex")
-    adj = o._in if reverse else o._out
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in adj[u]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
-
-
 def directed_distances_from(o: Orientation, sources: Iterable[int]) -> list[int | float]:
     """Directed distance from the nearest source to every vertex."""
-    return _directed_bfs(o, sources, reverse=False)
+    return all_distances(o._out, sources)
 
 
 def directed_distances_to(o: Orientation, targets: Iterable[int]) -> list[int | float]:
     """Directed distance from every vertex to the nearest target."""
-    return _directed_bfs(o, targets, reverse=True)
+    return all_distances(o._in, targets)
 
 
 def directed_distance(
@@ -126,24 +101,9 @@ def directed_distance(
         raise ValueError(f"vertex {v} out of range")
     if not targets:
         raise ValueError("need at least one target")
-    if v in targets:
-        return 0
-    adj = o._in if reverse else o._out
-    seen = {v}
-    layer = [v]
-    d = 0
-    while layer:
-        d += 1
-        nxt = []
-        for u in layer:
-            for w in adj[u]:
-                if w in targets:
-                    return d
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        layer = nxt
-    return UNREACHABLE
+    search = LayeredBFS(o._in if reverse else o._out, (v,), meets=targets)
+    search.deepen(to_meet=True)
+    return search.met
 
 
 def _bfs_among(

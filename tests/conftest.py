@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 from hypothesis import assume, strategies as st
 
-from orientdiam.bounds import BoundReport
+from orientdiam.bounds import BoundReport, ball_radius, min_ball_size
 from orientdiam.errors import CertifiedFailureError, GraphFormatError, InfeasibleSpecError
 from orientdiam.graph import (
     UNREACHABLE,
@@ -18,6 +19,8 @@ from orientdiam.graph import (
     bridge_witness,
     bridges_of,
     edge_key,
+    girth,
+    min_degree,
     shortest_path_between,
 )
 from orientdiam.generators import random_bridgeless
@@ -55,13 +58,22 @@ def bridgeless_graphs(draw, max_n: int = 40):
 
 def floyd_warshall(g: Graph) -> list[list[int | float]]:
     """Textbook all-pairs distances, independent of the BFS code under test."""
-    n = g.n
+    return floyd_warshall_arcs(g.n, [a for u, v in g.edges() for a in ((u, v), (v, u))])
+
+
+def floyd_warshall_without(g: Graph, excluded) -> list[list[int | float]]:
+    """``floyd_warshall`` on g with the ``excluded`` edges deleted."""
+    ex = {edge_key(u, v) for u, v in excluded}
+    return floyd_warshall(Graph(g.n, [e for e in g.edges() if e not in ex]))
+
+
+def floyd_warshall_arcs(n: int, arcs) -> list[list[int | float]]:
+    """All-pairs directed distances over (tail, head) arcs, by Floyd-Warshall."""
     dist: list[list[int | float]] = [[UNREACHABLE] * n for _ in range(n)]
     for v in range(n):
         dist[v][v] = 0
-    for u, v in g.edges():
+    for u, v in arcs:
         dist[u][v] = 1
-        dist[v][u] = 1
     for k in range(n):
         dk = dist[k]
         for i in range(n):
@@ -419,3 +431,64 @@ def reference_replay_growth(
     need("final core", props, f"max distance {far}, reach {reach}, recomputed {counts}")
     return (failures[0] if failures else None), h_v, h_e, far
 
+
+# ---------------------------------------------------------------------------
+# sampled check of the ball-size floor
+
+
+@dataclass(frozen=True)
+class BallCheckReport:
+    """Result of sampling (vertex, shortest path) pairs against the ball floor."""
+
+    eligible: bool  # minimum degree above 3, so the floor applies
+    checked: int
+    failures: tuple[tuple[int, int, int], ...]  # (source, target, center)
+    skipped: int
+    floor: int
+    radius: int
+
+    @property
+    def all_passed(self) -> bool:
+        return not self.failures
+
+
+def check_ball_bound(g: Graph, samples: int = 100, seed: int = 0) -> BallCheckReport:
+    """Sample shortest paths P and off-path centers x; check the ball floor.
+
+    Each check removes E(P) and verifies the ball of radius ceil(girth/2)-1
+    around x still holds at least min_ball_size(delta, girth) vertices.
+    Centers on the path are excluded, matching the floor's hypothesis.
+    """
+    delta = min_degree(g)
+    gval = girth(g)
+    if gval == UNREACHABLE:
+        raise ValueError("graph has no cycle, so no girth")
+    gval = int(gval)
+    radius = ball_radius(gval)
+    if delta <= 3:
+        return BallCheckReport(False, 0, (), 0, min_ball_size(delta, gval), radius)
+    floor = min_ball_size(delta, gval)
+    rng = random.Random(seed)
+    checked = 0
+    skipped = 0
+    failures: list[tuple[int, int, int]] = []
+    attempts = 0
+    while checked < samples and attempts < 50 * samples:
+        attempts += 1
+        s = rng.randrange(g.n)
+        t = rng.randrange(g.n)
+        if s == t:
+            skipped += 1
+            continue
+        path = shortest_path_between(g, (s,), (t,))
+        on_path = set(path)
+        off = [x for x in range(g.n) if x not in on_path]
+        if not off:
+            skipped += 1
+            continue
+        x = off[rng.randrange(len(off))]
+        excluded = list(zip(path, path[1:]))
+        if len(ball(g, x, radius, excluded=excluded)) < floor:
+            failures.append((s, t, x))
+        checked += 1
+    return BallCheckReport(True, checked, tuple(failures), skipped, floor, radius)

@@ -12,9 +12,10 @@ from orientdiam.bounds import rational_str
 from orientdiam.cli import main as cli_main
 from orientdiam.generators import corpus, cycle_graph, generate, random_bridgeless
 from orientdiam.graph import girth, min_degree
-from orientdiam.oracle import check_ball_bound, exact_oriented_diameter
+from orientdiam.oracle import exact_oriented_diameter
 from orientdiam.orientation import is_strong, strong_orientation
 from orientdiam.pipeline import run_pipeline
+from conftest import check_ball_bound
 from test_growth import reverify_growth
 
 PROFILES = ("tiny", "small", "girth", "dense")

@@ -18,7 +18,6 @@ from orientdiam.bounds import (
     path_scale,
     rational_str,
     round_trip_cap,
-    triangle_comparison,
 )
 
 
@@ -96,6 +95,22 @@ def test_degree_only_bound():
     assert degree_only_bound(700, 6) == 700
     assert degree_only_bound(7, 6) == 7
     assert degree_only_bound(100, 3) == 175
+
+
+def triangle_comparison(
+    n: int, delta: int, eps: Fraction | int
+) -> tuple[Fraction, Fraction]:
+    """Leading terms at girth 3: this bound's (6+eps)n/(delta+1) next to 7n/(delta+1).
+
+    This is the abstract's girth-3 claim: for 0 < eps < 1 the bound improves
+    on Surmacs' degree-only 7n/(delta+1), the first term strictly below the
+    second.
+    """
+    e = as_fraction(eps)
+    if not 0 < e < 1:
+        raise ValueError("the comparison needs 0 < eps < 1")
+    ours = (6 + e) * n / Fraction(delta + 1)
+    return ours, degree_only_bound(n, delta)
 
 
 def test_triangle_comparison_beats_degree_only():

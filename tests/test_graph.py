@@ -10,6 +10,7 @@ from conftest import (
     bridgeless_graphs,
     bridges_by_removal,
     floyd_warshall,
+    floyd_warshall_without,
     girth_by_edge_removal,
     reference_shortest_path,
 )
@@ -25,7 +26,6 @@ from orientdiam.graph import (
     bridges_of,
     dfs_forest,
     diameter,
-    distances_within,
     edge_key,
     format_graph,
     girth,
@@ -322,14 +322,14 @@ def test_bridges_of_multigraph_matches_copy_removal(data):
 
 @settings(max_examples=100, deadline=None)
 @given(arbitrary_graphs(), st.integers(min_value=0, max_value=5), st.data())
-def test_distances_within_matches_full_bfs(g, depth, data):
+def test_ball_matches_reference_distances(g, depth, data):
     pool = g.edges()
     excluded = data.draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else []
+    ref = floyd_warshall_without(g, excluded)
     for v in range(g.n):
-        full = bfs_distances(g, (v,), excluded=excluded)
-        want = {w: d for w, d in enumerate(full) if d <= depth}
-        assert distances_within(g, v, depth, excluded=excluded) == want
-        assert ball(g, v, depth, excluded=excluded) == set(want)
+        want = {w for w in range(g.n) if ref[v][w] <= depth}
+        assert ball(g, v, depth, excluded=excluded) == want
+        assert ball(g, v, depth, excluded=[(b, a) for a, b in excluded]) == want
 
 
 @settings(max_examples=80, deadline=None)

@@ -11,6 +11,8 @@ from conftest import (
     arbitrary_graphs,
     bridgeless_graphs,
     expand_schema1,
+    floyd_warshall,
+    floyd_warshall_without,
     reference_covered_prefix,
     reference_replay_growth,
     reference_stabilize,
@@ -20,15 +22,14 @@ from orientdiam.generators import circulant_graph, triangle_chain
 from orientdiam.graph import (
     UNREACHABLE,
     Graph,
+    LayeredBFS,
     ball,
     bfs_distances,
-    distances_within,
     edge_key,
     shortest_path_between,
 )
 from orientdiam.growth import (
     _covered_prefix,
-    _LabelSearch,
     _stabilize,
     grow_core,
     subgraph_adjacency,
@@ -265,11 +266,13 @@ def test_escape_paths_follow_bfs_on_relabeled_circulants(perm_seed):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_resumed_label_search_matches_fresh_search(data):
-    """A search deepened step by step equals a fresh depth-bounded BFS at each depth.
+    """A label search deepened step by step holds, at each depth, every vertex
+    that close in the reference distances with the path edges deleted.
 
     Depths run past the eccentricity, so the frontier runs dry, and past
-    components the excluded edges cut off; the core depth is the first
-    depth with a core vertex in the fresh search.
+    components the deleted edges cut off; ``met`` is the distance to the
+    nearest core vertex once that is within the depth, and a search run to
+    the core stops there.
     """
     g = data.draw(st.one_of(arbitrary_graphs(max_n=12), bridgeless_graphs(max_n=30)))
     vertex = st.integers(0, g.n - 1)
@@ -278,23 +281,46 @@ def test_resumed_label_search_matches_fresh_search(data):
     cut = data.draw(st.lists(st.sampled_from(g.edges()), max_size=4)) if g.m else []
     path_edges = frozenset(edge_key(a, b) for a, b in cut)
     depths = sorted(data.draw(st.lists(st.integers(0, g.n + 1), min_size=1, max_size=6)))
-    search = _LabelSearch(v, h_v)
+    ref = floyd_warshall_without(g, cut)[v]
+    to_core = min((ref[x] for x in h_v), default=UNREACHABLE)
+    search = LayeredBFS(g._adj, (v,), path_edges, meets=h_v)
     for depth in depths:
-        search.deepen(g, depth, h_v, path_edges)
-        fresh = distances_within(g, v, depth, excluded=path_edges)
-        assert search.dist == fresh
-        assert search.core == min((d for x, d in fresh.items() if x in h_v), default=UNREACHABLE)
+        search.deepen(depth)
+        assert search.dist == {w: d for w, d in enumerate(ref) if d <= depth}
+        assert search.met == (to_core if to_core <= depth else UNREACHABLE)
+    probe = LayeredBFS(g._adj, (v,), path_edges, meets=h_v)
+    probe.deepen(to_meet=True)
+    assert probe.met == to_core
+    if to_core != UNREACHABLE:
+        assert probe.depth == to_core
 
 
 def test_resumed_label_search_runs_dry():
     """On P5 without the edge (2, 3), the search from 0 stops after depth 2."""
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    search = _LabelSearch(0, {4})
+    search = LayeredBFS(g._adj, (0,), frozenset({(2, 3)}), meets={4})
     for depth, want in ((1, {0: 0, 1: 1}), (3, {0: 0, 1: 1, 2: 2}), (6, {0: 0, 1: 1, 2: 2})):
-        search.deepen(g, depth, {4}, frozenset({(2, 3)}))
+        search.deepen(depth)
         assert search.dist == want
-        assert search.core == UNREACHABLE
+        assert search.met == UNREACHABLE
     assert search.frontier == [] and search.depth == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lowered_core_distances_match_reference(data):
+    """Distances to a core grown batch by batch, lowered in place with ``cap``
+    after each batch, equal the nearest core vertex's reference distances."""
+    g = data.draw(st.one_of(arbitrary_graphs(max_n=12), bridgeless_graphs(max_n=30)))
+    ref = floyd_warshall(g)
+    batch = st.sets(st.integers(0, g.n - 1), min_size=1, max_size=4)
+    dist: list[int | float] = [UNREACHABLE] * g.n
+    core: set[int] = set()
+    for added in data.draw(st.lists(batch, min_size=1, max_size=5)):
+        added -= core
+        core |= added
+        LayeredBFS(g._adj, added, cap=dist).deepen()
+        assert dist == [min(ref[c][w] for c in core) for w in range(g.n)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import bridgeless_graphs
+from conftest import bridgeless_graphs, check_ball_bound
 from orientdiam.errors import BudgetExceededError
 from orientdiam.generators import (
     circulant_graph,
@@ -21,7 +21,6 @@ from orientdiam.graph import UNREACHABLE, Graph
 from orientdiam import oracle
 from orientdiam.oracle import (
     bounded_diameter_of_arcs,
-    check_ball_bound,
     count_strong_orientations,
     directed_diameter_of_arcs,
     exact_oriented_diameter,
