@@ -200,10 +200,6 @@ def _load_trace(path: str) -> list[dict]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    if not args.orientation:
-        raise GraphFormatError(
-            "verify needs --orientation: a trace alone cannot show the diameters it claims"
-        )
     o = parse_orientation(Path(args.orientation).read_text(), g)
     records = _load_trace(args.trace) if args.trace else None
     checks = certify(g, records, o)
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-check an orientation and its trace")
     p.add_argument("graph")
-    p.add_argument("--orientation", metavar="FILE")
+    p.add_argument("--orientation", required=True, metavar="FILE")
     p.add_argument("--trace", metavar="FILE")
     p.set_defaults(func=cmd_verify)
 

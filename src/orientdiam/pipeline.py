@@ -8,7 +8,6 @@ all report through it.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -104,8 +103,15 @@ _SINGLE_RECORDS = (
 _LOG_RECORDS = ("growth_iteration", "extension_round", "extension_step")
 # log-only fields: never recomputed, but checked for type and vertex range
 _LOG_FIELDS = {
-    "growth_iteration": {"labeled": "vertices"},
+    "growth_iteration": {
+        "labeled": "vertices",
+        "cover_steps": "int",
+        "splices": "int",
+        "labeled_on_path": "int",
+    },
+    "extension_round": {"frontier": "vertices", "absorbed": "vertices"},
     "extension_step": {
+        "round": "int",
         "vertex": "vertex",
         "anchor": "vertex",
         "vprime": "vertex",
@@ -191,34 +197,6 @@ def _record(single: dict[str, dict], kind: str) -> dict:
     return single[kind]
 
 
-def _schema1_steps(iterations: list[dict], v0: int, claimed: set[int], n: int):
-    """Schema-1 growth iterations read as schema 2: each snapshot diffed from the last.
-
-    Schema 1 recorded the whole core (``h_vertices``, ``h_edges``), the
-    centers so far (``b``) and the claimed set (``f``) after each iteration.
-    Each record is yielded with the vertices, edges and claimed vertices in
-    which its snapshot differs from the one before as the ``added_*`` lists,
-    so a snapshot that lost a vertex or an edge lists it there and fails
-    ``core_grows``. ``b`` must be v0 followed by every iteration's centers,
-    as schema 2 defines B; one that is not is malformed.
-    """
-    core_v, core_e, b = {v0}, set(), [v0]
-    for pos, rec in enumerate(iterations):
-        h_v = set(_field(rec, "h_vertices", "vertices", n))
-        h_e = {edge_key(u, w) for u, w in _field(rec, "h_edges", "edges", n)}
-        f = set(_field(rec, "f", "vertices", n))
-        b = b + _field(rec, "centers", "vertices", n)
-        if _field(rec, "b", "vertices", n) != b:
-            raise GraphFormatError(f"growth iteration {pos}: b is not v0 and the centers")
-        yield {
-            **rec,
-            "added_vertices": sorted(h_v ^ core_v),
-            "added_edges": [list(e) for e in sorted(h_e ^ core_e)],
-            "added_claimed": sorted(f ^ claimed),
-        }
-        core_v, core_e, claimed = h_v, h_e, f
-
-
 def _replay_growth(
     g: Graph, header: dict, iterations: list[dict], final: dict, bound: BoundReport
 ) -> tuple[str | None, set[int], set[tuple[int, int]], int]:
@@ -227,16 +205,16 @@ def _replay_growth(
     Returns the first failure as "where: property (detail)", or None, then
     the final core's vertices and edges and the largest distance to it.
 
-    Each iteration costs what it adds, its balls and its path. Its added
-    vertices and edges must be new (``core_grows``); one that is already in
-    the core is taken out of it, so a schema-1 snapshot that lost it, diffed
-    by ``_schema1_steps``, leaves the core that snapshot recorded. Core edges
-    must join core vertices, else the record is malformed. Whether the grown
-    core is connected and bridgeless is decided on the added part alone, with
-    the core before it contracted to one vertex (``contracted_adjacency``):
-    exact, since that core passed the same test or the iteration that built
-    it failed first. The claimed vertices an iteration adds are its new ball
-    vertices, and B is v0 followed by every iteration's centers.
+    Each iteration costs what it adds, its balls and its path, and the core
+    only grows. An added vertex already in the core, or an added edge with
+    an end in neither the core nor the added vertices, makes the record
+    malformed; an added edge already in the core fails ``core_grows``.
+    Whether the grown core is connected and bridgeless is decided on the
+    added part alone, with the core before it contracted to one vertex
+    (``contracted_adjacency``): exact, since that core passed the same test
+    or the iteration that built it failed first. The claimed vertices an
+    iteration adds are its new ball vertices, and B is v0 followed by every
+    iteration's centers. Only trace schema 2 is read.
     """
     n, floor, gval, eps = g.n, bound.ball_size, bound.girth, bound.epsilon
     radius, reach = bound.radius, bound.reach
@@ -245,9 +223,9 @@ def _replay_growth(
     def need(where: str, props: dict[str, bool], detail: str) -> None:
         failures.extend(f"{where}: {name} ({detail})" for name, ok in props.items() if not ok)
 
-    schema = _field(header, "schema", "int") if "schema" in header else 1
-    if schema not in (1, 2):
-        raise GraphFormatError(f"growth_header schema {schema} is neither 1 nor 2")
+    schema = _field(header, "schema", "int")
+    if schema != 2:
+        raise GraphFormatError(f"growth_header schema {schema} is not 2, the only one read")
     expected = header_claims(g, bound)
     props = {
         key: _field(header, key, "str" if key == "epsilon" else "int") == value
@@ -255,17 +233,13 @@ def _replay_growth(
     }
     v0 = _field(header, "v0", "vertex", n)
     f_set = ball(g, v0, radius)
-    base = set(_field(header, "base_claimed", "vertices", n))
-    props["base_ball"] = f_set == base
+    props["base_ball"] = f_set == set(_field(header, "base_claimed", "vertices", n))
     props["base_floor"] = len(f_set) >= floor
     need("header", props, f"recomputed {expected}, |ball({v0})|={len(f_set)}")
-    if schema == 1:
-        iterations = list(_schema1_steps(iterations, v0, base, n))
     b_list = [v0]
     b_set = {v0}
     h_v: set[int] = {v0}
     h_e: set[tuple[int, int]] = set()
-    degree: Counter[int] = Counter()  # core edges at each vertex
     for pos, rec in enumerate(iterations):
         path = _field(rec, "path", "vertices", n)
         centers = _field(rec, "centers", "vertices", n)
@@ -274,18 +248,12 @@ def _replay_growth(
         added_f = set(_field(rec, "added_claimed", "vertices", n))
         path_edges = list(zip(path, path[1:]))
         excluded = () if _field(rec, "fallback", "bool") else path_edges
-        lost_v, lost_e = added_v & h_v, added_e & h_e
-        new_v, new_e = added_v - lost_v, added_e - lost_e
-        h_v -= lost_v
-        h_e -= lost_e
-        degree.subtract(chain.from_iterable(lost_e))
-        ends = set(chain.from_iterable(new_e)) - new_v
-        if not (h_v or new_v) or any(degree[x] for x in lost_v) or not h_v.issuperset(ends):
+        if not added_v.isdisjoint(h_v):
+            raise GraphFormatError(f"growth iteration {pos}: added vertices already in the core")
+        if not h_v.issuperset(set(chain.from_iterable(added_e)) - added_v):
             raise GraphFormatError(f"growth iteration {pos}: core edges leave the core")
-        adj = contracted_adjacency(h_v, n, new_v, new_e)
-        h_v |= new_v
-        h_e |= new_e
-        degree.update(chain.from_iterable(new_e))
+        adj = contracted_adjacency(h_v, n, added_v, added_e)
+        h_v |= added_v
         balls = set().union(*(ball(g, c, radius, excluded=excluded) for c in centers))
         fresh = balls - f_set
         f_set |= fresh
@@ -294,7 +262,7 @@ def _replay_growth(
         props = {
             "index": _field(rec, "index", "int") == pos,
             "edges_real": all(g.has_edge(u, w) for u, w in chain(added_e, path_edges)),
-            "core_grows": not lost_v and not lost_e and h_v.issuperset(path),
+            "core_grows": h_e.isdisjoint(added_e) and h_v.issuperset(path),
             "bridgeless_connected": bridge_witness(adj) is None,
             "f_claim": fresh == added_f,
             "property2": len(f_set) >= floor * len(b_list),
@@ -303,6 +271,7 @@ def _replay_growth(
         }
         sizes = f"|H|={len(h_v)} |F|={len(f_set)} |B|={len(b_list)}"
         need(f"iteration {pos}", props, f"{sizes}, floor {floor}, girth {gval}")
+        h_e |= added_e
     far = int(max(bfs_distances(g, h_v)))
     counts = final_claims(len(iterations), far, reach, h_v, b_list, f_set)
     claimed = {k: _field(final, k, "bool" if k == "property1" else "int") for k in counts}

@@ -339,9 +339,10 @@ def expand_schema1(records: list[dict]) -> list[dict]:
     ``added_claimed`` become the snapshots ``h_vertices``, ``h_edges`` and
     ``f`` of the core and the claimed set after it, and ``b`` lists v0 and
     every center so far; the header loses its ``schema`` tag. Each list is
-    applied as a difference (an entry already present is taken out), the
-    inverse of the diff ``pipeline`` takes of schema-1 snapshots. Other
-    records are copied. The input is not changed.
+    applied as a difference (an entry already present is taken out), so
+    an edited trace that lists a core vertex or edge again expands to a
+    snapshot that lost it. Other records are copied. The input is not
+    changed.
     """
     out = []
     for rec in records:

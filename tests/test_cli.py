@@ -221,18 +221,6 @@ def _drop_v0(records, n):
     del records[0]["v0"]
 
 
-def _h_edge_off_graph(records, n):
-    records[:] = expand_schema1(records)
-    it = next(r for r in records if r["type"] == "growth_iteration")
-    it["h_edges"][0][1] = n
-
-
-def _h_edge_off_core(records, n):
-    records[:] = expand_schema1(records)
-    it = next(r for r in records if r["type"] == "growth_iteration")
-    it["h_edges"][0][1] = min(set(range(n)) - set(it["h_vertices"]))
-
-
 def _added_edge_off_graph(records, n):
     next(r for r in records if r["type"] == "growth_iteration")["added_edges"][0][1] = n
 
@@ -250,9 +238,9 @@ def _unknown_schema(records, n):
     records[0]["schema"] = 3
 
 
-def _b_without_a_center(records, n):
-    records[:] = expand_schema1(records)
-    next(r for r in records if r["type"] == "growth_iteration")["b"].pop()
+def _core_vertex_added_again(records, n):
+    first, second = [r for r in records if r["type"] == "growth_iteration"][:2]
+    second["added_vertices"] = sorted({*second["added_vertices"], first["added_vertices"][0]})
 
 
 @pytest.mark.parametrize(
@@ -260,13 +248,11 @@ def _b_without_a_center(records, n):
     [
         _non_object_line,
         _drop_v0,
-        _h_edge_off_graph,
-        _h_edge_off_core,
         _integer_epsilon,
         _added_edge_off_graph,
         _added_edge_off_core,
         _unknown_schema,
-        _b_without_a_center,
+        _core_vertex_added_again,
     ],
 )
 def test_verify_malformed_trace_exits_2(tmp_path, capsys, edit):
@@ -335,8 +321,23 @@ def _first(records, kind):
         lambda recs: _first(recs, "extension_step").update(path=None),
         lambda recs: _first(recs, "extension_step").update(case=None),
         lambda recs: _first(recs, "extension_step").pop("anchor"),
+        lambda recs: _first(recs, "extension_round").update(frontier=["x", None]),
+        lambda recs: _first(recs, "extension_round").update(absorbed=[10**9]),
+        lambda recs: _first(recs, "extension_round").pop("frontier"),
+        lambda recs: _first(recs, "growth_iteration").update(cover_steps="x"),
+        lambda recs: _first(recs, "extension_step").update(round=None),
     ],
-    ids=["labeled_out_of_range", "path_null", "case_null", "anchor_missing"],
+    ids=[
+        "labeled_out_of_range",
+        "path_null",
+        "case_null",
+        "anchor_missing",
+        "frontier_not_vertices",
+        "absorbed_out_of_range",
+        "frontier_missing",
+        "cover_steps_not_int",
+        "round_null",
+    ],
 )
 def test_verify_rejects_malformed_log_fields(tmp_path, capsys, edit):
     """Log-only fields are not recomputed, but a malformed one still exits 2."""
@@ -348,24 +349,16 @@ def test_verify_rejects_malformed_log_fields(tmp_path, capsys, edit):
     assert "missing or not" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "field", ["h_vertices", "h_edges", "added_vertices", "added_edges", "added_claimed"]
-)
+@pytest.mark.parametrize("field", ["added_vertices", "added_edges", "added_claimed"])
 @pytest.mark.parametrize(
     "value",
     [[True], [1.0], [-1], ["n"], [[0, 1, 2]], [[0, True]]],
     ids=["bool", "float", "negative", "n", "triple", "bool_end"],
 )
 def test_verify_rejects_malformed_vertex_lists(tmp_path, capsys, field, value):
-    """A vertex list holds ints in range(n) and an edge list pairs of them; else exit 2.
-
-    The ``h_*`` snapshots are edited in the trace as schema 1 wrote it, the
-    ``added_*`` lists in the schema-2 trace ``orient`` writes.
-    """
+    """A vertex list holds ints in range(n) and an edge list pairs of them; else exit 2."""
     g = triangle_chain(12)
     gpath, opath, tpath, records = orient_artifacts(tmp_path, g, "2")
-    if field.startswith("h_"):
-        records = expand_schema1(records)
     _first(records, "growth_iteration")[field] = [g.n if x == "n" else x for x in value]
     tpath.write_text("\n".join(json.dumps(r) for r in records) + "\n")
     capsys.readouterr()
@@ -388,19 +381,17 @@ SCHEMA1 = Path(__file__).parent / "data" / "schema1"
 
 
 @pytest.mark.parametrize("name", ["triangle_chain_12", "circulant_200_1_2"])
-def test_verify_accepts_schema1_traces(tmp_path, capsys, name):
-    """Traces written before schema 2, with whole-core snapshots, still verify.
+def test_verify_refuses_schema1_traces(tmp_path, capsys, name):
+    """Traces written before schema 2, with whole-core snapshots, exit 2.
 
     The files were written by ``orient`` at eps 2 (triangle_chain 12) and
-    1/2 (circulant 200 1 2) before the trace carried added sets; the checks
-    are those ``verify`` printed for them then. Today's trace of the same run,
-    expanded to schema 1, is the committed one record for record.
+    1/2 (circulant 200 1 2) before the trace carried added sets. Today's
+    trace of the same run, expanded to schema 1, is the committed one record
+    for record, so the snapshot replay in ``conftest`` still reads the run.
     """
     files = [str(SCHEMA1 / f"{name}.{ext}") for ext in ("txt", "orientation", "jsonl")]
-    code, data = run_json(capsys, ["verify", files[0], "--orientation", files[1],
-                                   "--trace", files[2]])
-    assert code == 0
-    assert data == json.loads((SCHEMA1 / f"{name}.checks.json").read_text())
+    assert main(["verify", files[0], "--orientation", files[1], "--trace", files[2]]) == 2
+    assert "schema" in capsys.readouterr().err
     old = [json.loads(line) for line in Path(files[2]).read_text().splitlines()]
     epsilon = old[0]["epsilon"]
     g = parse_graph(Path(files[0]).read_text())
@@ -409,36 +400,16 @@ def test_verify_accepts_schema1_traces(tmp_path, capsys, name):
     assert expand_schema1(records) == old
 
 
-def _lose_from_snapshot(records, vertex):
-    """Take a vertex (with its edges), or an edge, of the first snapshot out of the second."""
+def test_verify_refuses_a_core_edge_added_again(tmp_path, capsys):
+    """A core only grows: an iteration that lists a core edge again fails core_grows."""
+    gpath, opath, tpath, records = orient_artifacts(tmp_path, triangle_chain(12), "2")
     first, second = [r for r in records if r["type"] == "growth_iteration"][:2]
-    if vertex:
-        x = first["h_vertices"][-1]
-        second["h_vertices"].remove(x)
-        second["h_edges"] = [e for e in second["h_edges"] if x not in e]
-    else:
-        second["h_edges"].remove(first["h_edges"][-1])
-
-
-@pytest.mark.parametrize(
-    "vertex, sizes",
-    [(True, "|H|=46 |F|=45 |B|=9"), (False, "|H|=47 |F|=45 |B|=9")],
-    ids=["vertex", "edge"],
-)
-def test_verify_refuses_a_schema1_snapshot_that_shrinks(tmp_path, capsys, vertex, sizes):
-    """A core only grows: a snapshot that loses a vertex or an edge fails core_grows.
-
-    The detail is the one the snapshot replay gave for these edits.
-    """
-    paths = [str(SCHEMA1 / f"circulant_200_1_2.{ext}") for ext in ("txt", "orientation", "jsonl")]
-    records = [json.loads(line) for line in Path(paths[2]).read_text().splitlines()]
-    _lose_from_snapshot(records, vertex)
-    tpath = tmp_path / "shrunk.jsonl"
+    second["added_edges"] = sorted([*second["added_edges"], first["added_edges"][-1]])
     tpath.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-    code, data = run_json(capsys, ["verify", paths[0], "--orientation", paths[1],
-                                   "--trace", str(tpath)])
+    capsys.readouterr()
+    code, data = run_json(capsys, ["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
     assert code == 4
-    detail = f"iteration 1: core_grows ({sizes}, floor 5, girth 3)"
+    detail = "iteration 1: core_grows (|H|=13 |F|=15 |B|=3, floor 3, girth 3)"
     assert data["checks"][0] == {"name": "growth_properties", "ok": False, "detail": detail}
 
 
