@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 
@@ -115,18 +115,10 @@ class BoundReport:
         return self.scale * self.girth
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "min_degree": self.min_degree,
-            "girth": self.girth,
-            "epsilon": rational_str(self.epsilon),
-            "ball_size": self.ball_size,
-            "scale": self.scale,
-            "core_term": rational_str(self.core_term),
-            "additive_term": self.additive_term,
-            "total": rational_str(self.total),
-            "floor_total": self.floor_total,
-        }
+        """Every field in order, each Fraction as its ``rational_str``, then ``floor_total``."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {k: rational_str(v) if isinstance(v, Fraction) else v for k, v in values.items()}
+        return {**out, "floor_total": self.floor_total}
 
 
 def diameter_bound(n: int, delta: int, g: int, eps: Fraction | int) -> BoundReport:

@@ -193,6 +193,8 @@ def _load_trace(path: str) -> list[dict]:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"trace line {idx + 1} is not JSON: {exc}") from exc
+        except RecursionError:
+            raise GraphFormatError(f"trace line {idx + 1} is nested too deeply") from None
     if not records:
         raise GraphFormatError("trace file is empty")
     return records

@@ -22,10 +22,6 @@ class PreconditionError(ValueError):
 class OrientationConflictError(ValueError):
     """An edge would be assigned two different directions."""
 
-    def __init__(self, message: str, edge=None):
-        super().__init__(message)
-        self.edge = edge
-
 
 class IncompleteOrientationError(ValueError):
     """A query that needs a complete orientation hit an unassigned edge."""

@@ -153,15 +153,11 @@ class LayeredBFS:
         self.frontier, self.depth = layer, d
 
 
-def all_distances(
-    adj: Sequence[Sequence[int]],
-    sources: Iterable[int],
-    excluded: Set[tuple[int, int]] = frozenset(),
-) -> list[int | float]:
+def all_distances(adj: Sequence[Sequence[int]], sources: Iterable[int]) -> list[int | float]:
     """Distances over ``adj`` from the nearest of the sources to every vertex,
     ``UNREACHABLE`` for those not reached; every source must be in range.
     """
-    search = LayeredBFS(adj, sources, excluded)
+    search = LayeredBFS(adj, sources)
     if not search.frontier:
         raise ValueError("need at least one source")
     if min(search.frontier) < 0 or max(search.frontier) >= len(adj):
@@ -173,17 +169,12 @@ def all_distances(
     return out
 
 
-def bfs_distances(
-    g: Graph,
-    sources: Iterable[int],
-    excluded: Iterable[tuple[int, int]] = (),
-) -> list[int | float]:
+def bfs_distances(g: Graph, sources: Iterable[int]) -> list[int | float]:
     """BFS distances from a source set; ``UNREACHABLE`` marks unreached vertices.
 
-    ``excluded`` edges are treated as deleted. Multi-source: the distance is
-    to the nearest source.
+    Multi-source: the distance is to the nearest source.
     """
-    return all_distances(g._adj, sources, _normalize_excluded(excluded))
+    return all_distances(g._adj, sources)
 
 
 # the last frozenset of targets found in range, and the n it was checked against:

@@ -9,14 +9,14 @@ graph.
 The construction does not judge its result: bridgelessness, fresh centers
 and properties 1-3 are claims of the returned trace, and ``pipeline.certify``
 alone decides whether they hold. Its remaining guards (the round budget, the
-iteration cap, a missing detour, a splice that does not shrink) stop a loop
-or protect a value the construction itself reads.
+iteration cap, a missing detour) stop a loop or protect a value the
+construction itself reads.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .bounds import BoundReport, as_fraction, diameter_bound, rational_str
@@ -99,20 +99,15 @@ class IterationRecord:
     added_claimed: tuple[int, ...]
 
     def to_record(self) -> dict:
-        return {
-            "type": "growth_iteration",
-            "index": self.index,
-            "path": list(self.path),
-            "labeled": list(self.labeled),
-            "centers": list(self.centers),
-            "fallback": self.fallback,
-            "cover_steps": self.cover_steps,
-            "splices": self.splices,
-            "labeled_on_path": self.labeled_on_path,
-            "added_vertices": list(self.added_vertices),
-            "added_edges": [list(e) for e in self.added_edges],
-            "added_claimed": list(self.added_claimed),
-        }
+        """Every field in order, a tuple as a list and the edges as lists of lists."""
+        rec = {"type": "growth_iteration"}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                nested = value and isinstance(value[0], tuple)
+                value = list(map(list, value)) if nested else list(value)
+            rec[f.name] = value
+        return rec
 
 
 @dataclass
@@ -134,8 +129,6 @@ class GrowthResult:
 
     core_vertices: frozenset[int]
     core_edges: frozenset[tuple[int, int]]
-    centers: tuple[int, ...]
-    claimed: frozenset[int]
     trace: GrowthTrace
     bound: BoundReport
 
@@ -209,11 +202,6 @@ def _apply_splice(
         if x not in seen:
             seen.add(x)
             new_labeled.append(x)
-    if len(new_labeled) >= len(labeled):
-        raise CertifiedFailureError(
-            "splice did not shrink the label list",
-            details={"labeled": list(labeled), "candidate": candidate},
-        )
     dropped = {x for x in labeled if x not in seen}
     for x in dropped:
         if x not in protected_v:
@@ -309,6 +297,7 @@ def _stabilize(
         if sp is None or len(sp) - 1 != s:
             sp = shortest_path_between(g, src, dst, excluded=path_edges)
             counters["labeled_on_path"] += sum(1 for x in sp[1:-1] if x in path_set)
+        # s - 1 < m2 - m1 - 1 vertices replace the labels between the pair: the list shrinks
         inner = sp[1:-1][::-1] if m1 == 0 else sp[1:-1]
         candidate = labeled[:m1] + inner + labeled[m2 - 1 :]
         _apply_splice(
@@ -514,8 +503,6 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     return GrowthResult(
         core_vertices=frozenset(h_v),
         core_edges=frozenset(h_e),
-        centers=tuple(b_list),
-        claimed=frozenset(f_set),
         trace=GrowthTrace(header, iterations, final),
         bound=bound,
     )

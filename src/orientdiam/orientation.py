@@ -24,11 +24,10 @@ from .graph import (
 class Orientation:
     """A direction assignment over the edges of a fixed base graph."""
 
-    __slots__ = ("base", "_heads", "_out", "_in")
+    __slots__ = ("base", "_out", "_in")
 
     def __init__(self, base: Graph):
         self.base = base
-        self._heads: dict[tuple[int, int], int] = {}
         # per-vertex arc lists in assignment order, kept up to date by assign
         self._out: list[list[int]] = [[] for _ in range(base.n)]
         self._in: list[list[int]] = [[] for _ in range(base.n)]
@@ -41,36 +40,37 @@ class Orientation:
         """
         if not self.base.has_edge(tail, head):
             raise ValueError(f"({tail}, {head}) is not an edge of the base graph")
-        e = edge_key(tail, head)
-        old = self._heads.get(e)
-        if old is None:
-            self._heads[e] = head
+        if tail in self._out[head]:
+            raise OrientationConflictError(
+                f"edge {edge_key(tail, head)} is already oriented toward {tail}, not {head}"
+            )
+        if head not in self._out[tail]:
             self._out[tail].append(head)
             self._in[head].append(tail)
-        elif old != head:
-            raise OrientationConflictError(
-                f"edge {e} is already oriented toward {old}, not {head}", edge=e
-            )
 
     def direction(self, u: int, v: int) -> int | None:
         """Head of the edge u-v, or None while unassigned."""
         if not self.base.has_edge(u, v):
             raise ValueError(f"({u}, {v}) is not an edge of the base graph")
-        return self._heads.get(edge_key(u, v))
+        if v in self._out[u]:
+            return v
+        return u if u in self._out[v] else None
 
     def is_complete(self) -> bool:
-        return len(self._heads) == self.base.m
+        return sum(map(len, self._out)) == self.base.m
 
     def arcs(self) -> list[tuple[int, int]]:
         """Assigned arcs as (tail, head) pairs, sorted by canonical edge."""
         out = []
-        for u, v in sorted(self._heads):
-            h = self._heads[(u, v)]
-            out.append((v if h == u else u, h))
+        for u, v in self.base.edges():
+            if v in self._out[u]:
+                out.append((u, v))
+            elif u in self._out[v]:
+                out.append((v, u))
         return out
 
     def __repr__(self) -> str:
-        return f"Orientation({self.base!r}, assigned={len(self._heads)}/{self.base.m})"
+        return f"Orientation({self.base!r}, assigned={sum(map(len, self._out))}/{self.base.m})"
 
 
 # ---------------------------------------------------------------------------

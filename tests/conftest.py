@@ -115,8 +115,9 @@ def reference_shortest_path(g, sources, targets, excluded=(), blocked=()):
 
     One full BFS from the targets, then a walk down the distance labels from
     the nearest smallest-id source; kept as the slow path the early-exit
-    search is checked against. Blocked vertices lose their edges, so the
-    search neither enters nor starts from them.
+    search is checked against. Excluded edges are deleted from a copy of g,
+    and blocked vertices lose their edges, so the search neither enters nor
+    starts from them.
     """
     ex = _normalize_excluded(excluded)
     src = sorted(set(sources))
@@ -126,8 +127,9 @@ def reference_shortest_path(g, sources, targets, excluded=(), blocked=()):
     blk = set(blocked)
     if not blk.isdisjoint(tgt):
         raise ValueError(f"target {min(blk & tgt)} is blocked")
-    g = Graph(g.n, [(u, v) for u, v in g.edges() if u not in blk and v not in blk])
-    dist_t = bfs_distances(g, tgt, excluded=ex)
+    kept = [(u, v) for u, v in g.edges() if u not in blk and v not in blk and (u, v) not in ex]
+    g = Graph(g.n, kept)
+    dist_t = bfs_distances(g, tgt)
     start = None
     best = UNREACHABLE
     for s in src:
@@ -142,8 +144,6 @@ def reference_shortest_path(g, sources, targets, excluded=(), blocked=()):
     while remaining > 0:
         for w in g.neighbors(cur):
             if dist_t[w] != remaining - 1:
-                continue
-            if ex and edge_key(cur, w) in ex:
                 continue
             path.append(w)
             cur = w
@@ -219,8 +219,10 @@ def reference_stabilize(
     """
     protected_v = path_set | h_v
     protected_e = h_e_protected | path_edges
+    # the distances avoid the path edges: they are deleted from a copy of g
+    cut = Graph(g.n, [e for e in g.edges() if e not in path_edges])
     while labeled:
-        dist_h = bfs_distances(g, h_v, excluded=path_edges)
+        dist_h = bfs_distances(cut, h_v)
         viol = next(
             ((m, q, dist_h[q]) for m, q in enumerate(labeled, start=1) if dist_h[q] < m),
             None,
@@ -243,7 +245,7 @@ def reference_stabilize(
             continue
         pair = None
         for m1 in range(1, len(labeled) + 1):
-            d1 = bfs_distances(g, (labeled[m1 - 1],), excluded=path_edges)
+            d1 = bfs_distances(cut, (labeled[m1 - 1],))
             for m2 in range(m1 + 1, len(labeled) + 1):
                 if d1[labeled[m2 - 1]] < m2 - m1:
                     pair = (m1, m2, d1[labeled[m2 - 1]])

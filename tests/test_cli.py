@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import expand_schema1
 from orientdiam import extension, orientation, pipeline
 from orientdiam.cli import main
-from orientdiam.generators import cycle_graph, petersen_graph, random_bridgeless, triangle_chain
+from orientdiam.generators import (
+    circulant_graph, cycle_graph, petersen_graph, random_bridgeless, triangle_chain,
+)
 from orientdiam.graph import format_graph, parse_graph
 from orientdiam.orientation import directed_diameter, is_strong, parse_orientation
 
@@ -243,6 +245,11 @@ def _core_vertex_added_again(records, n):
     second["added_vertices"] = sorted({*second["added_vertices"], first["added_vertices"][0]})
 
 
+def _nested_too_deeply(records, n):
+    # json.loads recurses once per level, so this line exceeds the recursion limit
+    records.insert(1, "[" * 200_000 + "]" * 200_000)
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -253,13 +260,16 @@ def _core_vertex_added_again(records, n):
         _added_edge_off_core,
         _unknown_schema,
         _core_vertex_added_again,
+        _nested_too_deeply,
     ],
 )
 def test_verify_malformed_trace_exits_2(tmp_path, capsys, edit):
+    """A str record is written as the trace line itself, not as JSON."""
     g = triangle_chain(12)
     gpath, opath, tpath, records = orient_artifacts(tmp_path, g, "2")
     edit(records, g.n)
-    tpath.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    lines = (r if isinstance(r, str) else json.dumps(r) for r in records)
+    tpath.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["verify", gpath, "--orientation", opath, "--trace", str(tpath)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -604,3 +614,63 @@ def test_verify_never_raises_on_edited_files(small_run, data):
             "--trace", str(paths["trace"])]
     with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
         assert main(argv) in (0, 2, 3, 4)
+
+
+# every top-level integer of a trace record, by what verify does with it:
+# claims it recomputes, refused (4) once moved
+RECOMPUTED = (
+    "growth_header.n", "growth_header.m", "growth_header.min_degree", "growth_header.girth",
+    "growth_header.ball_floor", "growth_header.scale", "growth_header.radius",
+    "growth_header.reach", "growth_iteration.index", "growth_final.iterations",
+    "growth_final.max_distance", "growth_final.core_vertex_count", "growth_final.center_count",
+    "growth_final.claimed_count", "extension_header.core_size", "extension_header.core_diameter",
+    "extension_header.s", "extension_header.allowed_increase", "extension_round.round",
+    "extension_round.s", "extension_final.diameter", "extension_final.core_diameter",
+    "extension_final.increase", "extension_final.allowed_increase", "extension_final.rounds",
+    "pipeline_final.achieved", "pipeline_final.core_diameter",
+)
+# fields that choose what the replay reads, so a moved one is malformed (2)
+MALFORMED = ("growth_header.schema", "growth_header.v0")
+# logs only (README): a moved one may be accepted (0), or be malformed (2)
+# when a step's vertex repeats another step's or leaves the graph; the
+# chain-case j is on some runs only
+LOG_ONLY = (
+    "growth_iteration.cover_steps", "growth_iteration.splices",
+    "growth_iteration.labeled_on_path", "extension_round.roundtrip_max",
+    "extension_step.vertex", "extension_step.anchor", "extension_step.vprime",
+    "extension_step.escape", "extension_step.j", "extension_step.round",
+)
+EXITS = {
+    **dict.fromkeys(RECOMPUTED, {4}), **dict.fromkeys(MALFORMED, {2}),
+    **dict.fromkeys(LOG_ONLY, {0, 2}),
+}
+
+
+@pytest.mark.parametrize(
+    "g, epsilon",
+    [(triangle_chain(12), "2"), (circulant_graph(60, (1, 2)), "1/2")],
+    ids=["triangle_chain_12", "circulant_60_1_2"],
+)
+def test_verify_refuses_each_recomputed_integer_moved_by_one(tmp_path, g, epsilon):
+    """Each integer of the trace moved by -1 and by +1, in the first record
+    that holds it, exits as ``EXITS`` says; a new integer field must be listed.
+    """
+    with redirect_stdout(StringIO()):
+        gpath, opath, tpath, records = orient_artifacts(tmp_path, g, epsilon)
+    first = {}
+    for pos, rec in enumerate(records):
+        for key, value in rec.items():
+            if type(value) is int:
+                first.setdefault(f"{rec['type']}.{key}", (pos, key))
+    assert {*RECOMPUTED, *MALFORMED} <= set(first) <= set(EXITS)
+    wrong = []
+    for name, (pos, key) in sorted(first.items()):
+        for delta in (-1, 1):
+            edited = [dict(rec) for rec in records]
+            edited[pos][key] += delta
+            tpath.write_text("\n".join(json.dumps(r) for r in edited) + "\n")
+            with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+                code = main(["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
+            if code not in EXITS[name]:
+                wrong.append(f"{name} {delta:+d}: exit {code}")
+    assert not wrong

@@ -70,9 +70,10 @@ def test_bfs_distances_cycle():
 
 
 def test_bfs_distances_excluded_edge():
+    """With the edge 0-1 deleted, 1 lies 5 from 0 around the 6-cycle."""
     g = cycle_graph(6)
-    d = bfs_distances(g, (0,), excluded=((0, 1),))
-    assert d[1] == 5
+    assert 1 not in ball(g, 0, 4, excluded=((0, 1),))
+    assert 1 in ball(g, 0, 5, excluded=((0, 1),))
 
 
 def test_bfs_distances_multisource():
