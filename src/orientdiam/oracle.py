@@ -1,13 +1,13 @@
 """Exact references computed by exhaustive search, for checking the fast path.
 
 Everything here is deliberately independent of the construction code: the
-searcher works on bitmasks, the two diameter cross-checkers on raw arc lists
-(a plain BFS from every vertex, the reference, and the eccentricity-bounding
+searcher works on bitmasks, the two diameter searches on raw arc lists (a
+plain BFS from every vertex, the reference, and the eccentricity-bounding
 search that ``pipeline.certify`` runs on the whole orientation and on the
-core's arcs alone), so agreement with the main pipeline is meaningful
-evidence. The construction's ``orientation.diameter_among`` bounds
-eccentricities too; what keeps the check independent is separate code, not
-a different algorithm.
+core's arcs alone, the only measurement of either diameter there), so
+agreement with the main pipeline is meaningful evidence. The construction's
+``orientation.diameter_among`` bounds eccentricities too; what keeps the
+check independent is separate code, not a different algorithm.
 """
 
 from __future__ import annotations

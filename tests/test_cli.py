@@ -106,8 +106,8 @@ def test_verify_rejects_tampered_orientation(tmp_path, capsys):
     code, data = run_json(capsys, ["verify", gpath, "--orientation", str(opath)])
     assert code == 4
     assert not data["ok"]
-    strong = next(c for c in data["checks"] if c["name"] == "orientation_strong")
-    assert not strong["ok"]
+    assert [c["name"] for c in data["checks"]] == ["orientation_strong"]
+    assert not data["checks"][0]["ok"]
 
 
 def test_verify_rejects_tampered_trace(tmp_path, capsys):
@@ -160,22 +160,24 @@ def test_verify_refuses_forged_diameters(tmp_path, capsys):
     assert failed == ["trace_claims_match_orientation"]
 
 
-def test_verify_cross_check_is_independent_of_directed_diameter(tmp_path, capsys, monkeypatch):
-    gpath, opath, _, _ = orient_artifacts(tmp_path, cycle_graph(8))
+def test_verify_catches_a_diameter_overstated_at_orient_time(tmp_path, capsys, monkeypatch):
+    """orient claims one more than the truth; verify measures it unpatched."""
+    true_diameter = extension.directed_diameter
+    with monkeypatch.context() as patched:
+        patched.setattr(extension, "directed_diameter", lambda o: true_diameter(o) + 1)
+        gpath, opath, tpath, _ = orient_artifacts(tmp_path, cycle_graph(8))
     capsys.readouterr()
-    true_diameter = pipeline.directed_diameter
-    monkeypatch.setattr(pipeline, "directed_diameter", lambda o: true_diameter(o) + 1)
-    code, data = run_json(capsys, ["verify", gpath, "--orientation", opath])
+    code, data = run_json(capsys, ["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
     assert code == 4
     failed = [c for c in data["checks"] if not c["ok"]]
-    assert [c["name"] for c in failed] == ["orientation_diameter_cross_check"]
-    assert failed[0]["detail"] == "8 == 7"
+    assert [c["name"] for c in failed] == ["trace_claims_match_orientation"]
+    assert failed[0]["detail"] == "diameter 7, core diameter 0"
 
 
-def test_verify_catches_an_understating_kernel_fallback(tmp_path, capsys, monkeypatch):
-    """A diameter_among whose bit-parallel exit returns one less than the truth."""
-    gpath, opath, _, _ = orient_artifacts(tmp_path, random_bridgeless(800, 4, 3, 0))
-    capsys.readouterr()
+def test_verify_catches_an_understating_kernel_fallback_at_orient_time(
+    tmp_path, capsys, monkeypatch
+):
+    """orient's diameter_among returns one less than the truth on its bit-parallel exit."""
     true_kernel, true_diameter_among = orientation._bit_levels, orientation.diameter_among
     taken = []
 
@@ -184,35 +186,59 @@ def test_verify_catches_an_understating_kernel_fallback(tmp_path, capsys, monkey
         diam = true_diameter_among(o, vertices)
         return diam - 1 if taken else diam
 
-    monkeypatch.setattr(orientation, "_bit_levels", lambda *a: taken.append(1) or true_kernel(*a))
-    monkeypatch.setattr(orientation, "diameter_among", understated)
-    code, data = run_json(capsys, ["verify", gpath, "--orientation", opath])
+    with monkeypatch.context() as patched:
+        patched.setattr(orientation, "_bit_levels", lambda *a: taken.append(1) or true_kernel(*a))
+        patched.setattr(orientation, "diameter_among", understated)
+        gpath, opath, tpath, _ = orient_artifacts(tmp_path, random_bridgeless(800, 4, 3, 0))
     assert taken, "the orientation's diameter must reach the kernel fallback"
+    capsys.readouterr()
+    code, data = run_json(capsys, ["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
     assert code == 4
     failed = [c for c in data["checks"] if not c["ok"]]
-    assert [c["name"] for c in failed] == ["orientation_diameter_cross_check"]
-    assert failed[0]["detail"] == "24 == 25"
+    assert [c["name"] for c in failed] == ["trace_claims_match_orientation"]
+    assert failed[0]["detail"].startswith("diameter 25,")
+
+
+def test_verify_does_not_run_the_construction_search(tmp_path, capsys, monkeypatch):
+    """verify measures every diameter with the oracle's search, never diameter_among."""
+    gpath, opath, tpath, _ = orient_artifacts(tmp_path, triangle_chain(12), "2")
+
+    def refuse(o, vertices):
+        raise AssertionError("verify ran the construction's diameter search")
+
+    monkeypatch.setattr(orientation, "diameter_among", refuse)
+    monkeypatch.setattr(extension, "diameter_among", refuse)
+    capsys.readouterr()
+    code, data = run_json(capsys, ["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
+    assert code == 0
+    assert data["ok"] is True
 
 
 def test_verify_catches_a_core_diameter_defect_shared_with_the_construction(
     tmp_path, capsys, monkeypatch
 ):
-    """A kernel that understates every core diameter fools orient, not verify."""
+    """A kernel that moves every core diameter by one fools orient, not verify.
+
+    Moved up, the claim needs a core whose diameter is below its size - 1,
+    or orient's own core_diameter_within_size refuses it first.
+    """
     true_diameter_among = extension.diameter_among
+    for delta, g in ((-1, triangle_chain(12)), (1, random_bridgeless(40, 4, 3, 2))):
 
-    def understated(o, vertices):
-        vertices = set(vertices)
-        diam = true_diameter_among(o, vertices)
-        return diam - 1 if len(vertices) < o.base.n and diam > 0 else diam
+        def moved(o, vertices):
+            vertices = set(vertices)
+            diam = true_diameter_among(o, vertices)
+            return diam + delta if len(vertices) < o.base.n and diam > 0 else diam
 
-    monkeypatch.setattr(extension, "diameter_among", understated)
-    monkeypatch.setattr(pipeline, "diameter_among", understated, raising=False)
-    gpath, opath, tpath, _ = orient_artifacts(tmp_path, triangle_chain(12), "2")
-    capsys.readouterr()
-    code, data = run_json(capsys, ["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
-    assert code == 4
-    failed = [c["name"] for c in data["checks"] if not c["ok"]]
-    assert failed == ["trace_claims_match_orientation"]
+        monkeypatch.setattr(extension, "diameter_among", moved)
+        monkeypatch.setattr(pipeline, "diameter_among", moved, raising=False)
+        gpath, opath, tpath, _ = orient_artifacts(tmp_path, g, "2")
+        capsys.readouterr()
+        argv = ["verify", gpath, "--orientation", opath, "--trace", str(tpath)]
+        code, data = run_json(capsys, argv)
+        assert code == 4, delta
+        failed = [c["name"] for c in data["checks"] if not c["ok"]]
+        assert failed == ["trace_claims_match_orientation"], delta
 
 
 def _non_object_line(records, n):
@@ -336,6 +362,8 @@ def _first(records, kind):
         lambda recs: _first(recs, "extension_round").pop("frontier"),
         lambda recs: _first(recs, "growth_iteration").update(cover_steps="x"),
         lambda recs: _first(recs, "extension_step").update(round=None),
+        lambda recs: _first(recs, "extension_step").update(j="x"),
+        lambda recs: _first(recs, "extension_step").update(window_empty=3),
     ],
     ids=[
         "labeled_out_of_range",
@@ -347,6 +375,8 @@ def _first(records, kind):
         "frontier_missing",
         "cover_steps_not_int",
         "round_null",
+        "j_not_int",
+        "window_empty_not_bool",
     ],
 )
 def test_verify_rejects_malformed_log_fields(tmp_path, capsys, edit):
@@ -646,31 +676,98 @@ EXITS = {
 }
 
 
-@pytest.mark.parametrize(
+def _first_fields(records, kinds):
+    """Each top-level field but ``type`` of a type in ``kinds``: "record.key" -> (pos, key).
+
+    pos is the first record that holds it.
+    """
+    first = {}
+    for pos, rec in enumerate(records):
+        for key, value in rec.items():
+            if type(value) in kinds and key != "type":
+                first.setdefault(f"{rec['type']}.{key}", (pos, key))
+    return first
+
+
+def _wrong_exits(paths, records, edits, exits):
+    """Each edit (name, pos, key, value) applied alone; those whose exit is not in exits[name]."""
+    gpath, opath, tpath = paths
+    wrong = []
+    for name, pos, key, value in edits:
+        edited = [dict(rec) for rec in records]
+        edited[pos][key] = value
+        tpath.write_text("\n".join(json.dumps(r) for r in edited) + "\n")
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = main(["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
+        if code not in exits[name]:
+            wrong.append(f"{name} -> {value!r}: exit {code}")
+    return wrong
+
+
+TWO_RUNS = pytest.mark.parametrize(
     "g, epsilon",
     [(triangle_chain(12), "2"), (circulant_graph(60, (1, 2)), "1/2")],
     ids=["triangle_chain_12", "circulant_60_1_2"],
 )
+
+
+@TWO_RUNS
 def test_verify_refuses_each_recomputed_integer_moved_by_one(tmp_path, g, epsilon):
     """Each integer of the trace moved by -1 and by +1, in the first record
     that holds it, exits as ``EXITS`` says; a new integer field must be listed.
     """
     with redirect_stdout(StringIO()):
         gpath, opath, tpath, records = orient_artifacts(tmp_path, g, epsilon)
-    first = {}
-    for pos, rec in enumerate(records):
-        for key, value in rec.items():
-            if type(value) is int:
-                first.setdefault(f"{rec['type']}.{key}", (pos, key))
+    first = _first_fields(records, (int,))
     assert {*RECOMPUTED, *MALFORMED} <= set(first) <= set(EXITS)
-    wrong = []
-    for name, (pos, key) in sorted(first.items()):
-        for delta in (-1, 1):
-            edited = [dict(rec) for rec in records]
-            edited[pos][key] += delta
-            tpath.write_text("\n".join(json.dumps(r) for r in edited) + "\n")
-            with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
-                code = main(["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
-            if code not in EXITS[name]:
-                wrong.append(f"{name} {delta:+d}: exit {code}")
-    assert not wrong
+    edits = [
+        (name, pos, key, records[pos][key] + delta)
+        for name, (pos, key) in sorted(first.items())
+        for delta in (-1, 1)
+    ]
+    assert not _wrong_exits((gpath, opath, tpath), records, edits, EXITS)
+
+
+# every top-level bool and str of a trace record but ``type``, by what verify
+# does with it once changed: claims it recomputes (4); the growth fallback
+# flag, which picks whether the replay's balls avoid the path edges, both
+# readings recomputed (0 where the balls come out the same, else 4); and logs
+# only (0)
+FLAG_EXITS = {
+    **dict.fromkeys(
+        (
+            "growth_header.epsilon", "growth_final.property1",
+            "extension_round.roundtrip_probe_ok", "extension_final.strong",
+            "extension_final.ok", "pipeline_final.ok", "pipeline_final.bound_total",
+        ),
+        {4},
+    ),
+    "growth_iteration.fallback": {0, 4},
+    **dict.fromkeys(("extension_step.case", "extension_step.window_empty"), {0}),
+}
+
+
+def _changed(value):
+    """A bool flipped, a rational string's numerator plus one, another string extended."""
+    if type(value) is bool:
+        return not value
+    p, slash, q = value.partition("/")
+    return f"{int(p) + 1}{slash}{q}" if p.isdigit() else value + "x"
+
+
+@TWO_RUNS
+def test_verify_refuses_each_recomputed_flag_and_string_changed(tmp_path, g, epsilon):
+    """Each bool of the trace flipped, and each str changed, in the first
+    record that holds it, exits as ``FLAG_EXITS`` says; a new such field must
+    be listed.
+    """
+    with redirect_stdout(StringIO()):
+        gpath, opath, tpath, records = orient_artifacts(tmp_path, g, epsilon)
+    first = _first_fields(records, (bool, str))
+    recomputed = {name for name, codes in FLAG_EXITS.items() if codes == {4}}
+    assert recomputed <= set(first) <= set(FLAG_EXITS)
+    edits = [
+        (name, pos, key, _changed(records[pos][key]))
+        for name, (pos, key) in sorted(first.items())
+    ]
+    assert not _wrong_exits((gpath, opath, tpath), records, edits, FLAG_EXITS)
