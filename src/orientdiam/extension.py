@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .bounds import allowed_increase, round_trip_cap
 from .errors import CertifiedFailureError, PreconditionError
-from .graph import UNREACHABLE, Graph, bfs_distances, shortest_path_between
+from .graph import UNREACHABLE, Graph, bfs_distances, edge_key, path_between
 from .orientation import (
     Orientation,
     diameter_among,
@@ -157,10 +157,11 @@ def extend_orientation(
         anchors = {
             v: min(w for w in g.neighbors(v) if w in a_start) for v in v1
         }
-        # g and a_start stay fixed for the round, so each escape path is too
+        # g and a_start stay fixed for the round, so each escape path is too;
+        # bfs_distances checked the core's range, and a_start grows by BFS
         escape: dict[int, list[int]] = {}
         for v in v1:
-            q = shortest_path_between(g, (v,), a_start, excluded=((v, anchors[v]),))
+            q = path_between(g, {v}, a_start, frozenset((edge_key(v, anchors[v]),)))
             if q is None:
                 raise CertifiedFailureError(
                     "frontier vertex has no second route to the core",

@@ -103,7 +103,10 @@ class LayeredBFS:
       With the distances to a core and the vertices added to it as sources,
       this lowers them in place: a vertex whose distance falls is next to a
       source or to one whose distance fell too, so the cost is the region
-      that moved closer, not the graph;
+      that moved closer, not the graph. Distances clamped at c, each read as
+      min(distance, c), are lowered exactly too, since they still differ by
+      at most one across an edge, and a search deepened to c - 1 is then
+      complete: no vertex can join a layer at depth c or beyond;
     - ``meets``: a set; ``met`` is the first depth whose layer holds one of
       its vertices, UNREACHABLE until then.
     """
@@ -177,11 +180,6 @@ def bfs_distances(g: Graph, sources: Iterable[int]) -> list[int | float]:
     return all_distances(g._adj, sources)
 
 
-# the last frozenset of targets found in range, and the n it was checked against:
-# immutable and held here by reference, so it stays in range for that n
-_targets_in_range: tuple[frozenset[int] | None, int] = (None, 0)
-
-
 def shortest_path_between(
     g: Graph,
     sources: Iterable[int],
@@ -194,44 +192,52 @@ def shortest_path_between(
     Tie-break: among shortest paths, the one starting at the smallest-id
     source whose vertex sequence is lexicographically smallest. Returns None
     when no path exists. ``blocked`` vertices are excluded as interior (and
-    as source/target) vertices; a blocked or out-of-range target raises. The
-    range check is skipped when ``targets`` is the very frozenset that last
-    passed it for the same n, as the extension's per-round core is.
-
-    The search runs one layer at a time from the smaller end and stops at
-    the first layer that meets the other, so its cost is the ball of that
-    radius around the smaller end, not the whole graph or the larger end; a
-    set passed as the larger end is read in place (its range checked by
-    ``min`` and ``max``), neither copied nor sorted. From the targets (fewer targets than sources), the path starts
-    at the smallest source of the last layer and walks down to the smallest
-    usable neighbour one layer closer. From the sources, a backward pass from
-    the targets met keeps, layer by layer, the vertices that lead to one of
-    them; the path then takes the smallest kept vertex of every layer that
-    extends it.
+    as source/target) vertices; an empty end, a blocked target or a vertex
+    out of range raises ValueError. The checks read each end once, with
+    ``min`` and ``max``; the search itself is ``path_between``.
     """
-    global _targets_in_range
-    ex = _normalize_excluded(excluded)
     blk = set(blocked)
     src = sources if isinstance(sources, (set, frozenset)) else set(sources)
     tgt = targets if isinstance(targets, (set, frozenset)) else set(targets)
     if not src or not tgt:
         raise ValueError("sources and targets must be non-empty")
-    checked, checked_n = _targets_in_range
-    if checked is not tgt or checked_n != g.n:
-        if min(tgt) < 0 or max(tgt) >= g.n:
-            raise ValueError(f"target out of range for n={g.n}")
-        if isinstance(tgt, frozenset):
-            _targets_in_range = (tgt, g.n)
+    if min(tgt) < 0 or max(tgt) >= g.n:
+        raise ValueError(f"target out of range for n={g.n}")
     if not blk.isdisjoint(tgt):
         raise ValueError(f"target {min(blk.intersection(tgt))} is blocked")
-    from_targets = len(tgt) < len(src)
-    if from_targets:
-        start, stop, lo, hi = tgt, src, min(src), max(src)
-    else:
-        start, stop = sorted(src), tgt
-        lo, hi = start[0], start[-1]
-    if lo < 0 or hi >= g.n:
+    if min(src) < 0 or max(src) >= g.n:
         raise ValueError(f"source out of range for n={g.n}")
+    return path_between(g, src, tgt, _normalize_excluded(excluded), blk)
+
+
+def path_between(
+    g: Graph,
+    src: Set[int],
+    tgt: Set[int],
+    ex: Set[tuple[int, int]] = frozenset(),
+    blk: Set[int] = frozenset(),
+    limit: int | float = UNREACHABLE,
+) -> list[int] | None:
+    """The search behind ``shortest_path_between``, with nothing checked.
+
+    For callers whose vertex sets came from searching g: ``src`` and ``tgt``
+    are non-empty, in range and, as ends, read only through ``len``,
+    iteration, ``isdisjoint`` and ``intersection``; ``ex`` holds canonical
+    edge keys; no target is blocked. With a ``limit``, a path longer than
+    it is reported as None.
+
+    The search runs one layer at a time from the smaller end and stops at
+    the first layer that meets the other, so its cost is the ball of that
+    radius around the smaller end, not the whole graph or the larger end,
+    which is read in place, neither copied nor sorted. From the targets
+    (fewer targets than sources), the path starts at the smallest source of
+    the last layer and walks down to the smallest usable neighbour one layer
+    closer. From the sources, a backward pass from the targets met keeps,
+    layer by layer, the vertices that lead to one of them; the path then
+    takes the smallest kept vertex of every layer that extends it.
+    """
+    from_targets = len(tgt) < len(src)
+    start, stop = (tgt, src) if from_targets else (sorted(src), tgt)
 
     def usable(u: int, w: int) -> bool:
         return not ex or edge_key(u, w) not in ex
@@ -239,10 +245,10 @@ def shortest_path_between(
     search = LayeredBFS(g._adj, (s for s in start if s not in blk), ex, meets=stop)
     dist = search.dist
     dist.update(dict.fromkeys(blk, -1))  # blocked vertices count as seen, on no layer
-    search.deepen(to_meet=True)
-    layer, depth = search.frontier, search.depth
-    if not layer:
+    search.deepen(limit, to_meet=True)
+    if search.met == UNREACHABLE:
         return None
+    layer, depth = search.frontier, search.depth
     if from_targets:
         cur = min(src.intersection(layer))
         path = [cur]

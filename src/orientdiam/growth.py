@@ -15,9 +15,11 @@ construction itself reads.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import heapq
+from collections.abc import Iterable, Set
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import chain
 
 from .bounds import BoundReport, as_fraction, diameter_bound, rational_str
 from .errors import CertifiedFailureError, PreconditionError
@@ -26,13 +28,12 @@ from .graph import (
     Graph,
     LayeredBFS,
     ball,
-    bfs_distances,
     bridge_witness,
     bridges_of,
     edge_key,
     girth,
     min_degree,
-    shortest_path_between,
+    path_between,
 )
 
 
@@ -148,7 +149,12 @@ def _covered_prefix(
 
     ``added`` holds the working core's vertices outside ``h_v`` and off the
     path (in ``cover_path``, the labels), so the search costs the path and
-    its detours, not the core.
+    its detours, not the core. Of ``hp_e`` only the edges at a vertex outside
+    ``h_v`` are read, so the edges added to the core serve as well as all of
+    them.
+
+    ``cover_path`` runs it only once a splice has happened in the call;
+    before that the prefix is known without a search (see there).
 
     The bridge search runs on core + path with the pre-iteration core
     ``h_v`` contracted to ``path[0]``, its only vertex on the path
@@ -189,13 +195,19 @@ def _apply_splice(
     labeled: list[int],
     candidate: list[int],
     splice_path: list[int],
-    hp_v: set[int],
-    hp_e: set[tuple[int, int]],
-    protected_v: set[int],
-    protected_e: frozenset[tuple[int, int]],
+    h_v: Set[int],
+    add_v: set[int],
+    add_e: set[tuple[int, int]],
+    path_set: set[int],
+    path_edges: frozenset[tuple[int, int]],
     counters: dict,
 ) -> None:
-    """Replace the label list, drop orphaned vertices, graft the splice path."""
+    """Replace the label list, drop orphaned vertices, graft the splice path.
+
+    ``add_v`` and ``add_e`` hold what the iteration added to the core
+    ``h_v``. A dropped label is never a core vertex, so none of its edges is
+    a core edge; path vertices and edges are kept.
+    """
     seen: set[int] = set()
     new_labeled: list[int] = []
     for x in candidate:
@@ -203,17 +215,12 @@ def _apply_splice(
             seen.add(x)
             new_labeled.append(x)
     dropped = {x for x in labeled if x not in seen}
-    for x in dropped:
-        if x not in protected_v:
-            hp_v.discard(x)
-    doomed = {
-        e for e in hp_e if (e[0] in dropped or e[1] in dropped) and e not in protected_e
-    }
-    hp_e -= doomed
-    for x in splice_path:
-        hp_v.add(x)
-    for a, b in zip(splice_path, splice_path[1:]):
-        hp_e.add(edge_key(a, b))
+    add_v.difference_update(dropped - path_set)
+    add_e.difference_update([
+        e for e in add_e if (e[0] in dropped or e[1] in dropped) and e not in path_edges
+    ])
+    add_v.update(x for x in splice_path if x not in h_v)
+    add_e.update(edge_key(a, b) for a, b in zip(splice_path, splice_path[1:]))
     labeled[:] = new_labeled
     counters["splices"] += 1
 
@@ -244,9 +251,8 @@ def _stabilize(
     near: dict[int, LayeredBFS],
     path_set: set[int],
     path_edges: frozenset[tuple[int, int]],
-    h_e_protected: frozenset[tuple[int, int]],
-    hp_v: set[int],
-    hp_e: set[tuple[int, int]],
+    add_v: set[int],
+    add_e: set[tuple[int, int]],
     labeled: list[int],
     counters: dict,
     budget: int,
@@ -265,6 +271,13 @@ def _stabilize(
     one is too far to violate, and a search that has not met the core by
     then puts its label at least k from it. The distance from the core is
     read off the label's own search, so no BFS from the core is needed.
+
+    Each splice first searches for a route of the pair's distance s that
+    avoids the path, and falls back to any shortest route. The first search
+    is cut at depth s, since only a route that short is taken. It blocks the
+    path alone: a label pair is checked only once every label m is at least
+    m from the core, so a route through the core is at least m1 + m2 > s
+    long and none is taken. Nothing here copies or scans the core.
     """
     while labeled:
         depth = len(labeled) - 1
@@ -280,8 +293,6 @@ def _stabilize(
                     break
             else:
                 return
-        protected_v = path_set | h_v
-        protected_e = h_e_protected | path_edges
         q2 = labeled[m2 - 1]
         s = near[q2].met if m1 == 0 else row[q2]
         if m1 == 0 and s <= 0:
@@ -291,86 +302,109 @@ def _stabilize(
             )
         _bump(counters, budget, {"labeled": list(labeled)})
         # at position 0 the search runs from the label to the core
-        src, dst = ((q2,), h_v) if m1 == 0 else ((labeled[m1 - 1],), (q2,))
-        blocked = protected_v.difference(src, dst)
-        sp = shortest_path_between(g, src, dst, excluded=path_edges, blocked=blocked)
-        if sp is None or len(sp) - 1 != s:
-            sp = shortest_path_between(g, src, dst, excluded=path_edges)
+        src, dst = ({q2}, h_v) if m1 == 0 else ({labeled[m1 - 1]}, {q2})
+        blocked = {x for x in path_set if x not in src and x not in dst}
+        sp = path_between(g, src, dst, path_edges, blocked, limit=s)
+        if sp is None:
+            sp = path_between(g, src, dst, path_edges)
             counters["labeled_on_path"] += sum(1 for x in sp[1:-1] if x in path_set)
         # s - 1 < m2 - m1 - 1 vertices replace the labels between the pair: the list shrinks
         inner = sp[1:-1][::-1] if m1 == 0 else sp[1:-1]
         candidate = labeled[:m1] + inner + labeled[m2 - 1 :]
-        _apply_splice(
-            labeled, candidate, sp, hp_v, hp_e, protected_v, protected_e, counters
-        )
+        _apply_splice(labeled, candidate, sp, h_v, add_v, add_e, path_set, path_edges, counters)
+
+
+class _Joined:
+    """Two disjoint vertex sets read as their union, which is never built: the
+    core and what one iteration has added to it, as a ``path_between`` end.
+    """
+
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Set[int], second: Set[int]):
+        self.first, self.second = first, second
+
+    def __len__(self) -> int:
+        return len(self.first) + len(self.second)
+
+    def __iter__(self):
+        return chain(self.first, self.second)
+
+    def isdisjoint(self, xs: Iterable[int]) -> bool:
+        return self.first.isdisjoint(xs) and self.second.isdisjoint(xs)
+
+    def intersection(self, xs: Iterable[int]) -> set[int]:
+        return self.first.intersection(xs) | self.second.intersection(xs)
 
 
 def cover_path(
     g: Graph,
     h_v: set[int],
-    h_e: set[tuple[int, int]],
     path: list[int],
     budget: int,
 ) -> tuple[set[int], set[tuple[int, int]], list[int], dict]:
     """Patch detours onto core + path until no path edge is a bridge.
 
-    Returns the enlarged vertex/edge sets, the detour vertices in label
-    order, and the step counters. The covered prefix of the path migrates
-    into the working subgraph as soon as it is safe, so detour searches
-    always start from everything already secured.
+    Returns the vertices and edges added to the core, whose vertex set is
+    ``h_v``, the detour vertices in label order, and the step counters. The
+    core is read, never changed or copied. Its edges are not needed, since
+    every added edge has an end outside the core. The working subgraph is
+    the core plus what was added. The covered prefix of the path, its
+    leading edges that are no bridge of the working subgraph plus the path,
+    migrates into the working subgraph as soon as it is safe, so detour
+    searches always start from everything already secured.
+
+    Until a step splices, the prefix is known without a bridge search. Read
+    the working subgraph with the core contracted to ``path[0]``, as
+    ``_covered_prefix`` does. The path is a shortest path out of the core,
+    so at the start it hangs off the core and the prefix is 0. A detour runs from the connected
+    working subgraph to ``path[j]``, the first vertex beyond the prefix it
+    meets, with every inner vertex new. So it closes a cycle over
+    ``path[cp..j]`` and adds no edge at a vertex beyond j. The working
+    subgraph stays connected, the path beyond j still hangs off ``path[j]``,
+    and the prefix becomes j. A splice removes labels and their edges, which
+    this argument does not follow, so once a step has spliced the bridge
+    search decides every later step.
 
     Each detour is searched from the uncovered suffix, the smaller end, and
-    stops at the first layer that meets the working core, so a cover step
-    costs the ball around the suffix, not the core. The core ``h_v``/``h_e``
-    and the path edges stay fixed for the whole call, so the label searches
-    of ``_stabilize`` live here and are deepened, never redone, by every
-    cover step; they also give each label's distance to the core.
+    stops at the first layer that meets the working subgraph, so a cover
+    step costs the ball around the suffix, not the core. The core and the
+    path edges stay fixed for the whole call, so the label searches of
+    ``_stabilize`` live here and are deepened, never redone, by every cover
+    step; they also give each label's distance to the core.
     """
     path_edges = frozenset(edge_key(a, b) for a, b in zip(path, path[1:]))
     path_set = set(path)
-    h_e_protected = frozenset(h_e)
-    hp_v = set(h_v)
-    hp_e = set(h_e)
+    add_v: set[int] = set()
+    add_e: set[tuple[int, int]] = set()
+    working = _Joined(h_v, add_v)
     labeled: list[int] = []
     counters = {"rounds": 0, "cover_steps": 0, "splices": 0, "labeled_on_path": 0}
     near: dict[int, LayeredBFS] = {}
     target_edges = len(path) - 1
+    cp = 0
     while True:
-        cp = _covered_prefix(g, path, h_v, labeled, hp_e)
-        for t in range(cp):
-            hp_v.add(path[t])
-            hp_v.add(path[t + 1])
-            hp_e.add(edge_key(path[t], path[t + 1]))
+        add_v.update(path[1 : cp + 1])
+        add_e.update(edge_key(a, b) for a, b in zip(path, path[1 : cp + 1]))
         if cp == target_edges:
             break
         _bump(counters, budget, {"path": path, "covered": cp})
-        suffix = path[cp + 1 :]
-        r_path = shortest_path_between(g, hp_v, suffix, excluded=path_edges)
+        r_path = path_between(g, working, set(path[cp + 1 :]), path_edges)
         if r_path is None:
             raise CertifiedFailureError(
                 "no detour reaches the uncovered suffix",
                 details={"path": path, "covered": cp},
             )
         labeled.extend(r_path[1:-1])
-        for x in r_path:
-            hp_v.add(x)
-        for a, b in zip(r_path, r_path[1:]):
-            hp_e.add(edge_key(a, b))
+        add_v.update(r_path[1:])  # r_path[0] is in the working subgraph already
+        add_e.update(edge_key(a, b) for a, b in zip(r_path, r_path[1:]))
         counters["cover_steps"] += 1
-        _stabilize(
-            g,
-            h_v,
-            near,
-            path_set,
-            path_edges,
-            h_e_protected,
-            hp_v,
-            hp_e,
-            labeled,
-            counters,
-            budget,
-        )
-    return hp_v, hp_e, labeled, counters
+        _stabilize(g, h_v, near, path_set, path_edges, add_v, add_e, labeled, counters, budget)
+        if counters["splices"]:
+            cp = _covered_prefix(g, path, h_v, labeled, add_e)
+        else:
+            cp = path.index(r_path[-1], cp + 1)
+    return add_v, add_e, labeled, counters
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +454,16 @@ def final_claims(
 def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     """Iterate path covering until every vertex is within reach of the core.
 
-    The distances to the core come from one BFS and are then lowered in
-    place as the core grows. The escape path is searched from its target,
-    the smaller end, and ``cover_path`` works near the path, so one
-    iteration costs about the neighbourhood of its escape path.
+    The distances to the core, clamped at reach + 1, are lowered in place
+    from the vertices each iteration adds; the clamp stops that search at
+    depth reach. The loop only asks whether some vertex is at reach or
+    beyond, and which is the smallest at exactly reach. In a connected graph
+    the first holds exactly when some vertex is at reach, so a lazy heap of
+    the vertices at reach, fed by each lowering search, answers both. The
+    escape path is searched from its target, the smaller end, and
+    ``cover_path`` works near the path and returns what it adds, so one
+    iteration costs about the neighbourhood of its escape path, not the
+    core.
 
     The result and its trace are claims until ``pipeline.certify`` replays
     them: a core that breaks a property is returned, not refused here.
@@ -450,20 +490,27 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     }
 
     iterations: list[IterationRecord] = []
-    dist = bfs_distances(g, h_v)
+    dist = [reach + 1] * g.n
+    at_reach: list[int] = []  # every vertex at distance reach, and some that were
+    added: Iterable[int] = (v0,)
     while True:
-        far = max(dist)
-        if far < reach:
+        lowering = LayeredBFS(g._adj, added, cap=dist)
+        lowering.deepen(reach)
+        for w, d in lowering.dist.items():
+            if d == reach:
+                heapq.heappush(at_reach, w)
+        while at_reach and dist[at_reach[0]] != reach:
+            heapq.heappop(at_reach)
+        if not at_reach:
             break
         if len(iterations) >= g.n:
             raise CertifiedFailureError(
                 "more growth iterations than vertices",
                 details={"header": header},
             )
-        target = dist.index(reach)
-        path = shortest_path_between(g, h_v, (target,))
+        path = path_between(g, h_v, {at_reach[0]})
         path_edges = [(a, b) for a, b in zip(path, path[1:])]
-        hp_v, hp_e, labeled, counters = cover_path(g, h_v, h_e, path, budget)
+        added, added_e, labeled, counters = cover_path(g, h_v, path, budget)
 
         sel = labeled[gval - 1 :: gval]
         fallback = len(sel) < scale
@@ -477,8 +524,6 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
         claimed -= f_set
         f_set |= claimed
         b_list.extend(centers)
-        added = hp_v - h_v
-        LayeredBFS(g._adj, added, cap=dist).deepen()
         iterations.append(
             IterationRecord(
                 index=len(iterations),
@@ -490,15 +535,16 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
                 splices=counters["splices"],
                 labeled_on_path=counters["labeled_on_path"],
                 added_vertices=tuple(sorted(added)),
-                added_edges=tuple(sorted(hp_e - h_e)),
+                added_edges=tuple(sorted(added_e)),
                 added_claimed=tuple(sorted(claimed)),
             )
         )
-        h_v, h_e = hp_v, hp_e
+        h_v |= added
+        h_e |= added_e
 
     final = {
         "type": "growth_final",
-        **final_claims(len(iterations), int(far), reach, h_v, b_list, f_set),
+        **final_claims(len(iterations), int(max(dist)), reach, h_v, b_list, f_set),
     }
     return GrowthResult(
         core_vertices=frozenset(h_v),

@@ -8,11 +8,17 @@ from itertools import combinations
 
 from hypothesis import assume, strategies as st
 
-from orientdiam.bounds import BoundReport, ball_radius, min_ball_size
-from orientdiam.errors import CertifiedFailureError, GraphFormatError, InfeasibleSpecError
+from orientdiam.bounds import BoundReport, as_fraction, ball_radius, diameter_bound, min_ball_size
+from orientdiam.errors import (
+    CertifiedFailureError,
+    GraphFormatError,
+    InfeasibleSpecError,
+    PreconditionError,
+)
 from orientdiam.graph import (
     UNREACHABLE,
     Graph,
+    LayeredBFS,
     _normalize_excluded,
     ball,
     bfs_distances,
@@ -25,8 +31,14 @@ from orientdiam.graph import (
 )
 from orientdiam.generators import random_bridgeless
 from orientdiam.growth import (
+    GrowthResult,
+    GrowthTrace,
+    IterationRecord,
     _apply_splice,
     _bump,
+    _covered_prefix,
+    _stabilize,
+    check_preconditions,
     final_claims,
     header_claims,
     subgraph_adjacency,
@@ -207,18 +219,16 @@ def reference_covered_prefix(path, hp_v, hp_e):
     return cp
 
 
-def reference_stabilize(
-    g, h_v, path_set, path_edges, h_e_protected, hp_v, hp_e, labeled, counters, budget
-):
+def reference_stabilize(g, h_v, path_set, path_edges, hp_v, hp_e, labeled, counters, budget):
     """The body that ``growth._stabilize`` replaced: full-graph BFS on every pass.
 
     Distances from the core are recomputed on every pass of the loop and the
     pair check runs an unbounded BFS from every label, so nothing is cached
-    and nothing is cut off; kept as the slow path the memoized, depth-bounded
-    checks are compared with.
+    and nothing is cut off, and a splice's first search blocks the core as
+    well as the path and runs to any depth; kept as the slow path the
+    memoized, depth-bounded checks are compared with. ``hp_v`` and ``hp_e``
+    may hold the whole working subgraph or only what was added to the core.
     """
-    protected_v = path_set | h_v
-    protected_e = h_e_protected | path_edges
     # the distances avoid the path edges: they are deleted from a copy of g
     cut = Graph(g.n, [e for e in g.edges() if e not in path_edges])
     while labeled:
@@ -241,7 +251,7 @@ def reference_stabilize(
                 sp = shortest_path_between(g, (q1,), h_v, excluded=path_edges)
                 counters["labeled_on_path"] += sum(1 for x in sp[1:-1] if x in path_set)
             candidate = list(reversed(sp[1:-1])) + labeled[m1 - 1 :]
-            _apply_splice(labeled, candidate, sp, hp_v, hp_e, protected_v, protected_e, counters)
+            _apply_splice(labeled, candidate, sp, h_v, hp_v, hp_e, path_set, path_edges, counters)
             continue
         pair = None
         for m1 in range(1, len(labeled) + 1):
@@ -263,7 +273,114 @@ def reference_stabilize(
             sp = shortest_path_between(g, (q1,), (q2,), excluded=path_edges)
             counters["labeled_on_path"] += sum(1 for x in sp[1:-1] if x in path_set)
         candidate = labeled[:m1] + sp[1:-1] + labeled[m2 - 1 :]
-        _apply_splice(labeled, candidate, sp, hp_v, hp_e, protected_v, protected_e, counters)
+        _apply_splice(labeled, candidate, sp, h_v, hp_v, hp_e, path_set, path_edges, counters)
+
+
+def reference_cover_path(g, h_v, h_e, path, budget):
+    """The body that ``growth.cover_path`` replaced: a bridge search on every step.
+
+    It copies the core, grows the copies into the whole working subgraph and
+    returns that; ``_covered_prefix`` decides every step, the first one
+    included. Kept as the slow path the prefix rule of ``cover_path``, which
+    searches only once a step has spliced, is compared with.
+    """
+    path_edges = frozenset(edge_key(a, b) for a, b in zip(path, path[1:]))
+    path_set = set(path)
+    hp_v, hp_e = set(h_v), set(h_e)
+    labeled: list[int] = []
+    counters = {"rounds": 0, "cover_steps": 0, "splices": 0, "labeled_on_path": 0}
+    near: dict = {}
+    while True:
+        cp = _covered_prefix(g, path, h_v, labeled, hp_e)
+        for t in range(cp):
+            hp_v.update((path[t], path[t + 1]))
+            hp_e.add(edge_key(path[t], path[t + 1]))
+        if cp == len(path) - 1:
+            break
+        _bump(counters, budget, {"path": path, "covered": cp})
+        r_path = shortest_path_between(g, hp_v, path[cp + 1 :], excluded=path_edges)
+        if r_path is None:
+            raise CertifiedFailureError(
+                "no detour reaches the uncovered suffix",
+                details={"path": path, "covered": cp},
+            )
+        labeled.extend(r_path[1:-1])
+        hp_v.update(r_path)
+        hp_e.update(edge_key(a, b) for a, b in zip(r_path, r_path[1:]))
+        counters["cover_steps"] += 1
+        _stabilize(g, h_v, near, path_set, path_edges, hp_v, hp_e, labeled, counters, budget)
+    return hp_v, hp_e, labeled, counters
+
+
+def reference_grow_core(g: Graph, eps) -> GrowthResult:
+    """The loop that ``growth.grow_core`` replaced, on ``reference_cover_path``.
+
+    Distances to the core are not clamped: each iteration reads ``max`` and
+    ``index`` over all of them, takes the set differences of the working
+    subgraph and the core, and lowers the distances to any depth.
+    """
+    check_preconditions(g)
+    e = as_fraction(eps)
+    if e <= 0:
+        raise PreconditionError("epsilon must be positive")
+    bound = diameter_bound(g.n, min_degree(g), int(girth(g)), e)
+    gval, scale, radius, reach = bound.girth, bound.scale, bound.radius, bound.reach
+    budget = 50 + 10 * (reach + g.n)
+    v0 = min(range(g.n), key=lambda v: (-g.degree(v), v))
+    h_v, h_e, b_list = {v0}, set(), [v0]
+    f_set = ball(g, v0, radius)
+    header = {
+        "type": "growth_header",
+        "schema": 2,
+        **header_claims(g, bound),
+        "v0": v0,
+        "base_claimed": sorted(f_set),
+    }
+    iterations = []
+    dist = bfs_distances(g, h_v)
+    while True:
+        far = max(dist)
+        if far < reach:
+            break
+        if len(iterations) >= g.n:
+            raise CertifiedFailureError(
+                "more growth iterations than vertices", details={"header": header}
+            )
+        path = shortest_path_between(g, h_v, (dist.index(reach),))
+        path_edges = list(zip(path, path[1:]))
+        hp_v, hp_e, labeled, counters = reference_cover_path(g, h_v, h_e, path, budget)
+        sel = labeled[gval - 1 :: gval]
+        fallback = len(sel) < scale
+        centers = [path[c * gval] for c in range(1, scale + 1)] if fallback else list(sel)
+        claimed = set()
+        for c in centers:
+            claimed |= ball(g, c, radius, excluded=() if fallback else path_edges)
+        claimed -= f_set
+        f_set |= claimed
+        b_list.extend(centers)
+        added = hp_v - h_v
+        LayeredBFS(g._adj, added, cap=dist).deepen()
+        iterations.append(
+            IterationRecord(
+                index=len(iterations),
+                path=tuple(path),
+                labeled=tuple(labeled),
+                centers=tuple(centers),
+                fallback=fallback,
+                cover_steps=counters["cover_steps"],
+                splices=counters["splices"],
+                labeled_on_path=counters["labeled_on_path"],
+                added_vertices=tuple(sorted(added)),
+                added_edges=tuple(sorted(hp_e - h_e)),
+                added_claimed=tuple(sorted(claimed)),
+            )
+        )
+        h_v, h_e = hp_v, hp_e
+    final = {
+        "type": "growth_final",
+        **final_claims(len(iterations), int(far), reach, h_v, b_list, f_set),
+    }
+    return GrowthResult(frozenset(h_v), frozenset(h_e), GrowthTrace(header, iterations, final), bound)
 
 
 def reference_chain_offset(i, a_val, b_val):

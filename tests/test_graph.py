@@ -102,21 +102,26 @@ def test_shortest_path_unreachable_and_errors():
         ((0,), (4,), ()),  # target out of range
         ((0,), (3,), (3,)),  # blocked target
         ((4,), (1,), ()),  # source out of range
+        ((0, 4), (1,), ()),  # source out of range, the larger end
     ]
     for sources, targets, blocked in bad_inputs:
         with pytest.raises(ValueError):
             shortest_path_between(P4, sources, targets, blocked=blocked)
 
 
-def test_shortest_path_range_check_survives_the_target_memo():
-    """Only the same frozenset, checked for the same n, skips the range check."""
+def test_shortest_path_range_check_runs_on_every_call():
+    """Both ends are checked on every call, whichever is the larger: a set
+    reused for a smaller graph, or changed in between, raises again.
+    """
     core = frozenset({1, 2})
     assert shortest_path_between(P4, (0,), core) == [0, 1]
     assert shortest_path_between(P4, (3,), core) == [3, 2]
     with pytest.raises(ValueError):
-        shortest_path_between(P4, (0,), frozenset({1, 4}))  # a fresh frozenset
+        shortest_path_between(P4, (0,), frozenset({1, 4}))
     with pytest.raises(ValueError):
         shortest_path_between(Graph(2, [(0, 1)]), (0,), core)  # the same one, smaller n
+    with pytest.raises(ValueError):
+        shortest_path_between(P4, {0, 1, 4}, (3,))  # a source out of range, the larger end
     reused = {1, 2}
     assert shortest_path_between(P4, (0,), reused) == [0, 1]
     reused.add(4)

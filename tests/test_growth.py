@@ -1,5 +1,7 @@
 """Tests for the core-growing construction."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -14,11 +16,17 @@ from conftest import (
     floyd_warshall,
     floyd_warshall_without,
     reference_covered_prefix,
+    reference_grow_core,
     reference_replay_growth,
     reference_stabilize,
 )
-from orientdiam.errors import CertifiedFailureError, GraphFormatError, PreconditionError
-from orientdiam.generators import circulant_graph, triangle_chain
+from orientdiam.errors import (
+    CertifiedFailureError,
+    GraphFormatError,
+    InfeasibleSpecError,
+    PreconditionError,
+)
+from orientdiam.generators import circulant_graph, random_bridgeless, triangle_chain
 from orientdiam.graph import (
     UNREACHABLE,
     Graph,
@@ -414,11 +422,11 @@ def test_stabilize_matches_full_bfs_reference():
                 slow[2].extend(x for x in extra if x not in slow[2])
             got = _outcome(
                 _stabilize, g, h_v, near, path_set, path_edges,
-                frozenset(h_e), fast[0], fast[1], fast[2], fast[3], 500,
+                fast[0], fast[1], fast[2], fast[3], 500,
             )
             want = _outcome(
                 reference_stabilize, g, h_v, path_set, path_edges,
-                frozenset(h_e), slow[0], slow[1], slow[2], slow[3], 500,
+                slow[0], slow[1], slow[2], slow[3], 500,
             )
             assert (got, fast) == (want, slow), f"seed {seed}"
             if want is not None:
@@ -456,7 +464,7 @@ def _stabilize_both(g, h_v, path_set, path_edges, hp_v, hp_e, labels):
         (reference_stabilize, (g, h_v, path_set, path_edges), slow),
     ):
         try:
-            fn(*args, frozenset(), *state, 500)
+            fn(*args, *state, 500)
             outcomes.append(None)
         except CertifiedFailureError as exc:
             outcomes.append((str(exc), exc.details))
@@ -496,6 +504,80 @@ def test_covered_prefix_matches_whole_subgraph_reference():
         }
         want = reference_covered_prefix(path, hp_v, hp_e)
         assert _covered_prefix(g, path, h_v, hp_v - h_v, hp_e) == want, f"seed {seed}"
+
+
+# ---------------------------------------------------------------------------
+# the growth loop against the loop it replaced
+
+EPSILONS = (Fraction(1, 2), 1, 2)
+
+
+def _growth_outcome(grow, g: Graph, eps):
+    """The iterations, final record and core of ``grow(g, eps)``, or what it raised."""
+    try:
+        r = grow(g, eps)
+    except CertifiedFailureError as exc:
+        return str(exc), exc.details
+    return r.trace.iterations, r.trace.final, r.core_vertices, r.core_edges
+
+
+def _relabeled_circulant(n: int, steps: tuple[int, ...], seed: int) -> Graph:
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in circulant_graph(n, steps).edges()])
+
+
+def test_grow_core_matches_reference_with_and_without_splices():
+    """Same iterations, final record and core as the loop that ran the bridge
+    search on every cover step and read ``max`` and ``index`` over unclamped
+    distances.
+
+    The sample holds iterations that spliced, after which the bridge search
+    decides, and iterations that did not, where the prefix follows the
+    detours' ends, so neither way of finding the covered prefix goes
+    untested.
+    """
+    graphs = [
+        _relabeled_circulant(n, steps, seed)
+        for n in (40, 70, 100, 150)
+        for steps in ((1, 2), (1, 3))
+        for seed in range(3)
+    ]
+    for n in (20, 30, 40):
+        for seed in range(40):
+            try:
+                graphs.append(random_bridgeless(n, 3 + seed % 2, 3, seed))
+            except InfeasibleSpecError:
+                pass
+    spliced = splice_free = 0
+    for g in graphs:
+        for eps in EPSILONS:
+            got = _growth_outcome(grow_core, g, eps)
+            assert got == _growth_outcome(reference_grow_core, g, eps), (g, eps)
+            for it in got[0] if isinstance(got[0], list) else ():
+                spliced += it.splices > 0
+                splice_free += it.cover_steps > 0 and it.splices == 0
+    assert spliced >= 20 and splice_free >= 100
+
+
+@settings(max_examples=60, deadline=None)
+@given(bridgeless_graphs(max_n=40), st.sampled_from(EPSILONS))
+def test_grow_core_matches_reference_on_random_graphs(g, eps):
+    assert _growth_outcome(grow_core, g, eps) == _growth_outcome(reference_grow_core, g, eps)
+
+
+def test_grow_core_pinned_at_ten_thousand_vertices():
+    """SHA-256 of json.dumps(trace records, sort_keys=True) of 433 growth
+    iterations on C_10^4(1, 2), taken from the loop whose every iteration
+    paid terms sized by the core; growth now costs about 0.5 s there, and
+    took about 3 to 4 s then.
+    """
+    r = grow_core(circulant_graph(10**4, (1, 2)), Fraction(1, 2))
+    assert len(r.trace.iterations) == 433
+    records = json.dumps(r.trace.to_records(), sort_keys=True).encode()
+    assert hashlib.sha256(records).hexdigest() == (
+        "46c12535775e7e84a47b8e01885b8fb4862176880272fd26cae1ba4c40ef48e8"
+    )
 
 
 # ---------------------------------------------------------------------------
