@@ -92,44 +92,6 @@ class PipelineResult:
 # ---------------------------------------------------------------------------
 # certification: one replay of the trace records against the graph
 
-# record types that appear at most once; the others are per-step logs
-_SINGLE_RECORDS = (
-    "growth_header",
-    "growth_final",
-    "extension_header",
-    "extension_final",
-    "pipeline_final",
-)
-_LOG_RECORDS = ("growth_iteration", "extension_round", "extension_step")
-# log-only fields: never recomputed, but checked for type and vertex range
-_LOG_FIELDS = {
-    "growth_iteration": {
-        "labeled": "vertices",
-        "cover_steps": "int",
-        "splices": "int",
-        "labeled_on_path": "int",
-    },
-    "extension_round": {"frontier": "vertices", "absorbed": "vertices"},
-    "extension_step": {
-        "round": "int",
-        "vertex": "vertex",
-        "anchor": "vertex",
-        "vprime": "vertex",
-        "path": "vertices",
-        "escape": "int",
-        "case": "str",
-        "j": "int",
-        "window_empty": "bool",
-    },
-}
-# the chain-case fields, on some extension_step records only
-_OPTIONAL_FIELDS = ("j", "window_empty")
-
-
-def _is_vertex(x, n: int) -> bool:
-    return type(x) is int and 0 <= x < n
-
-
 def _are_vertices(xs: list, n: int) -> bool:
     """Every element of xs an int (a bool is not) in range(n), in C-level passes."""
     return not xs or (set(map(type, xs)) == {int} and 0 <= min(xs) and max(xs) < n)
@@ -137,9 +99,10 @@ def _are_vertices(xs: list, n: int) -> bool:
 
 _FIELD_KINDS = {
     "int": lambda x, n: type(x) is int,
+    "int or null": lambda x, n: x is None or type(x) is int,
     "bool": lambda x, n: type(x) is bool,
     "str": lambda x, n: type(x) is str,
-    "vertex": _is_vertex,
+    "vertex": lambda x, n: type(x) is int and 0 <= x < n,
     "vertices": lambda x, n: type(x) is list and _are_vertices(x, n),
     "edges": lambda x, n: type(x) is list
     and set(map(type, x)) <= {list}
@@ -151,42 +114,88 @@ _FIELD_KINDS = {
     ),
 }
 
+# The trace format, stated once: each record type, whether it appears at
+# most once (else once per step), and the kind of each of its fields, a key
+# of _FIELD_KINDS with vertex ids in range(n). An "optional" field may be
+# absent; keys not listed are ignored.
+_TRACE_SCHEMA: dict[str, tuple[bool, dict[str, str]]] = {
+    "growth_header": (True, {
+        "schema": "int", "n": "int", "m": "int", "min_degree": "int", "girth": "int",
+        "epsilon": "str", "ball_floor": "int", "scale": "int", "radius": "int",
+        "reach": "int", "v0": "vertex", "base_claimed": "vertices",
+    }),
+    "growth_iteration": (False, {
+        "index": "int", "path": "vertices", "labeled": "vertices", "centers": "vertices",
+        "fallback": "bool", "cover_steps": "int", "splices": "int", "labeled_on_path": "int",
+        "added_vertices": "vertices", "added_edges": "edges", "added_claimed": "vertices",
+    }),
+    "growth_final": (True, {
+        "iterations": "int", "max_distance": "int", "property1": "bool",
+        "core_vertex_count": "int", "center_count": "int", "claimed_count": "int",
+    }),
+    "extension_header": (True, {
+        "core_size": "int", "core_diameter": "int", "s": "int", "allowed_increase": "int",
+    }),
+    "extension_round": (False, {
+        "round": "int", "s": "int", "frontier": "vertices", "absorbed": "vertices",
+        "roundtrip_max": "int", "roundtrip_probe_ok": "bool",
+    }),
+    "extension_step": (False, {
+        "vertex": "vertex", "anchor": "vertex", "escape": "int", "vprime": "vertex",
+        "path": "vertices", "case": "str", "j": "optional int",
+        "window_empty": "optional bool", "round": "int",
+    }),
+    "extension_final": (True, {
+        "strong": "bool", "diameter": "int or null", "core_diameter": "int",
+        "increase": "int or null", "allowed_increase": "int", "rounds": "int", "ok": "bool",
+    }),
+    "pipeline_final": (True, {
+        "achieved": "int", "core_diameter": "int", "bound_total": "str",
+        "invariants": "checks", "ok": "bool",
+    }),
+}
 
-def _field(rec: dict, key: str, kind: str, n: int = 0):
-    """Read one trace field; GraphFormatError when it is missing or not of ``kind``.
 
-    Kinds are the keys of ``_FIELD_KINDS``; vertex ids must lie in range(n).
-    """
-    if key not in rec or not _FIELD_KINDS[kind](rec[key], n):
-        raise GraphFormatError(
-            f"trace record {rec.get('type')!r}: field {key!r} missing or not {kind}"
-        )
-    return rec[key]
+def _malformed(rec: dict, key: str, kind: str) -> GraphFormatError:
+    return GraphFormatError(
+        f"trace record {rec.get('type')!r}: field {key!r} missing or not {kind}"
+    )
 
 
 def _split_records(records: list, n: int) -> tuple[dict[str, dict], dict[str, list[dict]]]:
-    """Index the once-only records by type, and list the per-step records by type.
+    """Check every record against ``_TRACE_SCHEMA``, then index the once-only
+    records by type and list the per-step records by type.
 
-    The log-only fields of ``_LOG_FIELDS`` are checked here, once per record,
-    and no two ``extension_step`` records may absorb the same vertex.
+    A growth_header of any schema but 2 is refused before any field is
+    checked, and no two ``extension_step`` records may absorb the same vertex.
     """
     single: dict[str, dict] = {}
-    logs: dict[str, list[dict]] = {kind: [] for kind in _LOG_RECORDS}
+    logs: dict[str, list[dict]] = {k: [] for k, (once, _) in _TRACE_SCHEMA.items() if not once}
     for pos, rec in enumerate(records, start=1):
         if not isinstance(rec, dict):
             raise GraphFormatError(f"trace record {pos} is not a JSON object")
-        kind = _field(rec, "type", "str")
+        kind = rec.get("type")
+        if type(kind) is not str:
+            raise _malformed(rec, "type", "str")
         if kind in logs:
-            for key, key_kind in _LOG_FIELDS.get(kind, {}).items():
-                if key in rec or key not in _OPTIONAL_FIELDS:
-                    _field(rec, key, key_kind, n)
             logs[kind].append(rec)
-        elif kind in _SINGLE_RECORDS:
-            if kind in single:
-                raise GraphFormatError(f"trace holds more than one {kind} record")
-            single[kind] = rec
-        else:
+        elif kind not in _TRACE_SCHEMA:
             raise GraphFormatError(f"trace record {pos} has unknown type {kind!r}")
+        elif kind in single:
+            raise GraphFormatError(f"trace holds more than one {kind} record")
+        else:
+            single[kind] = rec
+    header = _record(single, "growth_header")
+    if header.get("schema") != 2:
+        raise _malformed(header, "schema", "2, the only schema read")
+    for rec in records:
+        for key, kind in _TRACE_SCHEMA[rec["type"]][1].items():
+            base = kind.removeprefix("optional ")
+            if key in rec:
+                if not _FIELD_KINDS[base](rec[key], n):
+                    raise _malformed(rec, key, base)
+            elif base == kind:
+                raise _malformed(rec, key, kind)
     absorbed: set[int] = set()
     for rec in logs["extension_step"]:
         v = rec["vertex"]
@@ -228,17 +237,11 @@ def _replay_growth(
     def need(where: str, props: dict[str, bool], detail: str) -> None:
         failures.extend(f"{where}: {name} ({detail})" for name, ok in props.items() if not ok)
 
-    schema = _field(header, "schema", "int")
-    if schema != 2:
-        raise GraphFormatError(f"growth_header schema {schema} is not 2, the only one read")
     expected = header_claims(g, bound)
-    props = {
-        key: _field(header, key, "str" if key == "epsilon" else "int") == value
-        for key, value in expected.items()
-    }
-    v0 = _field(header, "v0", "vertex", n)
+    props = {key: header[key] == value for key, value in expected.items()}
+    v0 = header["v0"]
     f_set = ball(g, v0, radius)
-    props["base_ball"] = f_set == set(_field(header, "base_claimed", "vertices", n))
+    props["base_ball"] = f_set == set(header["base_claimed"])
     props["base_floor"] = len(f_set) >= floor
     need("header", props, f"recomputed {expected}, |ball({v0})|={len(f_set)}")
     b_list = [v0]
@@ -246,13 +249,12 @@ def _replay_growth(
     h_v: set[int] = {v0}
     h_e: set[tuple[int, int]] = set()
     for pos, rec in enumerate(iterations):
-        path = _field(rec, "path", "vertices", n)
-        centers = _field(rec, "centers", "vertices", n)
-        added_v = set(_field(rec, "added_vertices", "vertices", n))
-        added_e = {edge_key(u, w) for u, w in _field(rec, "added_edges", "edges", n)}
-        added_f = set(_field(rec, "added_claimed", "vertices", n))
+        path, centers = rec["path"], rec["centers"]
+        added_v = set(rec["added_vertices"])
+        added_e = {edge_key(u, w) for u, w in rec["added_edges"]}
+        added_f = set(rec["added_claimed"])
         path_edges = list(zip(path, path[1:]))
-        excluded = () if _field(rec, "fallback", "bool") else path_edges
+        excluded = () if rec["fallback"] else path_edges
         if not added_v.isdisjoint(h_v):
             raise GraphFormatError(f"growth iteration {pos}: added vertices already in the core")
         if not h_v.issuperset(set(chain.from_iterable(added_e)) - added_v):
@@ -265,7 +267,7 @@ def _replay_growth(
         b_list.extend(centers)
         b_set.update(centers)
         props = {
-            "index": _field(rec, "index", "int") == pos,
+            "index": rec["index"] == pos,
             "edges_real": all(g.has_edge(u, w) for u, w in chain(added_e, path_edges)),
             "core_grows": h_e.isdisjoint(added_e) and h_v.issuperset(path),
             "bridgeless_connected": bridge_witness(adj) is None,
@@ -279,7 +281,7 @@ def _replay_growth(
         h_e |= added_e
     far = int(max(bfs_distances(g, h_v)))
     counts = final_claims(len(iterations), far, reach, h_v, b_list, f_set)
-    claimed = {k: _field(final, k, "bool" if k == "property1" else "int") for k in counts}
+    claimed = {k: final[k] for k in counts}
     props = {"property1": counts["property1"], "final_counts": claimed == counts}
     need("final core", props, f"max distance {far}, reach {reach}, recomputed {counts}")
     return (failures[0] if failures else None), h_v, h_e, far
@@ -293,15 +295,13 @@ def _replay_rounds(final: dict, rounds: list[dict], s: int) -> str | None:
     round-trip probe flag states whether ``roundtrip_max`` (a non-negative
     maximum) is at most ``round_trip_cap(s)`` for that round.
     """
-    claimed = _field(final, "rounds", "int")
+    claimed = final["rounds"]
     if claimed != len(rounds):
         return f"extension_final claims {claimed} rounds, the trace holds {len(rounds)}"
     prev = s + 1
     for k, rec in enumerate(rounds, start=1):
-        number = _field(rec, "round", "int")
-        s_r = _field(rec, "s", "int")
-        top = _field(rec, "roundtrip_max", "int")
-        probe = _field(rec, "roundtrip_probe_ok", "bool")
+        number, s_r = rec["round"], rec["s"]
+        top, probe = rec["roundtrip_max"], rec["roundtrip_probe_ok"]
         if number != k:
             return f"round record {k} is numbered {number}"
         if not 1 <= s_r < prev or (k == 1 and s_r != s):
@@ -328,24 +328,24 @@ def _certify_extension(
     final = _record(single, "extension_final")
     allowed = allowed_increase(s)
     total = rational_str(bound.total)
-    strong = _field(final, "strong", "bool")
-    achieved = _field(final, "diameter", "int") if strong else UNREACHABLE
-    increase = _field(final, "increase", "int") if strong else UNREACHABLE
-    ok = _field(final, "ok", "bool")
+    strong, ok = final["strong"], final["ok"]
+    achieved, increase = (final["diameter"], final["increase"]) if strong else (UNREACHABLE,) * 2
+    if achieved is None or increase is None:
+        raise GraphFormatError("extension_final: strong, but its diameter or increase is null")
     problem = _replay_rounds(final, rounds, s)
     if problem is None and ok != (strong and increase <= allowed):
         problem = f"extension_final claims ok={ok}"
-    core_diam = _field(final, "core_diameter", "int")
-    core_claims = [_field(header, "core_diameter", "int"), core_diam]
+    core_diam = final["core_diameter"]
+    core_claims = [header["core_diameter"], core_diam]
     achieved_claims = [achieved]
     totals = {total}
     if "pipeline_final" in single:
         verdict = single["pipeline_final"]
-        core_claims.append(_field(verdict, "core_diameter", "int"))
-        achieved_claims.append(_field(verdict, "achieved", "int"))
-        totals.add(_field(verdict, "bound_total", "str"))
-    allowed_claims = {_field(rec, "allowed_increase", "int") for rec in (header, final)}
-    start_claims = (_field(header, "core_size", "int"), _field(header, "s", "int"))
+        core_claims.append(verdict["core_diameter"])
+        achieved_claims.append(verdict["achieved"])
+        totals.add(verdict["bound_total"])
+    allowed_claims = {header["allowed_increase"], final["allowed_increase"]}
+    start_claims = (header["core_size"], header["s"])
     checks = [
         (
             "core_diameter_within_size",
@@ -376,9 +376,8 @@ def _certify_extension(
 
 def _check_verdict(verdict: dict, invariants: list[tuple]) -> tuple:
     """pipeline_final lists the invariants just recomputed, by name and outcome."""
-    claimed = _field(verdict, "invariants", "checks")
-    ok = _field(verdict, "ok", "bool")
-    listed = [(c["name"], c["ok"]) for c in claimed]
+    ok = verdict["ok"]
+    listed = [(c["name"], c["ok"]) for c in verdict["invariants"]]
     actual = [(name, bool(passed)) for name, passed, _ in invariants]
     return (
         "pipeline_verdict_matches",
@@ -412,7 +411,7 @@ def certify(
         iterations = logs["growth_iteration"]
         header = _record(single, "growth_header")
         try:
-            eps = parse_rational(_field(header, "epsilon", "str"))
+            eps = parse_rational(header["epsilon"])
         except ValueError as exc:
             raise GraphFormatError(f"growth_header epsilon: {exc}") from exc
         if eps <= 0:

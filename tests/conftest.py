@@ -43,7 +43,7 @@ from orientdiam.growth import (
     header_claims,
     subgraph_adjacency,
 )
-from orientdiam.pipeline import _field
+from orientdiam.pipeline import _FIELD_KINDS
 
 
 @st.composite
@@ -482,6 +482,15 @@ def expand_schema1(records: list[dict]) -> list[dict]:
             )
         out.append(rec)
     return out
+
+
+def _field(rec: dict, key: str, kind: str, n: int = 0):
+    """Read one schema-1 field; GraphFormatError when it is missing or not of ``kind``."""
+    if key not in rec or not _FIELD_KINDS[kind](rec[key], n):
+        raise GraphFormatError(
+            f"trace record {rec.get('type')!r}: field {key!r} missing or not {kind}"
+        )
+    return rec[key]
 
 
 def reference_replay_growth(

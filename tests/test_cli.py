@@ -2,6 +2,7 @@
 
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 
@@ -276,6 +277,20 @@ def _nested_too_deeply(records, n):
     records.insert(1, "[" * 200_000 + "]" * 200_000)
 
 
+def _strong_diameter_null(records, n):
+    next(r for r in records if r["type"] == "extension_final")["diameter"] = None
+
+
+def _strong_increase_null(records, n):
+    next(r for r in records if r["type"] == "extension_final")["increase"] = None
+
+
+def _weak_diameter_not_int(records, n):
+    # neither int nor null: malformed, though a weak orientation's diameter is not read
+    final = next(r for r in records if r["type"] == "extension_final")
+    final["strong"], final["diameter"] = False, "x"
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -287,6 +302,9 @@ def _nested_too_deeply(records, n):
         _unknown_schema,
         _core_vertex_added_again,
         _nested_too_deeply,
+        _strong_diameter_null,
+        _strong_increase_null,
+        _weak_diameter_not_int,
     ],
 )
 def test_verify_malformed_trace_exits_2(tmp_path, capsys, edit):
@@ -325,6 +343,11 @@ def _extension_not_ok(records):
     next(r for r in records if r["type"] == "extension_final")["ok"] = False
 
 
+def _weak_with_null_diameters(records):
+    final = next(r for r in records if r["type"] == "extension_final")
+    final.update(strong=False, diameter=None, increase=None)
+
+
 @pytest.mark.parametrize(
     "edit, check",
     [
@@ -334,6 +357,7 @@ def _extension_not_ok(records):
         (_zero_max_distance, "growth_properties"),
         (_failed_verdict, "pipeline_verdict_matches"),
         (_extension_not_ok, "extension_increase_within_allowed"),
+        (_weak_with_null_diameters, "final_strong"),
     ],
 )
 def test_verify_replays_summary_fields(tmp_path, capsys, edit, check):
@@ -387,6 +411,59 @@ def test_verify_rejects_malformed_log_fields(tmp_path, capsys, edit):
     capsys.readouterr()
     assert main(["verify", gpath, "--orientation", opath, "--trace", str(tpath)]) == 2
     assert "missing or not" in capsys.readouterr().err
+
+
+TABLE_FIELDS = [
+    (kind, key) for kind, (_, fields) in pipeline._TRACE_SCHEMA.items() for key in fields
+]
+
+
+def _out_of_kind(kind, n):
+    """Values outside a kind of ``pipeline._TRACE_SCHEMA``, for a graph on n vertices."""
+    ints = ["x", None, True, 1.5]
+    vertex_lists = [None, 3, [n], [-1], [True], [1.0], [3, 5, 1008], [10**9], ["x", None]]
+    return {
+        "int": ints,
+        "int or null": ["x", True, 1.5],
+        "bool": [None, 1, 3, "true"],
+        "str": [None, 2, ["x"]],
+        "vertex": [*ints, n, -1],
+        "vertices": vertex_lists,
+        "edges": [*vertex_lists, [[0, 1, 2]], [[0, n]], [[0, True]], [(0,)]],
+        "checks": [None, [1], [{"name": 1, "ok": True}], [{"name": "x", "ok": 1}], [{}]],
+    }[kind.removeprefix("optional ")]
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize("kind, key", TABLE_FIELDS, ids=[f"{t}.{k}" for t, k in TABLE_FIELDS])
+def test_verify_rejects_each_malformed_field(chain_run, kind, key):
+    """Each field of the trace table, dropped or set outside its kind in the
+    first record that holds it, exits 2 and names the field; the chain-case
+    ``j`` and ``window_empty`` may be dropped.
+    """
+    tmp, texts = chain_run
+    records = [json.loads(line) for line in texts["trace"]]
+    pos = next(i for i, rec in enumerate(records) if rec["type"] == kind and key in rec)
+    field_kind = pipeline._TRACE_SCHEMA[kind][1][key]
+    tpath = tmp / "edited_field.jsonl"
+    argv = ["verify", str(tmp / "g.txt"), "--orientation", str(tmp / "g.orientation"),
+            "--trace", str(tpath)]
+    edits = [(value, 2) for value in _out_of_kind(field_kind, CHAIN_GRAPH.n)]
+    edits.append((DROP, 0 if field_kind.startswith("optional ") else 2))
+    for value, want in edits:
+        edited = [dict(rec) for rec in records]
+        if value is DROP:
+            del edited[pos][key]
+        else:
+            edited[pos][key] = value
+        tpath.write_text("\n".join(json.dumps(rec) for rec in edited) + "\n")
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code == want, value
+        assert want == 0 or f"field {key!r} missing or not" in err.getvalue(), value
 
 
 @pytest.mark.parametrize("field", ["added_vertices", "added_edges", "added_claimed"])
@@ -558,13 +635,25 @@ FILES = ("graph", "orientation", "trace")
 _RETYPED = (None, "x", 1.5, -1, True, [], {}, [[0, 0]])
 
 
+def _run_lines(tmp, g, epsilon):
+    with redirect_stdout(StringIO()):
+        paths = orient_artifacts(tmp, g, epsilon)[:3]
+    return tmp, {name: Path(path).read_text().splitlines() for name, path in zip(FILES, paths)}
+
+
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     """Lines of the graph, orientation and trace files of one small run."""
-    tmp = tmp_path_factory.mktemp("small_run")
-    with redirect_stdout(StringIO()):
-        paths = orient_artifacts(tmp, triangle_chain(12), "2")[:3]
-    return tmp, {name: Path(path).read_text().splitlines() for name, path in zip(FILES, paths)}
+    return _run_lines(tmp_path_factory.mktemp("small_run"), triangle_chain(12), "2")
+
+
+CHAIN_GRAPH = circulant_graph(60, (1, 2))
+
+
+@pytest.fixture(scope="module")
+def chain_run(tmp_path_factory):
+    """The same for a run that writes every record type and both step cases."""
+    return _run_lines(tmp_path_factory.mktemp("chain_run"), CHAIN_GRAPH, "1/2")
 
 
 def _int_paths(obj, path=()):
@@ -709,6 +798,19 @@ TWO_RUNS = pytest.mark.parametrize(
     [(triangle_chain(12), "2"), (circulant_graph(60, (1, 2)), "1/2")],
     ids=["triangle_chain_12", "circulant_60_1_2"],
 )
+
+
+@TWO_RUNS
+def test_trace_records_hold_exactly_the_table_fields(g, epsilon):
+    """Each record run_pipeline writes has ``type`` and the fields the trace
+    table lists for its type, the optional j and window_empty on chain steps only.
+    """
+    for rec in pipeline.run_pipeline(g, Fraction(epsilon)).trace_records():
+        fields = pipeline._TRACE_SCHEMA[rec["type"]][1]
+        optional = {key for key, kind in fields.items() if kind.startswith("optional ")}
+        if rec.get("case") != "chain":
+            fields = fields.keys() - optional
+        assert set(rec) == {"type", *fields}, rec["type"]
 
 
 @TWO_RUNS
