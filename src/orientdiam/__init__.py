@@ -31,7 +31,6 @@ from .generators import (
 )
 from .graph import (
     Graph,
-    bridges,
     diameter,
     format_graph,
     girth,
@@ -40,7 +39,7 @@ from .graph import (
     parse_graph,
 )
 from .growth import GrowthResult, grow_core
-from .oracle import OracleResult, count_strong_orientations, exact_oriented_diameter
+from .oracle import OracleResult, exact_oriented_diameter
 from .orientation import (
     Orientation,
     directed_diameter,
@@ -68,11 +67,9 @@ __all__ = [
     "OrientationConflictError",
     "PipelineResult",
     "PreconditionError",
-    "bridges",
     "circulant_graph",
     "complete_graph",
     "corpus",
-    "count_strong_orientations",
     "cycle_graph",
     "degree_only_bound",
     "diameter",

@@ -66,7 +66,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     record = {
         "n": g.n,
         "m": g.m,
-        "min_degree": min_degree(g) if g.n else 0,
+        "min_degree": min_degree(g),
         "girth": _json_number(girth(g)),
         "bridgeless": is_bridgeless_connected(g),
         "diameter": _json_number(diameter(g)),

@@ -389,10 +389,6 @@ def bridges_of(adj: Mapping[int, Sequence[int]]) -> set[tuple[int, int]]:
     return dfs_forest(adj)[2]
 
 
-def bridges(g: Graph) -> set[tuple[int, int]]:
-    return bridges_of(g.adjacency())
-
-
 def bridge_witness(adj: Mapping[int, Sequence[int]]) -> tuple[int, int] | str | None:
     """Why the graph is not connected and bridgeless: its smallest bridge, else
     ``"disconnected"`` (also when empty); None for one that is, a single vertex

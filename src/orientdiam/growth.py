@@ -362,9 +362,9 @@ def cover_path(
     meets, with every inner vertex new. So it closes a cycle over
     ``path[cp..j]`` and adds no edge at a vertex beyond j. The working
     subgraph stays connected, the path beyond j still hangs off ``path[j]``,
-    and the prefix becomes j. A splice removes labels and their edges, which
-    this argument does not follow, so once a step has spliced the bridge
-    search decides every later step.
+    and the prefix becomes j. A splice does not keep this: a fallback splice
+    can put an uncovered path vertex into the working subgraph, so once a step
+    has spliced the bridge search decides every later step.
 
     Each detour is searched from the uncovered suffix, the smaller end, and
     stops at the first layer that meets the working subgraph, so a cover

@@ -26,7 +26,7 @@ class OracleResult:
 
     value: int | None  # smallest achievable directed diameter, None if infeasible
     feasible: bool  # False when the graph has a bridge or is disconnected
-    leaves: int  # complete orientations actually evaluated
+    leaves: int  # strong orientations that beat every earlier one, not leaves evaluated
     witness: tuple[tuple[int, int], ...] | None = None  # arcs achieving value
 
 
@@ -60,40 +60,45 @@ def _leaf_diameter(out_adj: list[int], n: int, cap: int | float) -> int | None:
     return worst
 
 
-def _search(
-    g: Graph, fix_first: bool, count_all: bool
-) -> tuple[int | float, int, tuple[tuple[int, int], ...] | None]:
-    """Branch over edge directions; returns (best diameter, leaf count, witness).
+def exact_oriented_diameter(g: Graph, budget: int = 24) -> OracleResult:
+    """Minimum directed diameter over all strong orientations, exhaustively.
 
-    With count_all the leaf count is the number of strong orientations,
-    pruning by best-so-far is disabled, and no witness is tracked.
+    Branches over edge directions, cuts a branch once a finished vertex has no
+    in- or no out-arc, and stops evaluating a leaf once it cannot beat the best
+    found. Symmetry: reversing every arc preserves strongness and diameter, so
+    the first edge's direction is fixed and only half the space is visited.
     """
+    if g.n == 0:
+        raise ValueError("the empty graph has no orientations")
+    if g.m > budget:
+        raise BudgetExceededError(
+            f"{g.m} edges exceeds the exhaustive budget of {budget}"
+        )
+    if bridge_witness(g.adjacency()) is not None:
+        return OracleResult(None, False, 0)
     edges = g.edges()
     m = len(edges)
     n = g.n
-    deg = [g.degree(v) for v in range(n)]
-    rem = list(deg)
+    rem = [g.degree(v) for v in range(n)]
     in_deg = [0] * n
     out_deg = [0] * n
     out_adj = [0] * n
     chosen: list[tuple[int, int]] = [(0, 0)] * m
-    best: list[int | float] = [UNREACHABLE]
-    witness: list[tuple[tuple[int, int], ...] | None] = [None]
-    leaves = [0]
+    best: int | float = UNREACHABLE
+    witness: tuple[tuple[int, int], ...] = ()
+    leaves = 0
 
     def rec(i: int) -> None:
+        nonlocal best, witness, leaves
         if i == m:
-            cap = UNREACHABLE if count_all else best[0]
-            d = _leaf_diameter(out_adj, n, cap)
-            if d is not None:
-                leaves[0] += 1
-                if not count_all and d < best[0]:
-                    best[0] = d
-                    witness[0] = tuple(chosen)
+            d = _leaf_diameter(out_adj, n, best)
+            if d is not None:  # strong, and below the cap: a new best
+                leaves += 1
+                best = d
+                witness = tuple(chosen)
             return
         u, v = edges[i]
-        choices = ((u, v),) if (i == 0 and fix_first) else ((u, v), (v, u))
-        for t, h in choices:
+        for t, h in ((u, v),) if i == 0 else ((u, v), (v, u)):
             out_deg[t] += 1
             in_deg[h] += 1
             rem[u] -= 1
@@ -112,43 +117,7 @@ def _search(
             out_adj[t] &= ~(1 << h)
 
     rec(0)
-    return best[0], leaves[0], witness[0]
-
-
-def exact_oriented_diameter(g: Graph, budget: int = 24) -> OracleResult:
-    """Minimum directed diameter over all strong orientations, exhaustively.
-
-    Symmetry: reversing every arc preserves strongness and diameter, so the
-    first edge's direction is fixed and only half the space is visited.
-    """
-    if g.n == 0:
-        raise ValueError("the empty graph has no orientations")
-    if g.m > budget:
-        raise BudgetExceededError(
-            f"{g.m} edges exceeds the exhaustive budget of {budget}"
-        )
-    if g.n == 1:
-        return OracleResult(0, True, 1, ())
-    if bridge_witness(g.adjacency()) is not None:
-        return OracleResult(None, False, 0)
-    best, leaves, witness = _search(g, fix_first=True, count_all=False)
-    if best == UNREACHABLE:  # pragma: no cover - bridgeless always admits one
-        return OracleResult(None, False, leaves)
     return OracleResult(int(best), True, leaves, witness)
-
-
-def count_strong_orientations(g: Graph, budget: int = 24) -> int:
-    """Number of strong orientations, by checking all 2^m assignments."""
-    if g.m > budget:
-        raise BudgetExceededError(
-            f"{g.m} edges exceeds the exhaustive budget of {budget}"
-        )
-    if g.n <= 1:
-        return 1 if g.n == 1 else 0
-    if bridge_witness(g.adjacency()) is not None:
-        return 0
-    _, count, _ = _search(g, fix_first=False, count_all=True)
-    return count
 
 
 def directed_diameter_of_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> int | float:

@@ -443,7 +443,8 @@ def certify(
             checks.append(_check_verdict(single["pipeline_final"], checks))
     if orientation is not None:
         arcs = orientation.arcs()
-        diam = bounded_diameter_of_arcs(g.n, arcs)
+        # the empty graph has no strong orientation (``orientation.is_strong``)
+        diam = bounded_diameter_of_arcs(g.n, arcs) if g.n else UNREACHABLE
         checks.append(("orientation_strong", diam != UNREACHABLE, f"directed diameter {diam}"))
     if orientation is not None and records is not None:
         # the core's arcs renumbered 0..k-1; a non-edge of g is no arc, and

@@ -36,7 +36,6 @@ from orientdiam.growth import (
     IterationRecord,
     _apply_splice,
     _bump,
-    _covered_prefix,
     _stabilize,
     check_preconditions,
     final_claims,
@@ -280,9 +279,11 @@ def reference_cover_path(g, h_v, h_e, path, budget):
     """The body that ``growth.cover_path`` replaced: a bridge search on every step.
 
     It copies the core, grows the copies into the whole working subgraph and
-    returns that; ``_covered_prefix`` decides every step, the first one
-    included. Kept as the slow path the prefix rule of ``cover_path``, which
-    searches only once a step has spliced, is compared with.
+    returns that; ``reference_covered_prefix``, a bridge search on the whole
+    working subgraph with nothing contracted, not ``growth._covered_prefix``,
+    decides every step, the first one included. Kept as the slow path the
+    prefix rule of ``cover_path``, which searches only once a step has
+    spliced, is compared with.
     """
     path_edges = frozenset(edge_key(a, b) for a, b in zip(path, path[1:]))
     path_set = set(path)
@@ -291,7 +292,7 @@ def reference_cover_path(g, h_v, h_e, path, budget):
     counters = {"rounds": 0, "cover_steps": 0, "splices": 0, "labeled_on_path": 0}
     near: dict = {}
     while True:
-        cp = _covered_prefix(g, path, h_v, labeled, hp_e)
+        cp = reference_covered_prefix(path, hp_v, hp_e)
         for t in range(cp):
             hp_v.update((path[t], path[t + 1]))
             hp_e.add(edge_key(path[t], path[t + 1]))

@@ -55,6 +55,13 @@ def test_analyze_reports_bridges_and_infinities(tmp_path, capsys):
     assert data["diameter"] == 3
 
 
+def test_analyze_refuses_the_empty_graph(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    assert main(["analyze", str(path)]) == 2
+    assert "min degree of the empty graph" in capsys.readouterr().err
+
+
 def test_orient_emits_and_traces(tmp_path, capsys):
     gpath = write_graph(tmp_path, "c8.txt", cycle_graph(8))
     opath = tmp_path / "c8.orientation"
@@ -109,6 +116,21 @@ def test_verify_rejects_tampered_orientation(tmp_path, capsys):
     assert not data["ok"]
     assert [c["name"] for c in data["checks"]] == ["orientation_strong"]
     assert not data["checks"][0]["ok"]
+
+
+@pytest.mark.parametrize("n, code, diam", [(0, 4, "inf"), (1, 0, "0")])
+def test_verify_orientation_of_edgeless_graph(tmp_path, capsys, n, code, diam):
+    # the empty graph has no strong orientation (orientation.is_strong says
+    # so), while a single vertex is strong with diameter 0
+    gpath = tmp_path / "g.txt"
+    gpath.write_text(f"{n} 0\n")
+    opath = tmp_path / "g.orientation"
+    opath.write_text(f"orientation {n} 0\n")
+    got, data = run_json(capsys, ["verify", str(gpath), "--orientation", str(opath)])
+    assert got == code
+    assert data["checks"] == [
+        {"name": "orientation_strong", "ok": code == 0, "detail": f"directed diameter {diam}"}
+    ]
 
 
 def test_verify_rejects_tampered_trace(tmp_path, capsys):

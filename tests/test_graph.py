@@ -22,7 +22,6 @@ from orientdiam.graph import (
     ball,
     bfs_distances,
     bridge_witness,
-    bridges,
     bridges_of,
     dfs_forest,
     diameter,
@@ -191,10 +190,10 @@ def test_ball_with_and_without_removed_edges():
 
 
 def test_bridges_frozen_values():
-    assert bridges(P4) == {(0, 1), (1, 2), (2, 3)}
-    assert bridges(cycle_graph(6)) == set()
+    assert bridges_of(P4.adjacency()) == {(0, 1), (1, 2), (2, 3)}
+    assert bridges_of(cycle_graph(6).adjacency()) == set()
     bowtie = Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-    assert bridges(bowtie) == set()
+    assert bridges_of(bowtie.adjacency()) == set()
 
 
 def test_bridges_of_parallel_edges():
@@ -282,7 +281,7 @@ def test_girth_matches_edge_removal_reference(g):
 @settings(max_examples=100, deadline=None)
 @given(arbitrary_graphs(max_n=8))
 def test_bridges_match_removal_reference(g):
-    assert bridges(g) == bridges_by_removal(g)
+    assert bridges_of(g.adjacency()) == bridges_by_removal(g)
 
 
 def _component_count(n: int, pairs: list[tuple[int, int]]) -> int:

@@ -527,6 +527,27 @@ def _relabeled_circulant(n: int, steps: tuple[int, ...], seed: int) -> Graph:
     return Graph(n, [(perm[u], perm[v]) for u, v in circulant_graph(n, steps).edges()])
 
 
+# Growth at eps 1/2 takes one iteration whose second detour ends at path
+# vertex 4 (index 2); the splice after it falls back through the escape path
+# and labels path vertex 29 (index 4), so the bridge search moves the covered
+# prefix to 4, where the detour's end alone would leave it at 2 and spend a
+# fourth, zero-length cover step on [29]. Shrunk, by deleting and contracting
+# edges, from a subdivided random graph.
+PREFIX_MOVED_BY_A_FALLBACK_SPLICE = Graph(
+    52,
+    [
+        tuple(map(int, e.split("-")))
+        for e in (
+            "0-17 0-20 0-32 1-3 1-20 1-31 2-22 2-46 3-44 4-23 4-30 4-32 4-35 4-36 5-26 "
+            "5-27 6-18 6-31 7-25 7-26 7-40 8-12 8-14 9-14 9-23 9-40 9-50 9-51 10-15 "
+            "10-17 10-25 10-47 11-34 11-46 12-18 13-37 13-38 14-51 15-45 16-29 16-48 "
+            "18-23 18-27 18-38 18-44 19-34 19-41 21-39 21-49 22-33 24-33 24-43 28-36 "
+            "28-47 29-30 29-35 29-42 35-49 37-48 39-51 41-45 42-43 44-50"
+        ).split()
+    ],
+)
+
+
 def test_grow_core_matches_reference_with_and_without_splices():
     """Same iterations, final record and core as the loop that ran the bridge
     search on every cover step and read ``max`` and ``index`` over unclamped
@@ -535,9 +556,12 @@ def test_grow_core_matches_reference_with_and_without_splices():
     The sample holds iterations that spliced, after which the bridge search
     decides, and iterations that did not, where the prefix follows the
     detours' ends, so neither way of finding the covered prefix goes
-    untested.
+    untested. One graph needs the search after a splice: there the detour's
+    end is not the covered prefix.
     """
-    graphs = [
+    (it,) = grow_core(PREFIX_MOVED_BY_A_FALLBACK_SPLICE, Fraction(1, 2)).trace.iterations
+    assert (it.cover_steps, it.splices, it.labeled_on_path) == (3, 4, 1)
+    graphs = [PREFIX_MOVED_BY_A_FALLBACK_SPLICE] + [
         _relabeled_circulant(n, steps, seed)
         for n in (40, 70, 100, 150)
         for steps in ((1, 2), (1, 3))
