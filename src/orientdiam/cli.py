@@ -162,8 +162,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     payloads = [
         (s.family, s.params, rational_str(args.epsilon), args.budget) for s in specs
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # no more workers than rows: a fork pool starts them all at the first submit
+    jobs = min(args.jobs, len(payloads))
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_experiment_row, payloads))
     else:
         rows = [_experiment_row(p) for p in payloads]

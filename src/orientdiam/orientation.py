@@ -140,43 +140,26 @@ def _bit_levels(pull: list[list[int]], sources: list[int], targets: list[int]) -
 
     Bit-parallel BFS (Akiba, Iwata & Yoshida, SIGMOD 2013): bit i of
     ``seen[v]`` is set once ``sources[i]`` lies within the current radius of
-    v, and each level ORs into v only the bits its ``pull`` neighbors gained
-    in the previous level. With ``pull`` the in-lists the radius runs from
-    the sources to v, with the out-lists from v to the sources.
+    v. Each level is one pass that ORs into v the bits of its ``pull``
+    neighbors, read from the previous level's list. With ``pull`` the
+    in-lists the radius runs from the sources to v, with the out-lists from
+    v to the sources.
     """
-    n = len(pull)
     full = (1 << len(sources)) - 1
-    seen = [0] * n
-    gained = [0] * n  # the bits each vertex gained in the previous level
+    seen = [0] * len(pull)
     for i, v in enumerate(sources):
-        seen[v] = gained[v] = 1 << i
+        seen[v] = 1 << i
     waiting = [v for v in targets if seen[v] != full]
-    # vertices that can still gain bits, and those that only pass theirs on once
-    hungry = [v for v in range(n) if seen[v] != full and pull[v]]
-    relay = [v for v in sources if seen[v] == full or not pull[v]]
     d = 0
     while waiting:
-        news = []
-        for v in hungry:
-            acc = 0
-            for u in pull[v]:
-                acc |= gained[u]
-            news.append(acc & ~seen[v])
-        for v in relay:
-            gained[v] = 0
-        relay = []
-        still = []
-        for v, new in zip(hungry, news):
-            gained[v] = new
-            if new:
-                seen[v] |= new
-                if seen[v] == full:
-                    relay.append(v)
-                    continue
-            still.append(v)
-        if not any(news):
+        nxt = []
+        for bits, us in zip(seen, pull):
+            for u in us:
+                bits |= seen[u]
+            nxt.append(bits)
+        if nxt == seen:
             return UNREACHABLE
-        hungry = still
+        seen = nxt
         d += 1
         waiting = [v for v in waiting if seen[v] != full]
     return d

@@ -228,10 +228,13 @@ def _replay_growth(
     (``contracted_adjacency``): exact, since that core passed the same test
     or the iteration that built it failed first. The claimed vertices an
     iteration adds are its new ball vertices, and B is v0 followed by every
-    iteration's centers. Only trace schema 2 is read.
+    iteration's centers. Each path is an escape path, reach + 1 vertices of
+    which only the first lies in the core before it, and each iteration banks
+    at least L = scale centers, a fallback one path[g], path[2g], ..., path[Lg].
+    Only trace schema 2 is read.
     """
     n, floor, gval, eps = g.n, bound.ball_size, bound.girth, bound.epsilon
-    radius, reach = bound.radius, bound.reach
+    radius, reach, scale = bound.radius, bound.reach, bound.scale
     failures: list[str] = []
 
     def need(where: str, props: dict[str, bool], detail: str) -> None:
@@ -259,6 +262,7 @@ def _replay_growth(
             raise GraphFormatError(f"growth iteration {pos}: added vertices already in the core")
         if not h_v.issuperset(set(chain.from_iterable(added_e)) - added_v):
             raise GraphFormatError(f"growth iteration {pos}: core edges leave the core")
+        escapes = len(path) == reach + 1 and path[0] in h_v and h_v.isdisjoint(path[1:])
         adj = contracted_adjacency(h_v, n, added_v, added_e)
         h_v |= added_v
         balls = set().union(*(ball(g, c, radius, excluded=excluded) for c in centers))
@@ -275,6 +279,9 @@ def _replay_growth(
             "property2": len(f_set) >= floor * len(b_list),
             "property3": len(h_v) <= (2 * gval + eps) * len(b_list),
             "centers_fresh": len(b_set) == len(b_list),
+            "escape_path": escapes,
+            "centers_placed": len(centers) >= scale
+            and (not rec["fallback"] or centers == path[gval : scale * gval + 1 : gval]),
         }
         sizes = f"|H|={len(h_v)} |F|={len(f_set)} |B|={len(b_list)}"
         need(f"iteration {pos}", props, f"{sizes}, floor {floor}, girth {gval}")

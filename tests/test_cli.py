@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import expand_schema1
-from orientdiam import extension, orientation, pipeline
+from orientdiam import cli, extension, orientation, pipeline
 from orientdiam.cli import main
 from orientdiam.generators import (
     circulant_graph, cycle_graph, petersen_graph, random_bridgeless, triangle_chain,
@@ -895,3 +895,85 @@ def test_verify_refuses_each_recomputed_flag_and_string_changed(tmp_path, g, eps
         for name, (pos, key) in sorted(first.items())
     ]
     assert not _wrong_exits((gpath, opath, tpath), records, edits, FLAG_EXITS)
+
+
+def _noop_iteration(records):
+    """A growth iteration that adds nothing, counted in growth_final."""
+    final = _first(records, "growth_final")
+    index = final["iterations"]
+    empty = dict.fromkeys(("path", "labeled", "centers", "added_vertices", "added_edges",
+                           "added_claimed"), [])
+    noop = {"type": "growth_iteration", "index": index, **empty, "fallback": False,
+            "cover_steps": 0, "splices": 0, "labeled_on_path": 0}
+    records.insert(records.index(final), noop)
+    final["iterations"] += 1
+    return index
+
+
+def _cut_escape_path(records):
+    """The first iteration's path without its last vertex."""
+    _first(records, "growth_iteration")["path"].pop()
+    return 0
+
+
+@TWO_RUNS
+@pytest.mark.parametrize("edit", [_noop_iteration, _cut_escape_path])
+def test_verify_refuses_an_iteration_off_its_escape_path(tmp_path, g, epsilon, edit):
+    """An iteration covers an escape path of reach + 1 vertices from the core,
+    so a growth iteration that never happened, or a path cut short by one
+    vertex (a fallback center on C_60(1, 2)), fails ``escape_path``.
+    """
+    with redirect_stdout(StringIO()):
+        gpath, opath, tpath, records = orient_artifacts(tmp_path, g, epsilon)
+    pos = edit(records)
+    tpath.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    out = StringIO()
+    with redirect_stdout(out):
+        code = main(["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
+    assert code == 4
+    growth = json.loads(out.getvalue())["checks"][0]
+    assert growth["name"] == "growth_properties"
+    assert growth["detail"].startswith(f"iteration {pos}: escape_path (")
+
+
+def test_verify_refuses_fallback_centers_off_their_places(tmp_path, capsys):
+    """A fallback iteration banks path[g], path[2g], ..., path[Lg] in that
+    order; the same centers reversed claim the same balls, but fail
+    ``centers_placed``.
+    """
+    gpath, opath, tpath, records = orient_artifacts(tmp_path, CHAIN_GRAPH, "1/2")
+    first = _first(records, "growth_iteration")
+    assert first["fallback"]
+    first["centers"].reverse()
+    tpath.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    capsys.readouterr()
+    code, data = run_json(capsys, ["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
+    assert code == 4
+    assert data["checks"][0]["detail"].startswith("iteration 0: centers_placed (")
+
+
+@pytest.mark.parametrize("jobs, workers", [(8, [6]), (3, [3]), (1, [])])
+def test_experiment_starts_no_more_workers_than_rows(tmp_path, capsys, monkeypatch, jobs, workers):
+    """A fork pool starts all its workers at the first submit, so ``--jobs``
+    is capped at the row count, 6 on the girth corpus; rows run in process here.
+    """
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    argv = ["experiment", "girth", "--out", str(tmp_path / "girth.csv"), "--jobs", str(jobs)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["graphs"] == 6
+    assert started == workers

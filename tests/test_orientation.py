@@ -25,6 +25,7 @@ from orientdiam.growth import subgraph_adjacency
 from orientdiam.oracle import directed_diameter_of_arcs
 from orientdiam.orientation import (
     Orientation,
+    _bit_levels,
     diameter_among,
     directed_diameter,
     directed_distance,
@@ -340,3 +341,23 @@ def test_diameter_among_takes_each_exit(monkeypatch, o, exit_taken):
     diam = directed_diameter(o)
     assert diam == per_vertex_diameter(o, range(o.base.n)) != UNREACHABLE
     assert taken == ([exit_taken] if exit_taken else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_bit_levels_matches_floyd_warshall(data):
+    """The kernel on any digraph, source and target sets, unreachable pairs
+    included: over in-lists it measures max d(s, t), over out-lists max d(t, s).
+    """
+    n = data.draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    vertex_lists = st.lists(st.integers(0, n - 1), min_size=1, unique=True)
+    sources, targets = data.draw(vertex_lists), data.draw(vertex_lists)
+    dist = floyd_warshall_arcs(n, arcs)
+    outs, ins = [[] for _ in range(n)], [[] for _ in range(n)]
+    for u, v in arcs:
+        outs[u].append(v)
+        ins[v].append(u)
+    assert _bit_levels(ins, sources, targets) == max(dist[s][t] for s in sources for t in targets)
+    assert _bit_levels(outs, sources, targets) == max(dist[t][s] for s in sources for t in targets)
