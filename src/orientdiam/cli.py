@@ -10,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .bounds import degree_only_bound, diameter_bound, parse_rational, rational_str
+from .check import certify
 from .errors import (
     BudgetExceededError,
     CertifiedFailureError,
@@ -30,7 +31,7 @@ from .graph import (
 )
 from .oracle import exact_oriented_diameter
 from .orientation import format_orientation, parse_orientation
-from .pipeline import certify, run_pipeline
+from .pipeline import run_pipeline
 
 CSV_COLUMNS = [
     "label",

@@ -7,7 +7,7 @@ Absorbed vertices join the core for the next round, so the frontier walks
 outward and the number of rounds is at most the initial reach.
 
 The final record states the diameter increase and whether it stays within
-the quadratic cap; ``pipeline.certify`` judges that claim, the construction
+the quadratic cap; ``check.certify`` judges that claim, the construction
 does not.
 """
 
@@ -114,7 +114,7 @@ def extend_orientation(
 ) -> tuple[Orientation, ExtensionTrace]:
     """Extend the core arcs to an orientation of all of g, meant to be strong.
 
-    The trace's diameters and its ``ok`` are claims until ``pipeline.certify``
+    The trace's diameters and its ``ok`` are claims until ``check.certify``
     replays them.
     """
     o = Orientation(g)

@@ -7,7 +7,7 @@ The banked balls are the evidence that the core stays small relative to the
 graph.
 
 The construction does not judge its result: bridgelessness, fresh centers
-and properties 1-3 are claims of the returned trace, and ``pipeline.certify``
+and properties 1-3 are claims of the returned trace, and ``check.certify``
 alone decides whether they hold. Its remaining guards (the round budget, the
 iteration cap, a missing detour) stop a loop or protect a value the
 construction itself reads.
@@ -21,14 +21,14 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
 
-from .bounds import BoundReport, as_fraction, diameter_bound, rational_str
+from .bounds import BoundReport, as_fraction, diameter_bound
+from .check import check_preconditions, contracted_adjacency, final_claims, header_claims
 from .errors import CertifiedFailureError, PreconditionError
 from .graph import (
     UNREACHABLE,
     Graph,
     LayeredBFS,
     ball,
-    bridge_witness,
     bridges_of,
     edge_key,
     girth,
@@ -46,39 +46,6 @@ def subgraph_adjacency(
         adj[u].append(v)
         adj[v].append(u)
     return {v: sorted(ws) for v, ws in adj.items()}
-
-
-def contracted_adjacency(
-    core: set[int],
-    rep: int,
-    vertices: Iterable[int],
-    edges: Iterable[tuple[int, int]],
-) -> dict[int, list[int]]:
-    """Adjacency of a core plus new ``vertices`` and ``edges``, the core contracted to ``rep``.
-
-    Let H be a connected subgraph on the vertex set ``core`` and H' be H
-    plus the new vertices and edges. An edge of H' outside H is a bridge of
-    H' exactly when it is a bridge after contracting H to one vertex, and
-    H' is connected exactly when the contraction is. So a connected and
-    bridgeless H grows into a connected and bridgeless H' exactly when this
-    adjacency is (``graph.bridge_witness`` is None), and the test costs what
-    was added, not H.
-
-    ``rep`` stands for the whole core: a core vertex, or an id that is no
-    vertex of H'. An edge from a new vertex into the core becomes an edge to
-    ``rep``, parallel to the others, which the DFS of ``graph.dfs_forest``
-    handles; an edge with both ends in the core becomes a loop and is left
-    out. Every end outside the core must be one of ``vertices``.
-    """
-    adj: dict[int, list[int]] = {rep: []}
-    adj.update((x, []) for x in vertices)
-    for u, w in edges:
-        u = rep if u in core else u
-        w = rep if w in core else w
-        if u != w:
-            adj[u].append(w)
-            adj[w].append(u)
-    return adj
 
 
 @dataclass(frozen=True)
@@ -162,7 +129,7 @@ def _covered_prefix(
     since ``cover_path`` never removes one of its vertices or edges.
 
     The core is one vertex at iteration 0. A later core that is not
-    connected and bridgeless is refused by ``pipeline.certify`` at the
+    connected and bridgeless is refused by ``check.certify`` at the
     iteration that built it, so nothing grown after it can certify.
     """
     rep = path[0]
@@ -411,46 +378,6 @@ def cover_path(
 # the full growth loop
 
 
-def check_preconditions(g: Graph) -> None:
-    """Raise PreconditionError unless g is connected, bridgeless and has 3+ vertices."""
-    witness = bridge_witness(g.adjacency())
-    if witness is not None:
-        raise PreconditionError("graph must be connected and bridgeless", witness=witness)
-    if g.n < 3:
-        raise PreconditionError("need at least 3 vertices")
-
-
-def header_claims(g: Graph, bound: BoundReport) -> dict:
-    """The growth_header fields that restate g and its bound, in trace order."""
-    return {
-        "n": g.n,
-        "m": g.m,
-        "min_degree": bound.min_degree,
-        "girth": bound.girth,
-        "epsilon": rational_str(bound.epsilon),
-        "ball_floor": bound.ball_size,
-        "scale": bound.scale,
-        "radius": bound.radius,
-        "reach": bound.reach,
-    }
-
-
-def final_claims(
-    iterations: int, far: int, reach: int, core: set[int], b: list[int], f: set[int]
-) -> dict:
-    """The growth_final counts of a core at distance ``far`` from every vertex,
-    with centers B and claimed vertices F; property 1 is ``far <= reach - 1``.
-    """
-    return {
-        "iterations": iterations,
-        "max_distance": far,
-        "property1": far <= reach - 1,
-        "core_vertex_count": len(core),
-        "center_count": len(b),
-        "claimed_count": len(f),
-    }
-
-
 def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     """Iterate path covering until every vertex is within reach of the core.
 
@@ -465,7 +392,7 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     iteration costs about the neighbourhood of its escape path, not the
     core.
 
-    The result and its trace are claims until ``pipeline.certify`` replays
+    The result and its trace are claims until ``check.certify`` replays
     them: a core that breaks a property is returned, not refused here.
     """
     check_preconditions(g)

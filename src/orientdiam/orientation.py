@@ -199,8 +199,8 @@ def diameter_among(o: Orientation, vertices: Iterable[int]) -> int | float:
       rent until the rent paid reaches the price).
 
     UNREACHABLE when the first pivot's searches miss a vertex of S; 0 for an
-    S of at most one vertex. ``oracle.bounded_diameter_of_arcs`` bounds the
-    same way in separate code, as the independent check in ``certify``.
+    S of at most one vertex. ``check.bounded_diameter_of_arcs`` is the
+    checker's own copy.
     """
     verts = sorted(set(vertices))
     n = o.base.n

@@ -9,6 +9,7 @@ from itertools import combinations
 from hypothesis import assume, strategies as st
 
 from orientdiam.bounds import BoundReport, as_fraction, ball_radius, diameter_bound, min_ball_size
+from orientdiam.check import _FIELD_KINDS, check_preconditions, final_claims, header_claims
 from orientdiam.errors import (
     CertifiedFailureError,
     GraphFormatError,
@@ -37,12 +38,8 @@ from orientdiam.growth import (
     _apply_splice,
     _bump,
     _stabilize,
-    check_preconditions,
-    final_claims,
-    header_claims,
     subgraph_adjacency,
 )
-from orientdiam.pipeline import _FIELD_KINDS
 
 
 @st.composite
@@ -497,7 +494,7 @@ def _field(rec: dict, key: str, kind: str, n: int = 0):
 def reference_replay_growth(
     g: Graph, header: dict, iterations: list[dict], final: dict, bound: BoundReport
 ) -> tuple[str | None, set[int], set[tuple[int, int]], int]:
-    """The snapshot replay that ``pipeline._replay_growth`` replaced, unchanged.
+    """The snapshot replay that ``check._replay_growth`` replaced, unchanged.
 
     It reads schema-1 iterations (``expand_schema1``): each rebuilds the whole
     core's adjacency and runs ``bridge_witness`` over it, and compares the

@@ -1,10 +1,22 @@
 """The package's public surface stays importable and complete."""
 
+import ast
+import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
 import orientdiam
+from orientdiam import check
+
+
+def _benchmark_spans():
+    """perfbench/spans.py, which wraps library functions by name for traced runs."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def test_all_names_resolve():
@@ -19,13 +31,56 @@ def test_version():
 
 def test_benchmark_traced_names_resolve():
     """Every function the benchmark wraps by name (perfbench/spans.py) still exists."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _benchmark_spans()
     missing = [
         (home.__name__, name)
         for home, name, _, _ in spans.TRACED
         if not inspect.isfunction(getattr(home, name, None))
     ]
     assert not missing
+
+
+def test_traced_functions_are_bound_by_name_only_where_spans_patch():
+    """A module that imports a traced function by name must be one spans patches,
+    or a traced run misses its calls and reads a counter too low.
+    """
+    spans = _benchmark_spans()
+    package = Path(orientdiam.__file__).parent
+    modules = [orientdiam] + [
+        importlib.import_module(f"orientdiam.{p.stem}")
+        for p in sorted(package.glob("*.py"))
+        if p.stem != "__init__"
+    ]
+    unpatched = [
+        (mod.__name__, name)
+        for mod in modules
+        if mod not in spans.MODULES
+        for home, name, _, _ in spans.TRACED
+        if getattr(mod, name, None) is getattr(home, name)
+    ]
+    assert unpatched == []
+
+
+def test_checker_imports_no_construction_code():
+    """check.py imports nothing at run time from the code whose claims it checks;
+    an import for type checking only is allowed.
+    """
+    construction = {"growth", "extension", "orientation", "pipeline", "oracle"}
+    tree = ast.parse(Path(check.__file__).read_text())
+    typing_only = {
+        id(node)
+        for block in tree.body
+        if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+        for node in ast.walk(block)
+    }
+    imported = []
+    for node in ast.walk(tree):
+        if id(node) in typing_only:
+            continue
+        if isinstance(node, ast.Import):
+            imported.extend(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = f"{node.module}." if node.module else ""
+            imported.extend(prefix + alias.name for alias in node.names)
+    assert any(name.startswith("bounds.") for name in imported)
+    assert [name for name in imported if construction & set(name.split("."))] == []

@@ -1,6 +1,8 @@
 """Command-line interface tests: exit codes, JSON output, file round-trips."""
 
 import json
+import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import expand_schema1
-from orientdiam import cli, extension, orientation, pipeline
+from orientdiam import check, cli, extension, orientation, pipeline
 from orientdiam.cli import main
 from orientdiam.generators import (
     circulant_graph, cycle_graph, petersen_graph, random_bridgeless, triangle_chain,
@@ -222,19 +224,58 @@ def test_verify_catches_an_understating_kernel_fallback_at_orient_time(
     assert failed[0]["detail"].startswith("diameter 25,")
 
 
-def test_verify_does_not_run_the_construction_search(tmp_path, capsys, monkeypatch):
-    """verify measures every diameter with the oracle's search, never diameter_among."""
-    gpath, opath, tpath, _ = orient_artifacts(tmp_path, triangle_chain(12), "2")
+def _trusted_base():
+    """README's "Trusted base" table: module -> the functions it lists, None for every one."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Trusted base\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)\.py` \|[^|]*\| (.*) \|$", section, re.M)
+    assert rows
+    return {
+        module: None if cell.startswith("every function") else set(re.findall(r"`([\w.]+)`", cell))
+        for module, cell in rows
+    }
 
-    def refuse(o, vertices):
-        raise AssertionError("verify ran the construction's diameter search")
 
-    monkeypatch.setattr(orientation, "diameter_among", refuse)
-    monkeypatch.setattr(extension, "diameter_among", refuse)
-    capsys.readouterr()
-    code, data = run_json(capsys, ["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
-    assert code == 0
-    assert data["ok"] is True
+def test_verify_does_not_run_the_construction_search(tmp_path, capsys):
+    """Every orientdiam function verify enters is in README's trusted base.
+
+    A comprehension, lambda or local function counts as the function it is
+    in; where code objects carry no qualified name (Python 3.10), as its
+    module, and a method by its own name.
+    """
+    base = _trusted_base()
+    entered = set()
+
+    def record(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("orientdiam."):
+            code = frame.f_code
+            name = getattr(code, "co_qualname", code.co_name).split(".<locals>.")[0]
+            entered.add((module.removeprefix("orientdiam."), name))
+
+    runs = [(circulant_graph(200, (1, 2)), "1/2"), (random_bridgeless(300, 4, 3, 0), "1/2"),
+            (triangle_chain(12), "2")]
+    for k, (g, epsilon) in enumerate(runs):
+        (tmp_path / str(k)).mkdir()
+        gpath, opath, tpath, _ = orient_artifacts(tmp_path / str(k), g, epsilon)
+        capsys.readouterr()
+        sys.setprofile(record)
+        try:
+            code = main(["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
+        finally:
+            sys.setprofile(None)
+        assert code == 0
+    assert ("cli", "cmd_verify") in entered
+
+    def trusted(module, name):
+        if module not in base:
+            return False
+        listed = base[module]
+        return listed is None or name.startswith("<") or name in listed or any(
+            name == f.rsplit(".", 1)[-1] for f in listed
+        )
+
+    assert sorted(e for e in entered if not trusted(*e)) == []
 
 
 def test_verify_catches_a_core_diameter_defect_shared_with_the_construction(
@@ -254,7 +295,6 @@ def test_verify_catches_a_core_diameter_defect_shared_with_the_construction(
             return diam + delta if len(vertices) < o.base.n and diam > 0 else diam
 
         monkeypatch.setattr(extension, "diameter_among", moved)
-        monkeypatch.setattr(pipeline, "diameter_among", moved, raising=False)
         gpath, opath, tpath, _ = orient_artifacts(tmp_path, g, "2")
         capsys.readouterr()
         argv = ["verify", gpath, "--orientation", opath, "--trace", str(tpath)]
@@ -436,12 +476,12 @@ def test_verify_rejects_malformed_log_fields(tmp_path, capsys, edit):
 
 
 TABLE_FIELDS = [
-    (kind, key) for kind, (_, fields) in pipeline._TRACE_SCHEMA.items() for key in fields
+    (kind, key) for kind, (_, fields) in check._TRACE_SCHEMA.items() for key in fields
 ]
 
 
 def _out_of_kind(kind, n):
-    """Values outside a kind of ``pipeline._TRACE_SCHEMA``, for a graph on n vertices."""
+    """Values outside a kind of ``check._TRACE_SCHEMA``, for a graph on n vertices."""
     ints = ["x", None, True, 1.5]
     vertex_lists = [None, 3, [n], [-1], [True], [1.0], [3, 5, 1008], [10**9], ["x", None]]
     return {
@@ -468,7 +508,7 @@ def test_verify_rejects_each_malformed_field(chain_run, kind, key):
     tmp, texts = chain_run
     records = [json.loads(line) for line in texts["trace"]]
     pos = next(i for i, rec in enumerate(records) if rec["type"] == kind and key in rec)
-    field_kind = pipeline._TRACE_SCHEMA[kind][1][key]
+    field_kind = check._TRACE_SCHEMA[kind][1][key]
     tpath = tmp / "edited_field.jsonl"
     argv = ["verify", str(tmp / "g.txt"), "--orientation", str(tmp / "g.orientation"),
             "--trace", str(tpath)]
@@ -828,7 +868,7 @@ def test_trace_records_hold_exactly_the_table_fields(g, epsilon):
     table lists for its type, the optional j and window_empty on chain steps only.
     """
     for rec in pipeline.run_pipeline(g, Fraction(epsilon)).trace_records():
-        fields = pipeline._TRACE_SCHEMA[rec["type"]][1]
+        fields = check._TRACE_SCHEMA[rec["type"]][1]
         optional = {key for key, kind in fields.items() if kind.startswith("optional ")}
         if rec.get("case") != "chain":
             fields = fields.keys() - optional

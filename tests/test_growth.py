@@ -20,6 +20,7 @@ from conftest import (
     reference_replay_growth,
     reference_stabilize,
 )
+from orientdiam.check import _replay_growth, certify
 from orientdiam.errors import (
     CertifiedFailureError,
     GraphFormatError,
@@ -42,7 +43,6 @@ from orientdiam.growth import (
     grow_core,
     subgraph_adjacency,
 )
-from orientdiam.pipeline import _replay_growth, certify
 
 
 def detour_fixture() -> Graph:

@@ -18,12 +18,9 @@ from orientdiam.generators import (
     triangle_chain,
 )
 from orientdiam.graph import UNREACHABLE, Graph
-from orientdiam import oracle
-from orientdiam.oracle import (
-    bounded_diameter_of_arcs,
-    directed_diameter_of_arcs,
-    exact_oriented_diameter,
-)
+from orientdiam import check, oracle
+from orientdiam.check import bounded_diameter_of_arcs
+from orientdiam.oracle import directed_diameter_of_arcs, exact_oriented_diameter
 from orientdiam.orientation import directed_diameter, is_strong, strong_orientation
 
 
@@ -113,8 +110,8 @@ def test_bounded_diameter_switches_to_plain_bfs_on_a_directed_cycle(monkeypatch)
     # 17 pivots (34 searches) leave 33 candidates, each then searched once,
     # where bounding alone would take 100 searches
     calls = []
-    bfs = oracle._bfs
-    monkeypatch.setattr(oracle, "_bfs", lambda adj, s: calls.append(s) or bfs(adj, s))
+    bfs = check._bfs
+    monkeypatch.setattr(check, "_bfs", lambda adj, s: calls.append(s) or bfs(adj, s))
     assert bounded_diameter_of_arcs(50, [(i, (i + 1) % 50) for i in range(50)]) == 49
     assert len(calls) == 34 + 33
 

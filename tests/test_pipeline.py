@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import bridgeless_graphs, expand_schema1
+from orientdiam.check import certify
 from orientdiam.errors import CertifiedFailureError, PreconditionError
 from orientdiam.generators import (
     circulant_graph,
@@ -21,7 +22,7 @@ from orientdiam.generators import (
 from orientdiam.graph import Graph
 from orientdiam.growth import grow_core
 from orientdiam.orientation import directed_diameter, is_strong
-from orientdiam.pipeline import certify, run_pipeline
+from orientdiam.pipeline import run_pipeline
 
 INVARIANT_NAMES = [
     "growth_properties",
