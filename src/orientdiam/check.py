@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import chain
-from typing import TYPE_CHECKING
 
 from . import graph
 from .bounds import (
@@ -17,9 +16,6 @@ from .bounds import (
 )
 from .errors import GraphFormatError, PreconditionError
 from .graph import UNREACHABLE, Graph, edge_key
-
-if TYPE_CHECKING:
-    from .orientation import Orientation
 
 
 # ---------------------------------------------------------------------------
@@ -496,22 +492,23 @@ def _check_verdict(verdict: dict, invariants: list[tuple]) -> tuple:
 
 
 def certify(
-    g: Graph, records: list[dict] | None, orientation: Orientation | None = None
+    g: Graph, records: list[dict] | None, arcs: list[tuple[int, int]] | None = None
 ) -> list[dict]:
     """Recompute from g every claim that trace records and an orientation make.
 
-    Returns named checks ``{"name", "ok", "detail"}``: with records, the growth
-    checks and, when the trace holds an extension, the extension and bound
-    checks; with an orientation, its strongness and, with records, whether
-    every diameter claim of the trace matches the orientation. Each diameter
-    is measured once, by ``bounded_diameter_of_arcs``: the full one on the
-    orientation's arcs, the core's on the core's arcs alone, so no code that
-    made a claim measures it. Without an orientation
-    the trace's diameters are taken as claimed, which is sound only for
-    diameters measured from the orientation in hand, as in ``run_pipeline``.
-    ``records`` is None to check an orientation alone. A malformed record
-    raises GraphFormatError; with records, a graph that is not connected and
-    bridgeless PreconditionError.
+    ``arcs`` are the orientation's (tail, head) arcs, one per edge of g, as
+    ``orientation.parse_orientation`` checks them. Returns named checks
+    ``{"name", "ok", "detail"}``: with records, the growth checks and, when
+    the trace holds an extension, the extension and bound checks; with arcs,
+    the orientation's strongness and, with records, whether every diameter
+    claim of the trace matches the orientation. Each diameter is measured
+    once, by ``bounded_diameter_of_arcs``: the full one on all the arcs, the
+    core's on the core's arcs alone, so no code that made a claim measures
+    it. Without arcs the trace's diameters are taken as claimed, which is
+    sound only for diameters measured from the orientation in hand, as in
+    ``run_pipeline``. ``records`` is None to check an orientation alone. A
+    malformed record raises GraphFormatError; with records, a graph that is
+    not connected and bridgeless PreconditionError.
     """
     checks: list[tuple] = []
     if records is not None:
@@ -543,19 +540,18 @@ def certify(
             )
         )
         extension_kinds = ("extension_header", "extension_final", "pipeline_final")
-        if orientation is not None or any(k in single for k in extension_kinds):
+        if arcs is not None or any(k in single for k in extension_kinds):
             ext_checks, core_claims, achieved_claims = _certify_extension(
                 single, logs["extension_round"], bound, len(core_v), s
             )
             checks.extend(ext_checks)
         if "pipeline_final" in single:
             checks.append(_check_verdict(single["pipeline_final"], checks))
-    if orientation is not None:
-        arcs = orientation.arcs()
+    if arcs is not None:
         # the empty graph has no strong orientation (``orientation.is_strong``)
         diam = bounded_diameter_of_arcs(g.n, arcs) if g.n else UNREACHABLE
         checks.append(("orientation_strong", diam != UNREACHABLE, f"directed diameter {diam}"))
-    if orientation is not None and records is not None:
+    if arcs is not None and records is not None:
         # the core's arcs renumbered 0..k-1; a non-edge of g is no arc, and
         # already failed growth_properties
         index = {v: i for i, v in enumerate(sorted(core_v))}

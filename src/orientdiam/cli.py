@@ -159,6 +159,8 @@ def _experiment_row(payload: tuple) -> dict[str, str]:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     specs = corpus(args.profile, args.seed)
     payloads = [
         (s.family, s.params, rational_str(args.epsilon), args.budget) for s in specs
@@ -207,7 +209,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     o = parse_orientation(Path(args.orientation).read_text(), g)
     records = _load_trace(args.trace) if args.trace else None
-    checks = certify(g, records, o)
+    checks = certify(g, records, o.arcs())
     ok = all(c["ok"] for c in checks)
     print(json.dumps({"checks": checks, "ok": ok}, indent=2))
     return 0 if ok else 4

@@ -20,7 +20,7 @@ from .errors import CertifiedFailureError, PreconditionError
 from .graph import UNREACHABLE, Graph, bfs_distances, edge_key, path_between
 from .orientation import (
     Orientation,
-    diameter_among,
+    digraph_diameter,
     directed_distance,
     directed_distances_from,
     directed_distances_to,
@@ -39,8 +39,16 @@ class ExtensionTrace:
 
 
 def core_directed_diameter(o: Orientation, core_vertices) -> int:
-    """Directed diameter of the core under the arcs assigned so far."""
-    diam = diameter_among(o, core_vertices)
+    """Directed diameter of the core on its own arcs, renumbered 0..k-1 as
+    ``check.certify`` renumbers them; arcs leaving the core are ignored."""
+    index = {v: i for i, v in enumerate(sorted(core_vertices))}
+    out: list[list[int]] = [[] for _ in index]
+    inn: list[list[int]] = [[] for _ in index]
+    for t, h in o.arcs():
+        if t in index and h in index:
+            out[index[t]].append(index[h])
+            inn[index[h]].append(index[t])
+    diam = digraph_diameter(out, inn)
     if diam == UNREACHABLE:
         raise CertifiedFailureError("core orientation is not strongly connected")
     return int(diam)

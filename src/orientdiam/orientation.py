@@ -106,19 +106,15 @@ def directed_distance(
     return search.met
 
 
-def _bfs_among(
-    adj: list[list[int]], s: int, member: list[bool], size: int
-) -> tuple[list[int], int | float]:
+def _bfs_among(adj: list[list[int]], s: int) -> tuple[list[int], int | float]:
     """Distances from s over list adjacency (-1 where unreached), and the
-    largest to a member of the vertex set, UNREACHABLE when one is missed.
+    largest, UNREACHABLE when a vertex is missed.
 
-    The search may leave the set. It stops at the layer that reaches the
-    last of the ``size`` members (s included when it is one), so the
-    distances to non-members beyond that layer stay -1.
+    The search stops at the layer that reaches the last vertex.
     """
     dist = [-1] * len(adj)
     dist[s] = 0
-    left = size - member[s]
+    left = len(adj) - 1
     layer = [s]
     d = 0
     while layer and left:
@@ -129,13 +125,13 @@ def _bfs_among(
                 if dist[w] < 0:
                     dist[w] = d
                     nxt.append(w)
-        left -= sum(map(member.__getitem__, nxt))
+        left -= len(nxt)
         layer = nxt
     return dist, UNREACHABLE if left else d
 
 
-def _bit_levels(pull: list[list[int]], sources: list[int], targets: list[int]) -> int | float:
-    """Levels until every target lies within reach of every source; UNREACHABLE
+def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:
+    """Levels until every vertex lies within reach of every source; UNREACHABLE
     when a level gains nothing first.
 
     Bit-parallel BFS (Akiba, Iwata & Yoshida, SIGMOD 2013): bit i of
@@ -149,9 +145,8 @@ def _bit_levels(pull: list[list[int]], sources: list[int], targets: list[int]) -
     seen = [0] * len(pull)
     for i, v in enumerate(sources):
         seen[v] = 1 << i
-    waiting = [v for v in targets if seen[v] != full]
     d = 0
-    while waiting:
+    while seen.count(full) < len(seen):
         nxt = []
         for bits, us in zip(seen, pull):
             for u in us:
@@ -161,80 +156,69 @@ def _bit_levels(pull: list[list[int]], sources: list[int], targets: list[int]) -
             return UNREACHABLE
         seen = nxt
         d += 1
-        waiting = [v for v in waiting if seen[v] != full]
     return d
 
 
 def _largest_eccentricity(
-    adj: list[list[int]], cands: list[int], upper: list[int], best: int,
-    member: list[bool], size: int,
+    adj: list[list[int]], cands: list[int], upper: list[int], best: int
 ) -> int | float:
     """``best``, raised by one plain BFS from each candidate whose upper bound still exceeds it."""
     for w in cands:
         if upper[w] > best:
-            best = max(best, _bfs_among(adj, w, member, size)[1])
+            best = max(best, _bfs_among(adj, w)[1])
     return best
 
 
-def diameter_among(o: Orientation, vertices: Iterable[int]) -> int | float:
-    """Largest directed distance between two of the given vertices, S; exact.
+def digraph_diameter(out: list[list[int]], inn: list[list[int]]) -> int | float:
+    """Directed diameter of the digraph with these out- and in-lists; exact.
 
-    Paths may use every assigned arc, also outside S; eccentricities are
-    measured to S. Each pivot v of S runs one forward and one backward BFS,
-    and the triangle inequality bounds every candidate w of S (Takes &
-    Kosters 2011, directed as in Crescenzi, Grossi, Lanzi & Marino 2013):
-    ``max(d(w,v), ecc_out(v) - d(v,w)) <= ecc_out(w) <= d(w,v) +
-    ecc_out(v)``, mirrored for ``ecc_in``. A vertex stops being a candidate
-    in a direction once its upper bound there is at most ``best``, the
-    largest eccentricity measured; the answer is found when either direction
-    has none left. Pivots alternate between the largest upper bound and the
-    smallest lower bound, ties going to the smallest id. The candidates left
-    in the smaller direction are finished, with no tuned constant:
+    Each pivot v runs one forward and one backward BFS, and the triangle
+    inequality bounds every candidate w (Takes & Kosters 2011, directed as
+    in Crescenzi, Grossi, Lanzi & Marino 2013): ``max(d(w,v), ecc_out(v) -
+    d(v,w)) <= ecc_out(w) <= d(w,v) + ecc_out(v)``, mirrored for
+    ``ecc_in``. A vertex stops being a candidate in a direction once its
+    upper bound there is at most ``best``, the largest eccentricity
+    measured; the answer is found when either direction has none left.
+    Pivots alternate between the largest upper bound and the smallest lower
+    bound, ties going to the smallest id. The candidates left in the smaller
+    direction are finished, with no tuned constant:
 
     - once fewer are left than BFS runs spent, by one plain BFS each (a
       directed cycle, where no bound prunes);
     - once the runs spent reach ``best``, by ``_bit_levels`` from all of
       them: it costs about one BFS per level, and ``best`` is a lower bound
-      on the diameter, the levels it would need from all of S (ski rental:
-      rent until the rent paid reaches the price).
+      on the diameter, the levels it would need from every vertex (ski
+      rental: rent until the rent paid reaches the price).
 
-    UNREACHABLE when the first pivot's searches miss a vertex of S; 0 for an
-    S of at most one vertex. ``check.bounded_diameter_of_arcs`` is the
-    checker's own copy.
+    UNREACHABLE when the first pivot's searches miss a vertex; 0 for at most
+    one vertex. ``check.bounded_diameter_of_arcs`` is the checker's own copy.
     """
-    verts = sorted(set(vertices))
-    n = o.base.n
-    if verts and not (0 <= verts[0] and verts[-1] < n):
-        raise ValueError("vertex out of range")
-    size = len(verts)
-    if size <= 1:
+    n = len(out)
+    if n <= 1:
         return 0
-    member = [False] * n
-    for v in verts:
-        member[v] = True
-    adjs = (o._out, o._in)
-    # per direction (0 out, 1 in): bounds on every member's eccentricity, and
-    # the members, ascending, whose upper bound still exceeds ``best``
+    adjs = (out, inn)
+    # per direction (0 out, 1 in): bounds on every vertex's eccentricity, and
+    # the vertices, ascending, whose upper bound still exceeds ``best``
     upper = ([n] * n, [n] * n)
     lower = ([0] * n, [0] * n)
-    cands = (list(verts), list(verts))
+    cands = (list(range(n)), list(range(n)))
     best = 0
     spent = 0
     by_upper = True
     while cands[0] and cands[1]:
         few = 0 if len(cands[0]) <= len(cands[1]) else 1
         if spent >= len(cands[few]):
-            return _largest_eccentricity(adjs[few], cands[few], upper[few], best, member, size)
+            return _largest_eccentricity(adjs[few], cands[few], upper[few], best)
         if 0 < best <= spent:
             # out-eccentricities pull bits along in-arcs, in-eccentricities along out-arcs
-            return max(best, _bit_levels(adjs[1 - few], cands[few], verts))
+            return max(best, _bit_levels(adjs[1 - few], cands[few]))
         if by_upper:
             v = -max((upper[k][w], -w) for k in (0, 1) for w in cands[k])[1]
         else:
             v = min((lower[k][w], w) for k in (0, 1) for w in cands[k])[1]
         by_upper = not by_upper
-        fwd, ecc_out = _bfs_among(adjs[0], v, member, size)
-        bwd, ecc_in = _bfs_among(adjs[1], v, member, size)
+        fwd, ecc_out = _bfs_among(out, v)
+        bwd, ecc_in = _bfs_among(inn, v)
         if ecc_out == UNREACHABLE or ecc_in == UNREACHABLE:
             return UNREACHABLE
         spent += 2
@@ -274,7 +258,7 @@ def directed_diameter(o: Orientation) -> int | float:
         raise IncompleteOrientationError("diameter is defined for complete orientations")
     if o.base.n == 0:
         raise ValueError("diameter of the empty graph is undefined")
-    return diameter_among(o, range(o.base.n))
+    return digraph_diameter(o._out, o._in)
 
 
 # ---------------------------------------------------------------------------

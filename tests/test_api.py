@@ -62,21 +62,12 @@ def test_traced_functions_are_bound_by_name_only_where_spans_patch():
 
 
 def test_checker_imports_no_construction_code():
-    """check.py imports nothing at run time from the code whose claims it checks;
-    an import for type checking only is allowed.
+    """check.py imports nothing from the code whose claims it checks, not even
+    for type checking.
     """
     construction = {"growth", "extension", "orientation", "pipeline", "oracle"}
-    tree = ast.parse(Path(check.__file__).read_text())
-    typing_only = {
-        id(node)
-        for block in tree.body
-        if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
-        for node in ast.walk(block)
-    }
     imported = []
-    for node in ast.walk(tree):
-        if id(node) in typing_only:
-            continue
+    for node in ast.walk(ast.parse(Path(check.__file__).read_text())):
         if isinstance(node, ast.Import):
             imported.extend(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):

@@ -202,18 +202,18 @@ def test_verify_catches_a_diameter_overstated_at_orient_time(tmp_path, capsys, m
 def test_verify_catches_an_understating_kernel_fallback_at_orient_time(
     tmp_path, capsys, monkeypatch
 ):
-    """orient's diameter_among returns one less than the truth on its bit-parallel exit."""
-    true_kernel, true_diameter_among = orientation._bit_levels, orientation.diameter_among
+    """orient's digraph_diameter returns one less than the truth on its bit-parallel exit."""
+    true_kernel, true_digraph_diameter = orientation._bit_levels, orientation.digraph_diameter
     taken = []
 
-    def understated(o, vertices):
+    def understated(out, inn):
         taken.clear()
-        diam = true_diameter_among(o, vertices)
+        diam = true_digraph_diameter(out, inn)
         return diam - 1 if taken else diam
 
     with monkeypatch.context() as patched:
         patched.setattr(orientation, "_bit_levels", lambda *a: taken.append(1) or true_kernel(*a))
-        patched.setattr(orientation, "diameter_among", understated)
+        patched.setattr(orientation, "digraph_diameter", understated)
         gpath, opath, tpath, _ = orient_artifacts(tmp_path, random_bridgeless(800, 4, 3, 0))
     assert taken, "the orientation's diameter must reach the kernel fallback"
     capsys.readouterr()
@@ -286,15 +286,16 @@ def test_verify_catches_a_core_diameter_defect_shared_with_the_construction(
     Moved up, the claim needs a core whose diameter is below its size - 1,
     or orient's own core_diameter_within_size refuses it first.
     """
-    true_diameter_among = extension.diameter_among
+    true_digraph_diameter = extension.digraph_diameter
     for delta, g in ((-1, triangle_chain(12)), (1, random_bridgeless(40, 4, 3, 2))):
 
-        def moved(o, vertices):
-            vertices = set(vertices)
-            diam = true_diameter_among(o, vertices)
-            return diam + delta if len(vertices) < o.base.n and diam > 0 else diam
+        def moved(out, inn):
+            diam = true_digraph_diameter(out, inn)
+            return diam + delta if diam > 0 else diam
 
-        monkeypatch.setattr(extension, "diameter_among", moved)
+        # extension measures only the core with digraph_diameter; the full
+        # diameter comes from orientation.directed_diameter, unpatched
+        monkeypatch.setattr(extension, "digraph_diameter", moved)
         gpath, opath, tpath, _ = orient_artifacts(tmp_path, g, "2")
         capsys.readouterr()
         argv = ["verify", gpath, "--orientation", opath, "--trace", str(tpath)]
@@ -990,6 +991,14 @@ def test_verify_refuses_fallback_centers_off_their_places(tmp_path, capsys):
     code, data = run_json(capsys, ["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
     assert code == 4
     assert data["checks"][0]["detail"].startswith("iteration 0: centers_placed (")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_experiment_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    out = tmp_path / "tiny.csv"
+    assert main(["experiment", "tiny", "--out", str(out), "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("jobs, workers", [(8, [6]), (3, [3]), (1, [])])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import bridgeless_graphs, reference_chain_offset
+from orientdiam.check import bounded_diameter_of_arcs
 from orientdiam.errors import CertifiedFailureError, PreconditionError
 from orientdiam.extension import _chain_offset, core_directed_diameter, extend_orientation
 from orientdiam.generators import (
@@ -14,7 +15,7 @@ from orientdiam.generators import (
     triangle_chain,
 )
 from orientdiam.graph import Graph
-from orientdiam.orientation import directed_diameter, is_strong
+from orientdiam.orientation import Orientation, directed_diameter, is_strong
 
 
 def rounds_of(trace):
@@ -144,14 +145,24 @@ def test_extension_header_reach_frozen():
 
 
 def test_core_directed_diameter_frozen():
-    from orientdiam.orientation import Orientation
-
     g = cycle_graph(5)
     o = Orientation(g)
     for a, b in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)):
         o.assign(a, b)
     assert core_directed_diameter(o, range(5)) == 4
     assert core_directed_diameter(o, {2}) == 0
+
+
+def test_core_directed_diameter_ignores_arcs_outside_the_core():
+    """A directed 4-cycle core, each vertex i with a two-arc detour i -> 4+i ->
+    i-1 outside it: through the detours every core pair is within 2, but on
+    the core's own arcs 0 reaches 3 only in 3."""
+    detours = [(i, 4 + i) for i in range(4)] + [(4 + i, (i - 1) % 4) for i in range(4)]
+    cycle = [(i, (i + 1) % 4) for i in range(4)]
+    o = Orientation(Graph(8, cycle + detours))
+    for t, h in cycle + detours:
+        o.assign(t, h)
+    assert core_directed_diameter(o, range(4)) == 3 == bounded_diameter_of_arcs(4, cycle)
 
 
 @settings(max_examples=20, deadline=None)

@@ -26,7 +26,7 @@ from orientdiam.oracle import directed_diameter_of_arcs
 from orientdiam.orientation import (
     Orientation,
     _bit_levels,
-    diameter_among,
+    digraph_diameter,
     directed_diameter,
     directed_distance,
     directed_distances_from,
@@ -231,23 +231,29 @@ def test_directed_diameter_matches_arc_list(o):
     assert directed_diameter(o) == directed_diameter_of_arcs(o.base.n, o.arcs())
 
 
-def per_vertex_diameter(o: Orientation, vertices) -> int | float:
-    """One directed BFS from each vertex of the set: the slow path of ``diameter_among``."""
-    worst = 0
-    for v in sorted(vertices):
-        dist = directed_distances_from(o, (v,))
-        worst = max(worst, max(dist[w] for w in vertices))
-    return worst
+def per_vertex_diameter(o: Orientation) -> int | float:
+    """One directed BFS from each vertex: the slow path of ``digraph_diameter``."""
+    return max((max(directed_distances_from(o, (v,))) for v in range(o.base.n)), default=0)
+
+
+def core_orientation(o: Orientation, core) -> Orientation:
+    """The core's own arcs, those with both ends in the core, renumbered 0..k-1."""
+    index = {v: i for i, v in enumerate(sorted(core))}
+    arcs = [(index[t], index[h]) for t, h in o.arcs() if t in index and h in index]
+    sub = Orientation(Graph(len(index), arcs))
+    for t, h in arcs:
+        sub.assign(t, h)
+    return sub
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_core_directed_diameter_matches_per_vertex_bfs(data):
     # complete or partial, any subset: empty, single, not strong, or one
-    # whose shortest paths leave it
+    # whose shortest paths in o leave it
     o = data.draw(random_orientations(complete=data.draw(st.booleans())))
     core = data.draw(vertex_sets(o.base.n))
-    worst = per_vertex_diameter(o, core)
+    worst = per_vertex_diameter(core_orientation(o, core))
     if worst == UNREACHABLE:
         with pytest.raises(CertifiedFailureError):
             core_directed_diameter(o, core)
@@ -291,17 +297,13 @@ def test_orient_adjacency_matches_reference_dfs(g, data):
     assert orient_adjacency(adj) == reference_orient_adjacency(adj, min(comp))
 
 
-def test_diameter_among_frozen_subsets():
+def test_digraph_diameter_frozen_cases():
     c8 = directed_cycle(8)
-    assert diameter_among(c8, ()) == 0
-    assert diameter_among(c8, (5,)) == 0
-    assert diameter_among(c8, (0, 4)) == 4  # every path between them leaves the set
-    assert diameter_among(c8, (1, 2, 3)) == 7  # from 3 to 2
+    assert digraph_diameter(c8._out, c8._in) == 7
     path = Orientation(cycle_graph(4))
-    orient_path(path, [0, 1, 2])
-    assert diameter_among(path, (0, 2)) == UNREACHABLE
-    with pytest.raises(ValueError):
-        diameter_among(c8, (0, 8))
+    orient_path(path, [0, 1, 2, 3])
+    assert digraph_diameter(path._out, path._in) == UNREACHABLE
+    assert digraph_diameter([[]], [[]]) == 0
 
 
 def _dense_random_orientation(n: int, p: float, seed: int) -> Orientation:
@@ -339,25 +341,25 @@ def test_diameter_among_takes_each_exit(monkeypatch, o, exit_taken):
             orientation, name, lambda *a, f=fallback, name=name: taken.append(name) or f(*a)
         )
     diam = directed_diameter(o)
-    assert diam == per_vertex_diameter(o, range(o.base.n)) != UNREACHABLE
+    assert diam == per_vertex_diameter(o) != UNREACHABLE
     assert taken == ([exit_taken] if exit_taken else [])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_bit_levels_matches_floyd_warshall(data):
-    """The kernel on any digraph, source and target sets, unreachable pairs
-    included: over in-lists it measures max d(s, t), over out-lists max d(t, s).
+    """The kernel on any digraph and source set, unreachable pairs included:
+    over in-lists it measures the largest d(s, v) over every vertex v, over
+    out-lists the largest d(v, s).
     """
     n = data.draw(st.integers(1, 12))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    vertex_lists = st.lists(st.integers(0, n - 1), min_size=1, unique=True)
-    sources, targets = data.draw(vertex_lists), data.draw(vertex_lists)
+    sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
     dist = floyd_warshall_arcs(n, arcs)
     outs, ins = [[] for _ in range(n)], [[] for _ in range(n)]
     for u, v in arcs:
         outs[u].append(v)
         ins[v].append(u)
-    assert _bit_levels(ins, sources, targets) == max(dist[s][t] for s in sources for t in targets)
-    assert _bit_levels(outs, sources, targets) == max(dist[t][s] for s in sources for t in targets)
+    assert _bit_levels(ins, sources) == max(dist[s][v] for s in sources for v in range(n))
+    assert _bit_levels(outs, sources) == max(dist[v][s] for s in sources for v in range(n))

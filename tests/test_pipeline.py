@@ -92,7 +92,7 @@ def test_pipeline_certifies_random_graphs(g):
     assert is_strong(r.orientation)
     assert directed_diameter(r.orientation) == r.achieved
     assert Fraction(r.achieved) <= r.bound.total
-    checks = certify(g, r.trace_records(), r.orientation)
+    checks = certify(g, r.trace_records(), r.orientation.arcs())
     assert all(c["ok"] for c in checks), checks
     assert [c["name"] for c in checks[:7]] == INVARIANT_NAMES
 
