@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +24,7 @@ from .graph import (
     UNREACHABLE,
     Graph,
     diameter,
+    edge_key,
     format_graph,
     girth,
     is_bridgeless_connected,
@@ -30,7 +32,7 @@ from .graph import (
     parse_graph,
 )
 from .oracle import exact_oriented_diameter
-from .orientation import format_orientation, parse_orientation
+from .orientation import format_orientation, parse_orientation, read_arcs
 from .pipeline import run_pipeline
 
 CSV_COLUMNS = [
@@ -159,8 +161,6 @@ def _experiment_row(payload: tuple) -> dict[str, str]:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     specs = corpus(args.profile, args.seed)
     payloads = [
         (s.family, s.params, rational_str(args.epsilon), args.budget) for s in specs
@@ -207,9 +207,10 @@ def _load_trace(path: str) -> list[dict]:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    o = parse_orientation(Path(args.orientation).read_text(), g)
+    arcs = read_arcs(Path(args.orientation).read_text(), g)
+    arcs.sort(key=lambda arc: edge_key(*arc))
     records = _load_trace(args.trace) if args.trace else None
-    checks = certify(g, records, o.arcs())
+    checks = certify(g, records, arcs)
     ok = all(c["ok"] for c in checks)
     print(json.dumps({"checks": checks, "ok": ok}, indent=2))
     return 0 if ok else 4
@@ -225,7 +226,28 @@ def _fraction(text: str) -> Fraction:
     return value
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every caller: argparse's
+    build costs more than a ``verify`` of a small graph. Each subcommand's
+    ``func`` is bound by that first build, so a ``cmd_*`` function patched
+    later is not the one ``main`` calls.
+    """
     parser = argparse.ArgumentParser(
         prog="orientdiam",
         description="Constructive strong orientations with certified diameter bounds.",
@@ -245,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive minimum directed diameter")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=24, metavar="EDGES")
+    p.add_argument("--budget", type=_at_least(0), default=24, metavar="EDGES")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="write a generated family member")
@@ -258,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("profile")
     p.add_argument("--epsilon", type=_fraction, default=Fraction(1, 2), metavar="P/Q")
     p.add_argument("--out", required=True, metavar="FILE")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=24, metavar="EDGES")
+    p.add_argument("--budget", type=_at_least(0), default=24, metavar="EDGES")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("verify", help="re-check an orientation and its trace")

@@ -288,9 +288,13 @@ def diameter(g: Graph) -> int | float:
 def girth(g: Graph) -> int | float:
     """Length of a shortest cycle; UNREACHABLE for forests.
 
-    Per-root BFS: a non-tree edge seen from root r closes a cycle of length
-    dist[u] + dist[w] + 1. The estimate never undershoots and is exact for
-    roots on a shortest cycle, so the minimum over roots is the girth.
+    Per-root BFS: a non-tree edge seen from root r closes a closed walk of
+    length dist[u] + dist[w] + 1, which holds a cycle, so the estimate never
+    undershoots; it is exact for roots on a shortest cycle. Roots go in
+    ascending order and each searches only the vertices above it: the least
+    vertex of a shortest cycle still sees that whole cycle. A search stops at
+    the first vertex that can close nothing shorter than ``best``, as every
+    later one lies at least as deep.
     """
     best: int | float = UNREACHABLE
     for root in range(g.n):
@@ -300,8 +304,10 @@ def girth(g: Graph) -> int | float:
         while queue:
             u = queue.popleft()
             if 2 * dist[u] >= best - 1:
-                continue
+                break
             for w in g.neighbors(u):
+                if w < root:
+                    continue
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     parent[w] = u

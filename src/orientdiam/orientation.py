@@ -316,19 +316,31 @@ def orient_path(o: Orientation, vertices: Sequence[int], forward: bool = True) -
 # "tail head" line per edge
 
 
-def parse_orientation(text: str, base: Graph) -> Orientation:
-    """Parse an arc listing and check it orients each base edge exactly once."""
+def read_arcs(text: str, base: Graph) -> list[tuple[int, int]]:
+    """The arcs of an arc listing, in file order, once checked to orient each
+    base edge exactly once; the first fault in file order is the one reported.
+    """
     n, arcs = read_rows(text, "orientation n m", "tail head")
     if (n, len(arcs)) != (base.n, base.m):
         raise GraphFormatError(
             f"header ({n}, {len(arcs)}) does not match the base graph ({base.n}, {base.m})"
         )
-    o = Orientation(base)
+    left = set(base.edges())
     for t, h in arcs:
-        if not (0 <= t < n and 0 <= h < n) or not base.has_edge(t, h):
+        e = edge_key(t, h)
+        if e in left:
+            left.remove(e)
+        elif 0 <= t < n and 0 <= h < n and base.has_edge(t, h):
+            raise GraphFormatError(f"edge {e} oriented twice")
+        else:
             raise GraphFormatError(f"({t}, {h}) is not an edge of the base graph")
-        if o.direction(t, h) is not None:
-            raise GraphFormatError(f"edge {edge_key(t, h)} oriented twice")
+    return arcs
+
+
+def parse_orientation(text: str, base: Graph) -> Orientation:
+    """Parse an arc listing (``read_arcs``) into an orientation, assigned in file order."""
+    o = Orientation(base)
+    for t, h in read_arcs(text, base):
         o.assign(t, h)
     return o
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -28,9 +29,11 @@ from orientdiam.graph import (
     edge_key,
     girth,
     min_degree,
+    read_rows,
     shortest_path_between,
 )
 from orientdiam.generators import random_bridgeless
+from orientdiam.orientation import Orientation
 from orientdiam.growth import (
     GrowthResult,
     GrowthTrace,
@@ -94,6 +97,50 @@ def floyd_warshall_arcs(n: int, arcs) -> list[list[int | float]]:
                 if alt < di[j]:
                     di[j] = alt
     return dist
+
+
+def reference_girth(g: Graph) -> int | float:
+    """``graph.girth`` before it dropped finished roots: every root searches
+    the whole graph, and skips (not stops at) vertices too deep to help.
+    """
+    best: int | float = UNREACHABLE
+    for root in range(g.n):
+        dist: dict[int, int] = {root: 0}
+        parent: dict[int, int] = {root: -1}
+        queue: deque[int] = deque([root])
+        while queue:
+            u = queue.popleft()
+            if 2 * dist[u] >= best - 1:
+                continue
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    best = min(best, dist[u] + dist[w] + 1)
+        if best == 3:
+            break
+    return best
+
+
+def reference_parse_orientation(text: str, base: Graph) -> Orientation:
+    """``orientation.parse_orientation`` before ``read_arcs``: each arc is
+    checked with ``Orientation.direction`` and stored with ``assign``.
+    """
+    n, arcs = read_rows(text, "orientation n m", "tail head")
+    if (n, len(arcs)) != (base.n, base.m):
+        raise GraphFormatError(
+            f"header ({n}, {len(arcs)}) does not match the base graph ({base.n}, {base.m})"
+        )
+    o = Orientation(base)
+    for t, h in arcs:
+        if not (0 <= t < n and 0 <= h < n) or not base.has_edge(t, h):
+            raise GraphFormatError(f"({t}, {h}) is not an edge of the base graph")
+        if o.direction(t, h) is not None:
+            raise GraphFormatError(f"edge {edge_key(t, h)} oriented twice")
+        o.assign(t, h)
+    return o
 
 
 def girth_by_edge_removal(g: Graph) -> int | float:

@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import expand_schema1
+from conftest import expand_schema1, reference_parse_orientation
 from orientdiam import check, cli, extension, orientation, pipeline
 from orientdiam.cli import main
 from orientdiam.generators import (
     circulant_graph, cycle_graph, petersen_graph, random_bridgeless, triangle_chain,
 )
-from orientdiam.graph import format_graph, parse_graph
+from orientdiam.errors import GraphFormatError
+from orientdiam.graph import edge_key, format_graph, parse_graph
 from orientdiam.orientation import directed_diameter, is_strong, parse_orientation
 
 
@@ -102,6 +103,31 @@ def test_verify_accepts_emitted_artifacts(tmp_path, capsys):
     assert code == 0
     assert data["ok"] is True
     assert all(c["ok"] for c in data["checks"])
+
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_verify_without_trace_after_one_with_it_checks_only_the_orientation(tmp_path, capsys):
+    """On the cached parser, as on a freshly built one."""
+    gpath, opath, tpath, _ = orient_artifacts(tmp_path, cycle_graph(8))
+    assert main(["verify", gpath, "--orientation", opath, "--trace", str(tpath)]) == 0
+    capsys.readouterr()
+    assert main(["verify", gpath, "--orientation", opath]) == 0
+    cached = capsys.readouterr()
+    cli.build_parser.cache_clear()
+    assert main(["verify", gpath, "--orientation", opath]) == 0
+    assert capsys.readouterr() == cached
+    assert [c["name"] for c in json.loads(cached.out)["checks"]] == ["orientation_strong"]
+
+
+def test_a_bad_argument_leaves_the_cached_parser_working(tmp_path, capsys):
+    gpath, opath, _, _ = orient_artifacts(tmp_path, cycle_graph(8))
+    assert main(["verify", gpath, "--trace", "missing.jsonl"]) == 2
+    assert main(["oracle", gpath, "--budget", "x"]) == 2
+    assert "argument --budget: invalid int value: 'x'" in capsys.readouterr().err
+    assert main(["verify", gpath, "--orientation", opath]) == 0
 
 
 def test_verify_rejects_tampered_orientation(tmp_path, capsys):
@@ -796,6 +822,24 @@ def test_verify_never_raises_on_edited_files(small_run, data):
             "--trace", str(paths["trace"])]
     with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
         assert main(argv) in (0, 2, 3, 4)
+    # read_arcs, which verify runs, and parse_orientation read the orientation
+    # as the reference built on Orientation.direction and assign does
+    try:
+        g = parse_graph(paths["graph"].read_text())
+    except GraphFormatError:
+        return
+    text = paths["orientation"].read_text()
+    want = _arcs_or_message(lambda t, base: reference_parse_orientation(t, base).arcs(), text, g)
+    assert _arcs_or_message(orientation.read_arcs, text, g) == want
+    assert _arcs_or_message(lambda t, base: parse_orientation(t, base).arcs(), text, g) == want
+
+
+def _arcs_or_message(read, text, g):
+    """``read``'s arcs by canonical edge, or its GraphFormatError message."""
+    try:
+        return sorted(read(text, g), key=lambda arc: edge_key(*arc))
+    except GraphFormatError as exc:
+        return str(exc)
 
 
 # every top-level integer of a trace record, by what verify does with it:
@@ -997,8 +1041,23 @@ def test_verify_refuses_fallback_centers_off_their_places(tmp_path, capsys):
 def test_experiment_jobs_below_one_exits_2(tmp_path, capsys, jobs):
     out = tmp_path / "tiny.csv"
     assert main(["experiment", "tiny", "--out", str(out), "--jobs", jobs]) == 2
-    assert capsys.readouterr().err == f"error: --jobs must be at least 1, got {jobs}\n"
+    err = capsys.readouterr().err
+    assert err.endswith(f"\norientdiam experiment: error: argument --jobs: must be at least 1, got '{jobs}'\n")
     assert not out.exists()
+
+
+def test_budget_below_zero_exits_2(tmp_path, capsys):
+    gpath = write_graph(tmp_path, "c8.txt", cycle_graph(8))
+    out = tmp_path / "b.csv"
+    for argv in (["oracle", gpath, "--budget", "-5"],
+                 ["experiment", "tiny", "--out", str(out), "--budget", "-1"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f": error: argument --budget: must be at least 0, got '{argv[-1]}'\n")
+    assert not out.exists()
+    # a budget of 0 is one: 8 edges exceed it
+    assert main(["oracle", gpath, "--budget", "0"]) == 3
+    assert "exceeds the exhaustive budget of 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs, workers", [(8, [6]), (3, [3]), (1, [])])

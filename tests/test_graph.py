@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from contextlib import suppress
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,10 +15,13 @@ from conftest import (
     floyd_warshall,
     floyd_warshall_without,
     girth_by_edge_removal,
+    reference_girth,
     reference_shortest_path,
 )
-from orientdiam.errors import GraphFormatError
-from orientdiam.generators import complete_graph, cycle_graph, petersen_graph
+from orientdiam.errors import GraphFormatError, InfeasibleSpecError
+from orientdiam.generators import (
+    complete_graph, corpus, cycle_graph, generate, petersen_graph, random_bridgeless,
+)
 from orientdiam.graph import (
     UNREACHABLE,
     Graph,
@@ -276,6 +282,45 @@ def test_diameter_matches_floyd_warshall(g):
 @given(arbitrary_graphs(max_n=8))
 def test_girth_matches_edge_removal_reference(g):
     assert girth(g) == girth_by_edge_removal(g)
+
+
+def test_girth_matches_reference_on_corpora_and_random_families():
+    """Every corpus profile at seeds 0-9, and random graphs with girth floors 3-7."""
+    graphs = {
+        generate(spec)
+        for seed in range(10)
+        for profile in ("tiny", "small", "girth", "dense")
+        for spec in corpus(profile, seed)
+    }
+    for floor in range(3, 8):
+        for n, delta, seed in product((20, 40, 80), (2, 3), range(4)):
+            with suppress(InfeasibleSpecError):
+                graphs.add(random_bridgeless(n, delta, floor, seed))
+    assert len(graphs) > 150
+    assert {int(reference_girth(g)) for g in graphs} >= set(range(3, 8))
+    assert [g for g in graphs if girth(g) != reference_girth(g)] == []
+
+
+@st.composite
+def relabeled_sparse_graphs(draw):
+    """A forest (a vertex may join no earlier one: isolated vertices and
+    disconnected graphs) with up to three more edges, relabeled at random.
+    """
+    n = draw(st.integers(min_value=1, max_value=16))
+    edges = {
+        (v, draw(st.integers(0, v - 1))) for v in range(1, n) if draw(st.booleans())
+    }
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+        edges |= set(draw(st.lists(pairs, max_size=3)))
+    label = draw(st.permutations(range(n)))
+    return Graph(n, {edge_key(label[u], label[v]) for u, v in edges})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(relabeled_sparse_graphs(), arbitrary_graphs(max_n=12)))
+def test_girth_matches_reference_on_sparse_and_arbitrary_graphs(g):
+    assert girth(g) == reference_girth(g)
 
 
 @settings(max_examples=100, deadline=None)

@@ -36,6 +36,7 @@ from orientdiam.orientation import (
     orient_adjacency,
     orient_path,
     parse_orientation,
+    read_arcs,
     strong_orientation,
 )
 
@@ -160,6 +161,24 @@ def test_parse_orientation_rejects_malformed():
     for text in bad:
         with pytest.raises(GraphFormatError):
             parse_orientation(text, base)
+
+
+def test_read_arcs_keeps_file_order_and_parse_orientation_messages():
+    base = cycle_graph(3)
+    assert read_arcs("orientation 3 3\n2 0\n0 1\n1 2\n", base) == [(2, 0), (0, 1), (1, 2)]
+    bad = {
+        "orientation 3 3\n0 1\n1 0\n2 0\n": "edge (0, 1) oriented twice",
+        "orientation 3 3\n0 1\n1 2\n2 2\n": "(2, 2) is not an edge of the base graph",
+        # -2 would index vertex 1's neighbors, which hold 2
+        "orientation 3 3\n0 1\n-2 2\n0 1\n": "(-2, 2) is not an edge of the base graph",
+        "orientation 3 3\n0 1\n0 3\n0 1\n": "(0, 3) is not an edge of the base graph",
+        "orientation 3 2\n0 1\n1 2\n": "header (3, 2) does not match the base graph (3, 3)",
+    }
+    for text, message in bad.items():
+        for read in (read_arcs, parse_orientation):
+            with pytest.raises(GraphFormatError) as exc:
+                read(text, base)
+            assert str(exc.value) == message
 
 
 @settings(max_examples=60, deadline=None)
