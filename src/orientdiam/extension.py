@@ -13,11 +13,12 @@ does not.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 
 from .bounds import allowed_increase, round_trip_cap
 from .errors import CertifiedFailureError, PreconditionError
-from .graph import UNREACHABLE, Graph, bfs_distances, edge_key, path_between
+from .graph import UNREACHABLE, Graph
 from .orientation import (
     Orientation,
     digraph_diameter,
@@ -27,6 +28,148 @@ from .orientation import (
     directed_diameter,
     orient_path,
 )
+
+
+SHARED = -1  # owner label of a vertex whose shortest routes to the core part ways
+
+
+class EscapeSearch:
+    """One round's breadth-first search from the core, and every frontier
+    vertex's escape path read off it.
+
+    The search gives ``dist``, each vertex's distance to the core, and
+    ``owner``: a vertex at distance 1 owns itself, a deeper vertex takes its
+    parents' owner (its neighbours one layer closer) when they all agree and
+    ``SHARED`` otherwise, one comparison per arc. Every shortest route from x
+    to the core meets distance 1 at one vertex, so ``owner[x] == v`` exactly
+    when every such route passes through v. Core vertices are ``SHARED``.
+
+    Frontier vertex v, at distance 1, escapes along the lexicographically
+    smallest shortest path to the core in g minus the edge to its anchor a,
+    its smallest core neighbour: the path ``path_between(g, {v}, core,
+    {v-a})`` returns. Write d'(x) for x's distance to the core in g - v:
+
+    - d'(x) = dist[x] when v does not own x, as some shortest route avoids
+      v; an owned x has d'(x) >= dist[x] + 1;
+    - the escape length is L = 1 + min d'(w) over the neighbours w != a. A
+      neighbour v does not own has dist at most 2, and an owned one d' >= 3,
+      so one unowned neighbour settles L <= 3 with no search;
+    - otherwise ``_region`` searches d' over the vertices v owns, seeded from
+      their unowned neighbours. Each vertex has one owner, so a round's
+      region searches together cost O(n + m).
+
+    The walk from v then takes, at each step, the smallest neighbour x with
+    d'(x) equal to the length still to go: never v itself, nor a on the
+    first step, nor an owned vertex the region search did not reach. This is
+    ``path_between``'s path. Its search from v in g - {v-a} keeps, k steps
+    out, the vertices at distance k from v and L - k from the core, and
+    steps to the smallest of them next to the last vertex. For x next to a
+    vertex k - 1 steps out, distance L - k to the core already gives
+    distance k from v; and no shortest route from x to the core runs
+    through v, whose own distance L would then be shorter, so that distance
+    is d'(x) in g - {v-a} as in g - v. Each step chooses among the same
+    vertices.
+    """
+
+    __slots__ = ("adj", "dist", "owner", "dprime", "reach", "unreached", "frontier",
+                 "anchor", "length")
+
+    def __init__(self, g: Graph, core: Set[int]):
+        adj = g._adj
+        dist = [-1] * g.n
+        owner = [SHARED] * g.n
+        for c in core:
+            dist[c] = 0
+        nxt = []
+        for u in core:
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = 1
+                    owner[w] = w
+                    nxt.append(w)
+        self.frontier = sorted(nxt)
+        reached, d, layer = len(core), 0, nxt
+        while layer:
+            d += 1
+            reached += len(layer)
+            nxt = []
+            for u in layer:
+                o = owner[u]
+                for w in adj[u]:
+                    dw = dist[w]
+                    if dw < 0:
+                        dist[w] = d + 1
+                        owner[w] = o
+                        nxt.append(w)
+                    elif dw > d and owner[w] != o:
+                        owner[w] = SHARED
+            layer = nxt
+        self.adj, self.dist, self.owner = adj, dist, owner
+        self.reach, self.unreached = d, g.n - reached
+        # d' of the vertices whose owner's region was searched, -1 elsewhere
+        self.dprime: list[int | float] = [-1] * g.n
+        self.anchor: dict[int, int] = {}
+        self.length: dict[int, int | float] = {}
+        for v in self.frontier:
+            a, best = -1, UNREACHABLE
+            for w in adj[v]:
+                if a < 0 and dist[w] == 0:
+                    a = w
+                elif owner[w] != v and dist[w] < best:
+                    best = dist[w]
+            if best == UNREACHABLE:
+                dp = self._region(v)
+                best = min((dp[w] for w in adj[v] if w != a and dp[w] >= 0), default=best)
+            self.anchor[v], self.length[v] = a, best + 1
+
+    def _region(self, v: int) -> list[int | float]:
+        """Fill in d' over the vertices v owns; those g - v cuts off stay
+        negative, and v itself, not in g - v, is UNREACHABLE."""
+        adj, dist, owner, dp = self.adj, self.dist, self.owner, self.dprime
+        dp[v] = UNREACHABLE
+        members = [v]
+        for u in members:
+            for w in adj[u]:
+                if owner[w] == v and dp[w] == -1:
+                    dp[w] = -2
+                    members.append(w)
+        # Dial's buckets: each member enters at 1 + the least dist of its
+        # unowned neighbours, and the layer at d' = d is joined by those at d
+        buckets: dict[int, list[int]] = {}
+        for x in members[1:]:
+            seed = UNREACHABLE
+            for y in adj[x]:
+                if owner[y] != v and dist[y] < seed:
+                    seed = dist[y]
+            if seed != UNREACHABLE:
+                buckets.setdefault(seed + 1, []).append(x)
+        d, layer = 0, []
+        while layer or buckets:
+            if not layer:
+                d = min(buckets)
+            layer += buckets.pop(d, [])
+            nxt = []
+            for x in layer:
+                if dp[x] < 0:
+                    dp[x] = d
+                    nxt += adj[x]
+            layer = [w for w in nxt if owner[w] == v and dp[w] < 0]
+            d += 1
+        return dp
+
+    def path(self, v: int) -> list[int]:
+        """v's escape path, by the walk of the class docstring; its length
+        must be finite."""
+        adj, dist, owner, dp = self.adj, self.dist, self.owner, self.dprime
+        a, to_go = self.anchor[v], self.length[v] - 1
+        # v's d' is UNREACHABLE or -1, and an owned vertex's is -1 unless reached
+        cur = next(w for w in adj[v] if w != a and (dist[w] if owner[w] != v else dp[w]) == to_go)
+        path = [v, cur]
+        while to_go:
+            to_go -= 1
+            cur = next(w for w in adj[cur] if (dist[w] if owner[w] != v else dp[w]) == to_go)
+            path.append(cur)
+        return path
 
 
 @dataclass
@@ -131,11 +274,13 @@ def extend_orientation(
     a0 = frozenset(core_vertices)
     if not a0:
         raise PreconditionError("core must be non-empty")
+    if min(a0) < 0 or max(a0) >= g.n:
+        raise ValueError(f"source out of range for n={g.n}")
     absorbed = set(a0)
-    dist = bfs_distances(g, absorbed)
-    s_initial = max(dist)
-    if s_initial == UNREACHABLE:
+    search = EscapeSearch(g, absorbed)
+    if search.unreached:
         raise PreconditionError("core does not reach the whole graph")
+    s_initial = search.reach
     core_diam = core_directed_diameter(o, a0)
     allowed = allowed_increase(s_initial)
     records: list[dict] = [
@@ -150,7 +295,7 @@ def extend_orientation(
     s_prev: int | None = None
     round_no = 0
     while True:
-        s_r = int(max(dist))
+        s_r = search.reach
         if s_r == 0:
             break
         if s_prev is not None and s_r >= s_prev:
@@ -161,27 +306,20 @@ def extend_orientation(
         s_prev = s_r
         round_no += 1
         a_start = frozenset(absorbed)
-        v1 = [v for v in range(g.n) if dist[v] == 1]
-        anchors = {
-            v: min(w for w in g.neighbors(v) if w in a_start) for v in v1
-        }
-        # g and a_start stay fixed for the round, so each escape path is too;
-        # bfs_distances checked the core's range, and a_start grows by BFS
-        escape: dict[int, list[int]] = {}
+        v1 = search.frontier
+        # g and a_start stay fixed for the round, so each escape path is too
         for v in v1:
-            q = path_between(g, {v}, a_start, frozenset((edge_key(v, anchors[v]),)))
-            if q is None:
+            if search.length[v] == UNREACHABLE:
                 raise CertifiedFailureError(
                     "frontier vertex has no second route to the core",
                     details={"vertex": v},
                 )
-            escape[v] = q
         steps: list[dict] = []
         # shortest escape first; the sort is stable, so ties keep vertex order
-        for v in sorted(v1, key=lambda v: len(escape[v])):
+        for v in sorted(v1, key=search.length.__getitem__):
             if v in absorbed:
                 continue
-            rec = _absorb(o, a_start, absorbed, v, anchors[v], escape[v])
+            rec = _absorb(o, a_start, absorbed, v, search.anchor[v], search.path(v))
             rec["round"] = round_no
             steps.append(rec)
         new = sorted(absorbed - a_start)
@@ -206,7 +344,7 @@ def extend_orientation(
             }
         )
         records.extend(steps)
-        dist = bfs_distances(g, absorbed)
+        search = EscapeSearch(g, absorbed)
     for u, v in g.edges():
         if o.direction(u, v) is None:
             o.assign(u, v)

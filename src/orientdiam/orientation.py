@@ -180,11 +180,14 @@ def digraph_diameter(out: list[list[int]], inn: list[list[int]]) -> int | float:
     upper bound there is at most ``best``, the largest eccentricity
     measured; the answer is found when either direction has none left.
     Pivots alternate between the largest upper bound and the smallest lower
-    bound, ties going to the smallest id. The candidates left in the smaller
-    direction are finished, with no tuned constant:
+    bound, ties going to the smallest id. Work is counted in BFS runs, and
+    a pivot is charged 4: its two searches, and its two passes over the
+    candidate lists (the bounds update, and the next pivot's choice), which
+    on short diameters cost about as much as the searches. The candidates
+    left in the smaller direction are finished, with no tuned constant:
 
-    - once fewer are left than BFS runs spent, by one plain BFS each (a
-      directed cycle, where no bound prunes);
+    - once fewer are left than runs spent, by one plain BFS each (a directed
+      cycle, where no bound prunes);
     - once the runs spent reach ``best``, by ``_bit_levels`` from all of
       them: it costs about one BFS per level, and ``best`` is a lower bound
       on the diameter, the levels it would need from every vertex (ski
@@ -221,7 +224,7 @@ def digraph_diameter(out: list[list[int]], inn: list[list[int]]) -> int | float:
         bwd, ecc_in = _bfs_among(inn, v)
         if ecc_out == UNREACHABLE or ecc_in == UNREACHABLE:
             return UNREACHABLE
-        spent += 2
+        spent += 4
         best = max(best, ecc_out, ecc_in)
         # out-eccentricities read d(w, v) from bwd and d(v, w) from fwd; in, the mirror
         for k, ecc, to_v, from_v in ((0, ecc_out, bwd, fwd), (1, ecc_in, fwd, bwd)):

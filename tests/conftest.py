@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import random
+import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 
 from hypothesis import assume, strategies as st
 
@@ -29,6 +33,7 @@ from orientdiam.graph import (
     edge_key,
     girth,
     min_degree,
+    path_between,
     read_rows,
     shortest_path_between,
 )
@@ -43,6 +48,17 @@ from orientdiam.growth import (
     _stabilize,
     subgraph_adjacency,
 )
+
+
+@functools.cache
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded from the checkout (perfbench is not a package)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 @st.composite
@@ -442,6 +458,14 @@ def reference_chain_offset(i, a_val, b_val):
     if window:
         return min(window, key=lambda x: (abs(x), 0 if x >= 0 else 1)), False
     return min(i, max(-i, b_val - i)), True
+
+
+def reference_escape_path(g: Graph, a_start, v: int, anchor: int) -> list[int] | None:
+    """The search that ``extension.EscapeSearch.path`` replaced: v's shortest
+    path to the round's core ``a_start`` without the edge to its anchor, the
+    lexicographically smallest of them; None when there is none.
+    """
+    return path_between(g, {v}, a_start, frozenset((edge_key(v, anchor),)))
 
 
 def reference_random_bridgeless(n: int, delta: int, girth_floor: int, seed: int) -> Graph:

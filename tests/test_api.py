@@ -2,21 +2,12 @@
 
 import ast
 import importlib
-import importlib.util
 import inspect
 from pathlib import Path
 
 import orientdiam
+from conftest import perfbench_module
 from orientdiam import check
-
-
-def _benchmark_spans():
-    """perfbench/spans.py, which wraps library functions by name for traced runs."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
 
 
 def test_all_names_resolve():
@@ -31,7 +22,7 @@ def test_version():
 
 def test_benchmark_traced_names_resolve():
     """Every function the benchmark wraps by name (perfbench/spans.py) still exists."""
-    spans = _benchmark_spans()
+    spans = perfbench_module("spans")
     missing = [
         (home.__name__, name)
         for home, name, _, _ in spans.TRACED
@@ -44,7 +35,7 @@ def test_traced_functions_are_bound_by_name_only_where_spans_patch():
     """A module that imports a traced function by name must be one spans patches,
     or a traced run misses its calls and reads a counter too low.
     """
-    spans = _benchmark_spans()
+    spans = perfbench_module("spans")
     package = Path(orientdiam.__file__).parent
     modules = [orientdiam] + [
         importlib.import_module(f"orientdiam.{p.stem}")

@@ -1,20 +1,41 @@
 """Tests for extending a strong core orientation to the whole graph."""
 
+import importlib
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import bridgeless_graphs, reference_chain_offset
+import orientdiam
+from conftest import (
+    bridgeless_graphs,
+    perfbench_module,
+    reference_chain_offset,
+    reference_escape_path,
+)
+from orientdiam import extension, graph
 from orientdiam.check import bounded_diameter_of_arcs
 from orientdiam.errors import CertifiedFailureError, PreconditionError
-from orientdiam.extension import _chain_offset, core_directed_diameter, extend_orientation
+from orientdiam.extension import (
+    EscapeSearch,
+    _chain_offset,
+    core_directed_diameter,
+    extend_orientation,
+)
 from orientdiam.generators import (
     complete_graph,
     circulant_graph,
+    corpus,
     cycle_graph,
+    generate,
     petersen_graph,
+    random_bridgeless,
+    theta_graph,
     triangle_chain,
 )
 from orientdiam.graph import Graph
+from orientdiam.pipeline import run_pipeline
 from orientdiam.orientation import Orientation, directed_diameter, is_strong
 
 
@@ -177,3 +198,121 @@ def test_extension_certifies_random_graphs(g):
     assert svals == sorted(svals, reverse=True) and len(set(svals)) == len(svals)
     absorbed = [v for r in rounds_of(t) for v in r["absorbed"]]
     assert sorted(absorbed) == [v for v in range(g.n) if v != 0]
+
+
+def test_frontier_vertex_without_a_second_route_is_refused():
+    """A pendant vertex next to a triangle core has only the edge to its anchor."""
+    g = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    with pytest.raises(CertifiedFailureError, match="no second route") as info:
+        extend_orientation(g, {0, 1, 2}, [(0, 1), (1, 2), (2, 0)])
+    assert info.value.details == {"vertex": 3}
+
+
+ESCAPE_FAMILIES = {
+    "corpus": lambda: [
+        generate(spec)
+        for seed in range(10)
+        for profile in ("tiny", "small", "girth", "dense")
+        for spec in corpus(profile, seed)
+    ],
+    "random": lambda: [random_bridgeless(800, 4, 3, s) for s in range(6)]
+    + [random_bridgeless(300, 3, 5, s) for s in range(6)],
+    "circulant": lambda: [case.make() for case in perfbench_module("workloads").circulant_grow(0)[:3]]
+    + [circulant_graph(n, (1, 3)) for n in (7, 20, 41)],
+}
+
+
+def _record_searches(monkeypatch) -> list[EscapeSearch]:
+    """Every EscapeSearch that extend_orientation builds from now on."""
+    made: list[EscapeSearch] = []
+
+    class Recorded(EscapeSearch):
+        __slots__ = ()
+
+        def __init__(self, g, core):
+            super().__init__(g, core)
+            made.append(self)
+
+    monkeypatch.setattr(extension, "EscapeSearch", Recorded)
+    return made
+
+
+def _check_escapes(g: Graph, search: EscapeSearch) -> list[int]:
+    """Every frontier vertex's escape path and length against the reference;
+    returns the lengths."""
+    core = frozenset(v for v in range(g.n) if search.dist[v] == 0)
+    assert search.frontier == sorted(
+        v for v in range(g.n) if v not in core and not core.isdisjoint(g.neighbors(v))
+    )
+    lengths = []
+    for v in search.frontier:
+        assert search.anchor[v] == min(w for w in g.neighbors(v) if w in core)
+        want = reference_escape_path(g, core, v, search.anchor[v])
+        assert search.path(v) == want, v
+        assert search.length[v] == len(want) - 1
+        lengths.append(len(want) - 1)
+    return lengths
+
+
+@pytest.mark.parametrize("family", sorted(ESCAPE_FAMILIES))
+def test_escape_paths_match_the_reference_search_every_round(family, monkeypatch):
+    """Each round's labelled search gives every frontier vertex the path the
+    per-vertex search gives, in every round of every run, refusals included."""
+    searches = _record_searches(monkeypatch)
+    lengths = []
+    for g in ESCAPE_FAMILIES[family]():
+        for eps in (Fraction(1, 2), Fraction(2)):
+            searches.clear()
+            try:
+                run_pipeline(g, eps)
+            except CertifiedFailureError:
+                pass
+            assert searches
+            for search in searches:
+                lengths += _check_escapes(g, search)
+    assert lengths
+    if family != "circulant":
+        # the region search runs only where every other neighbour is owned
+        assert max(lengths) >= 4
+
+
+@pytest.mark.parametrize("g", [cycle_graph(9), theta_graph(3, 5, 6), petersen_graph()])
+def test_escape_paths_through_a_region_match_the_reference(g):
+    """From every singleton core: long escapes, which only the region search finds."""
+    lengths = [L for c in range(g.n) for L in _check_escapes(g, EscapeSearch(g, {c}))]
+    assert max(lengths) >= 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(bridgeless_graphs(max_n=30))
+def test_escape_paths_match_the_reference_on_random_graphs(g):
+    """From a one-vertex and a three-vertex core, and each grown by one
+    frontier vertex."""
+    for core in ({0}, set(range(min(3, g.n)))):
+        search = EscapeSearch(g, core)
+        _check_escapes(g, search)
+        if search.reach:
+            extended = search.dist.index(1)
+            _check_escapes(g, EscapeSearch(g, core | {extended}))
+
+
+def test_extension_makes_no_path_between_call(monkeypatch):
+    """The rounds read every escape path off their one search: no per-vertex
+    path search is left, wherever ``path_between`` is bound by name."""
+    calls = []
+    original = graph.path_between
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    package = Path(orientdiam.__file__).parent
+    for p in package.glob("*.py"):
+        mod = importlib.import_module(f"orientdiam.{p.stem}") if p.stem != "__init__" else orientdiam
+        if getattr(mod, "path_between", None) is original:
+            monkeypatch.setattr(mod, "path_between", counted)
+    for g in (cycle_graph(9), petersen_graph(), random_bridgeless(300, 3, 5, 0)):
+        extend_orientation(g, {0}, [])
+    assert calls == []
+    graph.path_between(cycle_graph(4), {0}, {2})
+    assert len(calls) == 1  # the counter is installed where the search lives

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import bridgeless_graphs, expand_schema1
+from conftest import bridgeless_graphs, expand_schema1, perfbench_module
+from orientdiam import orientation
 from orientdiam.check import certify
 from orientdiam.errors import CertifiedFailureError, PreconditionError
 from orientdiam.generators import (
@@ -191,3 +192,17 @@ def test_pipeline_output_pinned(label):
 def test_random_bridgeless_edges_pinned():
     digests = [_digest(random_bridgeless(800, 4, 3, s).edges()) for s in range(4)]
     assert digests == PINNED_EDGES
+
+
+def test_circulant_grow_diameters_never_reach_the_kernel(monkeypatch):
+    """On the benchmark's eight circulant-grow graphs every diameter, core and
+    full, is settled by a few pivots. Those diameters run to hundreds of
+    levels, so the bit-parallel kernel would cost far more than the pivots'
+    charge (4 runs each) when it started."""
+    calls = []
+    kernel = orientation._bit_levels
+    monkeypatch.setattr(orientation, "_bit_levels", lambda *a: calls.append(1) or kernel(*a))
+    for case in perfbench_module("workloads").circulant_grow(0):
+        for eps in case.epsilons:
+            run_pipeline(case.make(), eps)
+    assert calls == []
