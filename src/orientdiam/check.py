@@ -7,7 +7,7 @@ so each call names the one it trusts (README, "Trusted base").
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import chain
 
 from . import graph
@@ -99,11 +99,12 @@ def contracted_adjacency(
 # the diameter search
 
 
-def _bfs(adj: list[list[int]], s: int) -> tuple[list[int], int]:
-    """Distances from s over list adjacency (-1 where unreached), and the last layer's depth."""
+def _bfs(adj: Sequence[Sequence[int]], sources: Iterable[int]) -> tuple[list[int], int]:
+    """Distances from the nearest source (-1 where unreached), and the last layer's depth."""
     dist = [-1] * len(adj)
-    dist[s] = 0
-    layer = [s]
+    layer = list(sources)
+    for s in layer:
+        dist[s] = 0
     d = 0
     while layer:
         nxt = []
@@ -159,15 +160,15 @@ def bounded_diameter_of_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> int | f
         if spent >= len(cands[few]):
             for w in cands[few]:
                 if upper[few][w] > best:
-                    best = max(best, _bfs((out, inn)[few], w)[1])
+                    best = max(best, _bfs((out, inn)[few], (w,))[1])
             return best
         if by_upper:
             v = -max((upper[k][w], -w) for k in (0, 1) for w in cands[k])[1]
         else:
             v = min((lower[k][w], w) for k in (0, 1) for w in cands[k])[1]
         by_upper = not by_upper
-        fwd, ecc_out = _bfs(out, v)
-        bwd, ecc_in = _bfs(inn, v)
+        fwd, ecc_out = _bfs(out, (v,))
+        bwd, ecc_in = _bfs(inn, (v,))
         if spent == 0 and (min(fwd) < 0 or min(bwd) < 0):
             return UNREACHABLE
         spent += 2
@@ -384,7 +385,7 @@ def _replay_growth(
         sizes = f"|H|={len(h_v)} |F|={len(f_set)} |B|={len(b_list)}"
         need(f"iteration {pos}", props, f"{sizes}, floor {floor}, girth {gval}")
         h_e |= added_e
-    far = int(max(graph.bfs_distances(g, h_v)))
+    far = _bfs(g._adj, h_v)[1]  # g is connected, so the last layer is the farthest
     counts = final_claims(len(iterations), far, reach, h_v, b_list, f_set)
     claimed = {k: final[k] for k in counts}
     props = {"property1": counts["property1"], "final_counts": claimed == counts}
@@ -497,7 +498,7 @@ def certify(
     """Recompute from g every claim that trace records and an orientation make.
 
     ``arcs`` are the orientation's (tail, head) arcs, one per edge of g, as
-    ``orientation.parse_orientation`` checks them. Returns named checks
+    ``orientation.read_arcs`` checks them, in any order. Returns named checks
     ``{"name", "ok", "detail"}``: with records, the growth checks and, when
     the trace holds an extension, the extension and bound checks; with arcs,
     the orientation's strongness and, with records, whether every diameter

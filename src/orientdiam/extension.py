@@ -243,6 +243,8 @@ def _absorb(
     else:
         a_val = directed_distance(o, vprime, a_start)
         b_val = directed_distance(o, vprime, a_start, reverse=True)
+        # never fires: each step orients its path and anchor edge in opposite
+        # directions, so all it absorbs lies on a directed walk out of a_start and back
         if a_val == UNREACHABLE or b_val == UNREACHABLE:
             raise CertifiedFailureError(
                 "absorbed vertex has no round trip yet",
@@ -298,6 +300,8 @@ def extend_orientation(
         s_r = search.reach
         if s_r == 0:
             break
+        # never fires: every frontier vertex is absorbed in its round, so
+        # every remaining distance drops by at least one
         if s_prev is not None and s_r >= s_prev:
             raise CertifiedFailureError(
                 "reach to the core failed to shrink between rounds",
@@ -326,6 +330,7 @@ def extend_orientation(
         din = directed_distances_to(o, a_start)
         dout = directed_distances_from(o, a_start)
         bad = [v for v in new if din[v] == UNREACHABLE or dout[v] == UNREACHABLE]
+        # never fires, as in ``_absorb``
         if bad:
             raise CertifiedFailureError(
                 "absorbed vertices lack a certified round trip",

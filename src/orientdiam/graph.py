@@ -94,40 +94,27 @@ class LayeredBFS:
     vertex reached), ``depth`` (the last layer expanded, counted also when it
     came out empty) and ``frontier`` (that layer), so a deeper request only
     expands the layers beyond it. A vertex already in ``dist`` is never
-    entered, so a caller may seed it with vertices to avoid. Three optional
-    inputs:
+    entered, so a caller may seed it with vertices to avoid. It serves the
+    searches that stop early or resume. Two optional inputs:
 
     - ``excluded``: canonical edge keys, treated as deleted;
-    - ``cap``: a list of distances; w joins layer d only while
-      ``cap[w] > d``, which then becomes d, and every source's becomes 0.
-      With the distances to a core and the vertices added to it as sources,
-      this lowers them in place: a vertex whose distance falls is next to a
-      source or to one whose distance fell too, so the cost is the region
-      that moved closer, not the graph. Distances clamped at c, each read as
-      min(distance, c), are lowered exactly too, since they still differ by
-      at most one across an edge, and a search deepened to c - 1 is then
-      complete: no vertex can join a layer at depth c or beyond;
     - ``meets``: a set; ``met`` is the first depth whose layer holds one of
       its vertices, UNREACHABLE until then.
     """
 
-    __slots__ = ("adj", "dist", "depth", "frontier", "excluded", "cap", "meets", "met")
+    __slots__ = ("adj", "dist", "depth", "frontier", "excluded", "meets", "met")
 
     def __init__(
         self,
         adj: Sequence[Sequence[int]],
         sources: Iterable[int],
         excluded: Set[tuple[int, int]] = frozenset(),
-        cap: list[int | float] | None = None,
         meets: Set[int] | None = None,
     ):
-        self.adj, self.excluded, self.cap, self.meets = adj, excluded, cap, meets
+        self.adj, self.excluded, self.meets = adj, excluded, meets
         self.dist = dict.fromkeys(sources, 0)
         self.depth = 0
         self.frontier = list(self.dist)
-        if cap is not None:
-            for s in self.frontier:
-                cap[s] = 0
         hit = meets is not None and not meets.isdisjoint(self.frontier)
         self.met: int | float = 0 if hit else UNREACHABLE
 
@@ -135,7 +122,7 @@ class LayeredBFS:
         """Expand layers until the search reaches ``depth`` or runs dry, or,
         with ``to_meet``, until it has met ``meets``.
         """
-        adj, dist, ex, cap, meets = self.adj, self.dist, self.excluded, self.cap, self.meets
+        adj, dist, ex, meets = self.adj, self.dist, self.excluded, self.meets
         layer, d = self.frontier, self.depth
         while layer and d < depth and not (to_meet and self.met <= d):
             d += 1
@@ -144,10 +131,6 @@ class LayeredBFS:
                 for w in adj[u]:
                     if w in dist or (ex and edge_key(u, w) in ex):
                         continue
-                    if cap is not None:
-                        if cap[w] <= d:
-                            continue
-                        cap[w] = d
                     dist[w] = d
                     nxt.append(w)
             if meets is not None and self.met == UNREACHABLE and not meets.isdisjoint(nxt):
@@ -156,20 +139,44 @@ class LayeredBFS:
         self.frontier, self.depth = layer, d
 
 
+def _bfs_among(
+    adj: Sequence[Sequence[int]], sources: Iterable[int]
+) -> tuple[list[int], int | float]:
+    """Distances over list adjacency from the nearest source (-1 where
+    unreached), and the largest, UNREACHABLE when a vertex is missed.
+
+    The search stops at the layer that reaches the last vertex; a source
+    listed twice counts once toward that stop.
+    """
+    dist = [-1] * len(adj)
+    layer = list(dict.fromkeys(sources))
+    for s in layer:
+        dist[s] = 0
+    left = len(adj) - len(layer)
+    d = 0
+    while layer and left:
+        d += 1
+        nxt = []
+        for u in layer:
+            for w in adj[u]:
+                if dist[w] < 0:
+                    dist[w] = d
+                    nxt.append(w)
+        left -= len(nxt)
+        layer = nxt
+    return dist, UNREACHABLE if left else d
+
+
 def all_distances(adj: Sequence[Sequence[int]], sources: Iterable[int]) -> list[int | float]:
     """Distances over ``adj`` from the nearest of the sources to every vertex,
     ``UNREACHABLE`` for those not reached; every source must be in range.
     """
-    search = LayeredBFS(adj, sources)
-    if not search.frontier:
+    src = list(sources)
+    if not src:
         raise ValueError("need at least one source")
-    if min(search.frontier) < 0 or max(search.frontier) >= len(adj):
+    if min(src) < 0 or max(src) >= len(adj):
         raise ValueError(f"source out of range for n={len(adj)}")
-    search.deepen()
-    out: list[int | float] = [UNREACHABLE] * len(adj)
-    for v, d in search.dist.items():
-        out[v] = d
-    return out
+    return [UNREACHABLE if d < 0 else d for d in _bfs_among(adj, src)[0]]
 
 
 def bfs_distances(g: Graph, sources: Iterable[int]) -> list[int | float]:
@@ -277,11 +284,9 @@ def diameter(g: Graph) -> int | float:
         raise ValueError("diameter of the empty graph is undefined")
     worst: int | float = 0
     for v in range(g.n):
-        dist = bfs_distances(g, (v,))
-        far = max(dist)
-        if far == UNREACHABLE:
-            return UNREACHABLE
-        worst = max(worst, far)
+        worst = max(worst, _bfs_among(g._adj, (v,))[1])
+        if worst == UNREACHABLE:
+            break
     return worst
 
 

@@ -357,6 +357,8 @@ def cover_path(
             break
         _bump(counters, budget, {"path": path, "covered": cp})
         r_path = path_between(g, working, set(path[cp + 1 :]), path_edges)
+        # never fires: the path edge into the suffix would then be a bridge
+        # of g, which ``check_preconditions`` refused
         if r_path is None:
             raise CertifiedFailureError(
                 "no detour reaches the uncovered suffix",
@@ -378,19 +380,39 @@ def cover_path(
 # the full growth loop
 
 
+def _lower(g: Graph, dist: list[int | float], added: Iterable[int], depth: int) -> list[int]:
+    """Lower ``dist`` in place (see ``grow_core``); returns the vertices that fall to ``depth``."""
+    adj = g._adj
+    layer = list(added)
+    for s in layer:
+        dist[s] = 0
+    for d in range(1, depth + 1):
+        nxt = []
+        for u in layer:
+            for w in adj[u]:
+                if dist[w] > d:
+                    dist[w] = d
+                    nxt.append(w)
+        layer = nxt
+    return layer
+
+
 def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     """Iterate path covering until every vertex is within reach of the core.
 
-    The distances to the core, clamped at reach + 1, are lowered in place
-    from the vertices each iteration adds; the clamp stops that search at
-    depth reach. The loop only asks whether some vertex is at reach or
-    beyond, and which is the smallest at exactly reach. In a connected graph
-    the first holds exactly when some vertex is at reach, so a lazy heap of
-    the vertices at reach, fed by each lowering search, answers both. The
-    escape path is searched from its target, the smaller end, and
-    ``cover_path`` works near the path and returns what it adds, so one
-    iteration costs about the neighbourhood of its escape path, not the
-    core.
+    The distances to the core, clamped at reach + 1, are lowered in place by
+    ``_lower`` from the vertices each iteration adds: a vertex whose
+    distance falls is next to one added or to one whose distance fell too,
+    so the search costs the region that moved closer, not the graph. Clamped
+    distances still differ by at most one across an edge, so a search that
+    stops at depth reach lowers them exactly. The loop only asks whether
+    some vertex is at reach or beyond, and which is the smallest at exactly
+    reach. In a connected graph the first holds exactly when some vertex is
+    at reach, so a lazy heap of the vertices at reach, fed by each lowering
+    search, answers both. The escape path is searched from its target, the
+    smaller end, and ``cover_path`` works near the path and returns what it
+    adds, so one iteration costs about the neighbourhood of its escape path,
+    not the core.
 
     The result and its trace are claims until ``check.certify`` replays
     them: a core that breaks a property is returned, not refused here.
@@ -421,15 +443,13 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     at_reach: list[int] = []  # every vertex at distance reach, and some that were
     added: Iterable[int] = (v0,)
     while True:
-        lowering = LayeredBFS(g._adj, added, cap=dist)
-        lowering.deepen(reach)
-        for w, d in lowering.dist.items():
-            if d == reach:
-                heapq.heappush(at_reach, w)
+        for w in _lower(g, dist, added, reach):
+            heapq.heappush(at_reach, w)
         while at_reach and dist[at_reach[0]] != reach:
             heapq.heappop(at_reach)
         if not at_reach:
             break
+        # never fires: each iteration adds its escape path's end to the core, so n - 1 at most
         if len(iterations) >= g.n:
             raise CertifiedFailureError(
                 "more growth iterations than vertices",

@@ -16,8 +16,8 @@ from .errors import (
     PreconditionError,
 )
 from .graph import (
-    UNREACHABLE, Graph, LayeredBFS, all_distances, bridge_witness, dfs_forest, edge_key,
-    read_rows, write_rows,
+    UNREACHABLE, Graph, LayeredBFS, _bfs_among, all_distances, bridge_witness, dfs_forest,
+    edge_key, read_rows, write_rows,
 )
 
 
@@ -106,30 +106,6 @@ def directed_distance(
     return search.met
 
 
-def _bfs_among(adj: list[list[int]], s: int) -> tuple[list[int], int | float]:
-    """Distances from s over list adjacency (-1 where unreached), and the
-    largest, UNREACHABLE when a vertex is missed.
-
-    The search stops at the layer that reaches the last vertex.
-    """
-    dist = [-1] * len(adj)
-    dist[s] = 0
-    left = len(adj) - 1
-    layer = [s]
-    d = 0
-    while layer and left:
-        d += 1
-        nxt = []
-        for u in layer:
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = d
-                    nxt.append(w)
-        left -= len(nxt)
-        layer = nxt
-    return dist, UNREACHABLE if left else d
-
-
 def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:
     """Levels until every vertex lies within reach of every source; UNREACHABLE
     when a level gains nothing first.
@@ -165,7 +141,7 @@ def _largest_eccentricity(
     """``best``, raised by one plain BFS from each candidate whose upper bound still exceeds it."""
     for w in cands:
         if upper[w] > best:
-            best = max(best, _bfs_among(adj, w)[1])
+            best = max(best, _bfs_among(adj, (w,))[1])
     return best
 
 
@@ -220,8 +196,8 @@ def digraph_diameter(out: list[list[int]], inn: list[list[int]]) -> int | float:
         else:
             v = min((lower[k][w], w) for k in (0, 1) for w in cands[k])[1]
         by_upper = not by_upper
-        fwd, ecc_out = _bfs_among(out, v)
-        bwd, ecc_in = _bfs_among(inn, v)
+        fwd, ecc_out = _bfs_among(out, (v,))
+        bwd, ecc_in = _bfs_among(inn, (v,))
         if ecc_out == UNREACHABLE or ecc_in == UNREACHABLE:
             return UNREACHABLE
         spent += 4
@@ -245,14 +221,9 @@ def is_strong(o: Orientation) -> bool:
     """True when every ordered vertex pair is joined by a directed path."""
     if not o.is_complete():
         raise IncompleteOrientationError("strongness is defined for complete orientations")
-    n = o.base.n
-    if n == 0:
+    if o.base.n == 0:
         return False
-    if n == 1:
-        return True
-    if max(directed_distances_from(o, (0,))) == UNREACHABLE:
-        return False
-    return max(directed_distances_to(o, (0,))) != UNREACHABLE
+    return all(_bfs_among(adj, (0,))[1] != UNREACHABLE for adj in (o._out, o._in))
 
 
 def directed_diameter(o: Orientation) -> int | float:

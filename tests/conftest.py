@@ -24,7 +24,6 @@ from orientdiam.errors import (
 from orientdiam.graph import (
     UNREACHABLE,
     Graph,
-    LayeredBFS,
     _normalize_excluded,
     ball,
     bfs_distances,
@@ -378,7 +377,9 @@ def reference_grow_core(g: Graph, eps) -> GrowthResult:
 
     Distances to the core are not clamped: each iteration reads ``max`` and
     ``index`` over all of them, takes the set differences of the working
-    subgraph and the core, and lowers the distances to any depth.
+    subgraph and the core, and recomputes the distances with a fresh
+    ``bfs_distances`` from the grown core, sharing nothing with the lowering
+    that ``grow_core`` runs.
     """
     check_preconditions(g)
     e = as_fraction(eps)
@@ -420,7 +421,6 @@ def reference_grow_core(g: Graph, eps) -> GrowthResult:
         f_set |= claimed
         b_list.extend(centers)
         added = hp_v - h_v
-        LayeredBFS(g._adj, added, cap=dist).deepen()
         iterations.append(
             IterationRecord(
                 index=len(iterations),
@@ -437,6 +437,7 @@ def reference_grow_core(g: Graph, eps) -> GrowthResult:
             )
         )
         h_v, h_e = hp_v, hp_e
+        dist = bfs_distances(g, h_v)
     final = {
         "type": "growth_final",
         **final_claims(len(iterations), int(far), reach, h_v, b_list, f_set),

@@ -1,6 +1,7 @@
 """Command-line interface tests: exit codes, JSON output, file round-trips."""
 
 import json
+import random
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -918,6 +919,19 @@ def test_trace_records_hold_exactly_the_table_fields(g, epsilon):
         if rec.get("case") != "chain":
             fields = fields.keys() - optional
         assert set(rec) == {"type", *fields}, rec["type"]
+
+
+@TWO_RUNS
+def test_certify_reads_the_arcs_in_any_order(g, epsilon):
+    """verify hands ``certify`` the arcs in file order: the checks of a
+    seeded shuffle equal those of the canonical order ``orient`` writes."""
+    result = pipeline.run_pipeline(g, Fraction(epsilon))
+    records = result.trace_records()
+    arcs = result.orientation.arcs()
+    shuffled = list(arcs)
+    random.Random(0).shuffle(shuffled)
+    assert shuffled != arcs
+    assert check.certify(g, records, shuffled) == check.certify(g, records, arcs)
 
 
 @TWO_RUNS

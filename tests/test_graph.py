@@ -25,6 +25,7 @@ from orientdiam.generators import (
 from orientdiam.graph import (
     UNREACHABLE,
     Graph,
+    all_distances,
     ball,
     bfs_distances,
     bridge_witness,
@@ -264,11 +265,27 @@ def test_parse_rejects_malformed_input():
 
 
 @settings(max_examples=150, deadline=None)
-@given(arbitrary_graphs())
-def test_bfs_matches_floyd_warshall(g):
+@given(arbitrary_graphs(), st.data())
+def test_bfs_matches_floyd_warshall(g, data):
+    """From one source, and from a source set with one source listed twice
+    and passed as a generator: the nearest source's distance, its early stop
+    counting the repeated source once."""
     ref = floyd_warshall(g)
     for s in range(g.n):
         assert bfs_distances(g, (s,)) == ref[s]
+    sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4))
+    want = [min(ref[s][w] for s in sources) for w in range(g.n)]
+    assert bfs_distances(g, [*sources, sources[0]]) == want
+    assert bfs_distances(g, (s for s in sources)) == want
+
+
+def test_all_distances_refuses_no_source_and_out_of_range():
+    for sources in ((), iter(())):
+        with pytest.raises(ValueError, match="need at least one source"):
+            all_distances(P4._adj, sources)
+    for sources in ((0, 4), (-1,)):
+        with pytest.raises(ValueError, match="source out of range for n=4"):
+            all_distances(P4._adj, sources)
 
 
 @settings(max_examples=100, deadline=None)

@@ -39,6 +39,7 @@ from orientdiam.graph import (
 )
 from orientdiam.growth import (
     _covered_prefix,
+    _lower,
     _stabilize,
     grow_core,
     subgraph_adjacency,
@@ -329,18 +330,27 @@ def test_resumed_label_search_runs_dry():
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_lowered_core_distances_match_reference(data):
-    """Distances to a core grown batch by batch, lowered in place with ``cap``
-    after each batch, equal the nearest core vertex's reference distances."""
+    """Distances to a core grown batch by batch, lowered in place by growth's
+    ``_lower`` after each batch, equal the nearest core vertex's reference
+    distances; clamped at c and lowered to depth c - 1, as ``grow_core``
+    does at c = reach + 1, they equal those distances clamped, and the
+    vertices returned are those that fell to c - 1."""
     g = data.draw(st.one_of(arbitrary_graphs(max_n=12), bridgeless_graphs(max_n=30)))
     ref = floyd_warshall(g)
     batch = st.sets(st.integers(0, g.n - 1), min_size=1, max_size=4)
+    c = data.draw(st.integers(1, 6))
     dist: list[int | float] = [UNREACHABLE] * g.n
+    clamped: list[int | float] = [c] * g.n
     core: set[int] = set()
     for added in data.draw(st.lists(batch, min_size=1, max_size=5)):
         added -= core
         core |= added
-        LayeredBFS(g._adj, added, cap=dist).deepen()
-        assert dist == [min(ref[c][w] for c in core) for w in range(g.n)]
+        before = list(clamped)
+        _lower(g, dist, added, g.n)
+        fell = _lower(g, clamped, added, c - 1)
+        assert dist == [min(ref[x][w] for x in core) for w in range(g.n)]
+        assert clamped == [min(d, c) for d in dist]
+        assert sorted(fell) == [w for w in range(g.n) if clamped[w] == c - 1 < before[w]]
 
 
 # ---------------------------------------------------------------------------
