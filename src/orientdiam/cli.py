@@ -299,9 +299,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (PreconditionError, BudgetExceededError, InfeasibleSpecError) as exc:
         witness = getattr(exc, "witness", None)
         suffix = f" (witness: {witness})" if witness is not None else ""

@@ -181,13 +181,13 @@ class ExtensionTrace:
         return [*self.records, dict(self.final)]
 
 
-def core_directed_diameter(o: Orientation, core_vertices) -> int:
+def core_directed_diameter(core_vertices, arcs: list[tuple[int, int]]) -> int:
     """Directed diameter of the core on its own arcs, renumbered 0..k-1 as
     ``check.certify`` renumbers them; arcs leaving the core are ignored."""
     index = {v: i for i, v in enumerate(sorted(core_vertices))}
     out: list[list[int]] = [[] for _ in index]
     inn: list[list[int]] = [[] for _ in index]
-    for t, h in o.arcs():
+    for t, h in arcs:
         if t in index and h in index:
             out[index[t]].append(index[h])
             inn[index[h]].append(index[t])
@@ -283,7 +283,7 @@ def extend_orientation(
     if search.unreached:
         raise PreconditionError("core does not reach the whole graph")
     s_initial = search.reach
-    core_diam = core_directed_diameter(o, a0)
+    core_diam = core_directed_diameter(a0, core_arcs)
     allowed = allowed_increase(s_initial)
     records: list[dict] = [
         {

@@ -278,16 +278,24 @@ def path_between(
     return path
 
 
+def _largest_eccentricity(
+    adj: Sequence[Sequence[int]], cands: Iterable[int], upper: Sequence[int | float], best: int
+) -> int | float:
+    """``best``, raised by one plain BFS from each candidate whose upper bound still exceeds it."""
+    for w in cands:
+        if upper[w] > best:
+            best = max(best, _bfs_among(adj, (w,))[1])
+    return best
+
+
 def diameter(g: Graph) -> int | float:
-    """Largest pairwise distance; UNREACHABLE when disconnected, 0 for n=1."""
+    """Largest pairwise distance; UNREACHABLE when disconnected, 0 for n=1.
+
+    One BFS per vertex, with no bound known, until one misses a vertex.
+    """
     if g.n == 0:
         raise ValueError("diameter of the empty graph is undefined")
-    worst: int | float = 0
-    for v in range(g.n):
-        worst = max(worst, _bfs_among(g._adj, (v,))[1])
-        if worst == UNREACHABLE:
-            break
-    return worst
+    return _largest_eccentricity(g._adj, range(g.n), [UNREACHABLE] * g.n, 0)
 
 
 def girth(g: Graph) -> int | float:

@@ -151,8 +151,8 @@ def _covered_prefix(
 
 
 def _bump(counters: dict, budget: int, trace_bits: dict) -> None:
-    counters["rounds"] += 1
-    if counters["rounds"] > budget:
+    """Refuse a round once ``budget`` rounds ran; each one is a cover step or a splice."""
+    if counters["cover_steps"] + counters["splices"] >= budget:
         raise CertifiedFailureError(
             "covering loop exceeded its round budget", details=trace_bits
         )
@@ -192,26 +192,6 @@ def _apply_splice(
     counters["splices"] += 1
 
 
-def _near(
-    g: Graph,
-    near: dict[int, LayeredBFS],
-    v: int,
-    depth: int,
-    h_v: set[int],
-    path_edges: frozenset[tuple[int, int]],
-) -> LayeredBFS:
-    """The search from v in ``near``, started if new, exact up to ``depth``.
-
-    By symmetry its ``met``, once not UNREACHABLE, is v's distance to the
-    core ``h_v`` with the path edges avoided.
-    """
-    search = near.get(v)
-    if search is None:
-        search = near[v] = LayeredBFS(g._adj, (v,), path_edges, meets=h_v)
-    search.deepen(depth)
-    return search
-
-
 def _stabilize(
     g: Graph,
     h_v: set[int],
@@ -237,7 +217,9 @@ def _stabilize(
     m2 - m1 <= k, so every search runs to depth k - 1: a label missing from
     one is too far to violate, and a search that has not met the core by
     then puts its label at least k from it. The distance from the core is
-    read off the label's own search, so no BFS from the core is needed.
+    read off the label's own search (its ``met``, by symmetry), so no BFS
+    from the core is needed. The searches are started and deepened only up
+    to the first label too close to the core.
 
     Each splice first searches for a route of the pair's distance s that
     avoids the path, and falls back to any shortest route. The first search
@@ -248,9 +230,14 @@ def _stabilize(
     """
     while labeled:
         depth = len(labeled) - 1
-        m1 = 0
-        m2 = next((m for m, x in enumerate(labeled, start=1)
-                   if _near(g, near, x, depth, h_v, path_edges).met < m), None)
+        m1, m2 = 0, None
+        for m, x in enumerate(labeled, start=1):
+            if x not in near:
+                near[x] = LayeredBFS(g._adj, (x,), path_edges, meets=h_v)
+            near[x].deepen(depth)
+            if near[x].met < m:
+                m2 = m
+                break
         if m2 is None:
             for m1 in range(1, len(labeled)):
                 row = near[labeled[m1 - 1]].dist
@@ -346,7 +333,7 @@ def cover_path(
     add_e: set[tuple[int, int]] = set()
     working = _Joined(h_v, add_v)
     labeled: list[int] = []
-    counters = {"rounds": 0, "cover_steps": 0, "splices": 0, "labeled_on_path": 0}
+    counters = {"cover_steps": 0, "splices": 0, "labeled_on_path": 0}
     near: dict[int, LayeredBFS] = {}
     target_edges = len(path) - 1
     cp = 0

@@ -16,8 +16,8 @@ from .errors import (
     PreconditionError,
 )
 from .graph import (
-    UNREACHABLE, Graph, LayeredBFS, _bfs_among, all_distances, bridge_witness, dfs_forest,
-    edge_key, read_rows, write_rows,
+    UNREACHABLE, Graph, LayeredBFS, _bfs_among, _largest_eccentricity, all_distances,
+    bridge_witness, dfs_forest, edge_key, read_rows, write_rows,
 )
 
 
@@ -133,16 +133,6 @@ def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:
         seen = nxt
         d += 1
     return d
-
-
-def _largest_eccentricity(
-    adj: list[list[int]], cands: list[int], upper: list[int], best: int
-) -> int | float:
-    """``best``, raised by one plain BFS from each candidate whose upper bound still exceeds it."""
-    for w in cands:
-        if upper[w] > best:
-            best = max(best, _bfs_among(adj, (w,))[1])
-    return best
 
 
 def digraph_diameter(out: list[list[int]], inn: list[list[int]]) -> int | float:

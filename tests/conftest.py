@@ -44,7 +44,6 @@ from orientdiam.growth import (
     IterationRecord,
     _apply_splice,
     _bump,
-    _stabilize,
     subgraph_adjacency,
 )
 
@@ -340,16 +339,16 @@ def reference_cover_path(g, h_v, h_e, path, budget):
     It copies the core, grows the copies into the whole working subgraph and
     returns that; ``reference_covered_prefix``, a bridge search on the whole
     working subgraph with nothing contracted, not ``growth._covered_prefix``,
-    decides every step, the first one included. Kept as the slow path the
-    prefix rule of ``cover_path``, which searches only once a step has
-    spliced, is compared with.
+    decides every step, the first one included, and ``reference_stabilize``,
+    not ``growth._stabilize``, mends the labels, so no label check is shared
+    with growth. Kept as the slow path the prefix rule of ``cover_path``,
+    which searches only once a step has spliced, is compared with.
     """
     path_edges = frozenset(edge_key(a, b) for a, b in zip(path, path[1:]))
     path_set = set(path)
     hp_v, hp_e = set(h_v), set(h_e)
     labeled: list[int] = []
-    counters = {"rounds": 0, "cover_steps": 0, "splices": 0, "labeled_on_path": 0}
-    near: dict = {}
+    counters = {"cover_steps": 0, "splices": 0, "labeled_on_path": 0}
     while True:
         cp = reference_covered_prefix(path, hp_v, hp_e)
         for t in range(cp):
@@ -368,7 +367,7 @@ def reference_cover_path(g, h_v, h_e, path, budget):
         hp_v.update(r_path)
         hp_e.update(edge_key(a, b) for a, b in zip(r_path, r_path[1:]))
         counters["cover_steps"] += 1
-        _stabilize(g, h_v, near, path_set, path_edges, hp_v, hp_e, labeled, counters, budget)
+        reference_stabilize(g, h_v, path_set, path_edges, hp_v, hp_e, labeled, counters, budget)
     return hp_v, hp_e, labeled, counters
 
 

@@ -170,8 +170,8 @@ def test_core_directed_diameter_frozen():
     o = Orientation(g)
     for a, b in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)):
         o.assign(a, b)
-    assert core_directed_diameter(o, range(5)) == 4
-    assert core_directed_diameter(o, {2}) == 0
+    assert core_directed_diameter(range(5), o.arcs()) == 4
+    assert core_directed_diameter({2}, o.arcs()) == 0
 
 
 def test_core_directed_diameter_ignores_arcs_outside_the_core():
@@ -183,7 +183,7 @@ def test_core_directed_diameter_ignores_arcs_outside_the_core():
     o = Orientation(Graph(8, cycle + detours))
     for t, h in cycle + detours:
         o.assign(t, h)
-    assert core_directed_diameter(o, range(4)) == 3 == bounded_diameter_of_arcs(4, cycle)
+    assert core_directed_diameter(range(4), o.arcs()) == 3 == bounded_diameter_of_arcs(4, cycle)
 
 
 @settings(max_examples=20, deadline=None)

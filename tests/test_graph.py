@@ -18,6 +18,7 @@ from conftest import (
     reference_girth,
     reference_shortest_path,
 )
+from orientdiam import graph
 from orientdiam.errors import GraphFormatError, InfeasibleSpecError
 from orientdiam.generators import (
     complete_graph, corpus, cycle_graph, generate, petersen_graph, random_bridgeless,
@@ -180,6 +181,19 @@ def test_diameter_frozen_values():
     assert diameter(complete_graph(5)) == 1
     assert diameter(petersen_graph()) == 2
     assert diameter(P4) == 3
+
+
+@pytest.mark.parametrize(
+    "g, searches",
+    [(cycle_graph(8), 8), (Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), 1)],
+    ids=["connected", "two-triangles"],
+)
+def test_diameter_runs_one_bfs_per_vertex_until_one_misses(monkeypatch, g, searches):
+    calls = []
+    bfs = graph._bfs_among
+    monkeypatch.setattr(graph, "_bfs_among", lambda *a: calls.append(a) or bfs(*a))
+    diameter(g)
+    assert len(calls) == searches
 
 
 def test_girth_frozen_values():

@@ -41,6 +41,7 @@ from orientdiam.growth import (
     _covered_prefix,
     _lower,
     _stabilize,
+    cover_path,
     grow_core,
     subgraph_adjacency,
 )
@@ -390,7 +391,7 @@ def _label_walk(rng, g, avoid, start, length):
 
 
 def _counters() -> dict:
-    return {"rounds": 0, "cover_steps": 0, "splices": 0, "labeled_on_path": 0}
+    return {"cover_steps": 0, "splices": 0, "labeled_on_path": 0}
 
 
 def _outcome(fn, *args):
@@ -486,7 +487,7 @@ def test_stabilize_pair_fallback_crosses_the_escape_path():
     assert outcomes == [None, None]
     assert fast == slow
     assert fast[2] == [8, 2, 12]
-    assert fast[3] == {"rounds": 1, "cover_steps": 0, "splices": 1, "labeled_on_path": 1}
+    assert fast[3] == {"cover_steps": 0, "splices": 1, "labeled_on_path": 1}
 
 
 def test_stabilize_label_inside_the_core_raises_on_both_sides():
@@ -592,6 +593,22 @@ def test_grow_core_matches_reference_with_and_without_splices():
                 spliced += it.splices > 0
                 splice_free += it.cover_steps > 0 and it.splices == 0
     assert spliced >= 20 and splice_free >= 100
+
+
+def test_cover_path_budget_counts_cover_steps_and_splices():
+    """The one iteration takes 3 cover steps and 4 splices: a budget of 7
+    rounds is enough, 6 stops at the last splice and 0 at the first step."""
+    (it,) = grow_core(PREFIX_MOVED_BY_A_FALLBACK_SPLICE, Fraction(1, 2)).trace.iterations
+    path = list(it.path)
+    *_, labeled, counters = cover_path(PREFIX_MOVED_BY_A_FALLBACK_SPLICE, {path[0]}, path, 7)
+    assert (tuple(labeled), counters["cover_steps"] + counters["splices"]) == (it.labeled, 7)
+    for budget, details in (
+        (6, {"labeled": [44, 3, 1, 20, 0, 17, 10, 15, 45, 41, 19, 34]}),
+        (0, {"path": path, "covered": 0}),
+    ):
+        with pytest.raises(CertifiedFailureError, match="exceeded its round budget") as exc:
+            cover_path(PREFIX_MOVED_BY_A_FALLBACK_SPLICE, {path[0]}, path, budget)
+        assert exc.value.details == details
 
 
 @settings(max_examples=60, deadline=None)

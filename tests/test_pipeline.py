@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import bridgeless_graphs, expand_schema1, perfbench_module
-from orientdiam import orientation
+from orientdiam import orientation, pipeline
 from orientdiam.check import certify
 from orientdiam.errors import CertifiedFailureError, PreconditionError
 from orientdiam.generators import (
@@ -180,6 +180,34 @@ PINNED_EDGES = [
     "c869ec359ab93e51103119a2b14c1c8fa950f7190a6ec984dc8d6916f4e077fd",
     "7267b39e82c986de5a6f763771a3f3306b70da29b9d19964df445e5c4edba690",
 ]
+
+
+@pytest.mark.parametrize(
+    "g, eps, failed",
+    [
+        (cycle_graph(8), Fraction(1, 2), None),
+        (random_bridgeless(60, 4, 3, 109), 2, "iteration 0: bridgeless_connected"),
+    ],
+    ids=["growth-certifies", "growth-refused"],
+)
+def test_extension_guard_trip_certifies_growth_alone(monkeypatch, g, eps, failed):
+    """A guard tripped in the extension is re-raised as it is when the growth
+    trace certifies, and otherwise replaced by growth's own failed checks."""
+    guard = CertifiedFailureError("stub guard")
+
+    def trip(*args):
+        raise guard
+
+    monkeypatch.setattr(pipeline, "extend_orientation", trip)
+    with pytest.raises(CertifiedFailureError) as exc:
+        run_pipeline(g, eps)
+    if failed is None:
+        assert exc.value is guard
+    else:
+        assert str(exc.value) == "pipeline invariant failed"
+        (check,) = exc.value.details["invariants"]
+        assert check["name"] == "growth_properties"
+        assert check["detail"].startswith(failed)
 
 
 @pytest.mark.parametrize("label", sorted(PINNED_RUNS))
