@@ -7,7 +7,7 @@ so each call names the one it trusts (README, "Trusted base").
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import chain
 
 from . import graph
@@ -120,6 +120,35 @@ def _bfs(adj: Sequence[Sequence[int]], sources: Iterable[int]) -> tuple[list[int
     return dist, d
 
 
+def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:
+    """Levels until every vertex lies within reach of every source; UNREACHABLE
+    when a level gains nothing first.
+
+    Bit-parallel BFS (Akiba, Iwata & Yoshida, SIGMOD 2013), the checker's own
+    copy: bit i of ``seen[v]`` is set once ``sources[i]`` lies within the
+    current radius of v, and each level ORs into v its ``pull`` neighbors'
+    bits of the level before. In-lists run the radius from the sources to v,
+    out-lists from v to the sources.
+    """
+    full = (1 << len(sources)) - 1
+    seen = [0] * len(pull)
+    for i, v in enumerate(sources):
+        seen[v] = 1 << i
+    d = 0
+    while seen.count(full) < len(seen):
+        nxt = []
+        for bits, us in zip(seen, pull):
+            for u in us:
+                bits |= seen[u]
+            nxt.append(bits)
+        if nxt == seen:
+            # never from bounded_diameter_of_arcs: its first pivot showed the digraph strong
+            return UNREACHABLE
+        seen = nxt
+        d += 1
+    return d
+
+
 def bounded_diameter_of_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> int | float:
     """Directed diameter straight from an arc list by eccentricity bounding; exact.
 
@@ -134,9 +163,16 @@ def bounded_diameter_of_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> int | f
     between the candidate with the largest upper bound, which settles the
     least known eccentricity, and the one with the smallest lower bound, a
     central vertex whose distances tighten the other upper bounds; ties go to
-    the smallest id. On a vertex-transitive digraph such as a directed cycle
-    no bound ever prunes, so once the BFS runs spent reach the candidates left
-    in the smaller direction, each of those gets one plain BFS instead.
+    the smallest id. A pivot is charged 4 BFS runs: its two searches and its
+    two passes over the candidate lists. The candidates left in the smaller
+    direction are finished under the construction's rule, in this module's
+    own code:
+
+    - once fewer are left than runs spent, by one plain BFS each (a directed
+      cycle, where no bound prunes);
+    - once the runs spent reach ``best``, by ``_bit_levels`` from all of
+      them, which costs about one BFS per level and needs at least ``best``.
+
     UNREACHABLE when the first pivot's searches miss a vertex, that is when
     the digraph is not strong.
     """
@@ -162,6 +198,9 @@ def bounded_diameter_of_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> int | f
                 if upper[few][w] > best:
                     best = max(best, _bfs((out, inn)[few], (w,))[1])
             return best
+        if 0 < best <= spent:
+            # out-eccentricities pull bits along in-arcs, in-eccentricities along out-arcs
+            return max(best, _bit_levels((inn, out)[few], cands[few]))
         if by_upper:
             v = -max((upper[k][w], -w) for k in (0, 1) for w in cands[k])[1]
         else:
@@ -171,7 +210,7 @@ def bounded_diameter_of_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> int | f
         bwd, ecc_in = _bfs(inn, (v,))
         if spent == 0 and (min(fwd) < 0 or min(bwd) < 0):
             return UNREACHABLE
-        spent += 2
+        spent += 4
         best = max(best, ecc_out, ecc_in)
         # out-eccentricities read d(w, v) from bwd and d(v, w) from fwd; in, the mirror
         for k, ecc, to_v, from_v in ((0, ecc_out, bwd, fwd), (1, ecc_in, fwd, bwd)):
@@ -256,6 +295,17 @@ _TRACE_SCHEMA: dict[str, tuple[bool, dict[str, str]]] = {
 }
 
 
+# per record type, each field's (key, predicate, kind, optional), built once
+_FIELD_CHECKS: dict[str, tuple[tuple[str, Callable[[object, int], bool], str, bool], ...]] = {
+    kind: tuple(
+        (key, _FIELD_KINDS[base], base, base != field)
+        for key, field in fields.items()
+        for base in (field.removeprefix("optional "),)
+    )
+    for kind, (_, fields) in _TRACE_SCHEMA.items()
+}
+
+
 def _malformed(rec: dict, key: str, kind: str) -> GraphFormatError:
     return GraphFormatError(
         f"trace record {rec.get('type')!r}: field {key!r} missing or not {kind}"
@@ -289,12 +339,11 @@ def _split_records(records: list, n: int) -> tuple[dict[str, dict], dict[str, li
     if header.get("schema") != 2:
         raise _malformed(header, "schema", "2, the only schema read")
     for rec in records:
-        for key, kind in _TRACE_SCHEMA[rec["type"]][1].items():
-            base = kind.removeprefix("optional ")
+        for key, holds, kind, optional in _FIELD_CHECKS[rec["type"]]:
             if key in rec:
-                if not _FIELD_KINDS[base](rec[key], n):
-                    raise _malformed(rec, key, base)
-            elif base == kind:
+                if not holds(rec[key], n):
+                    raise _malformed(rec, key, kind)
+            elif not optional:
                 raise _malformed(rec, key, kind)
     absorbed: set[int] = set()
     for rec in logs["extension_step"]:

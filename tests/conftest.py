@@ -92,6 +92,39 @@ def floyd_warshall_without(g: Graph, excluded) -> list[list[int | float]]:
     return floyd_warshall(Graph(g.n, [e for e in g.edges() if e not in ex]))
 
 
+@st.composite
+def digraphs_with_sources(draw):
+    """(n, arcs, sources): any digraph on 1..12 vertices, unreachable pairs
+    included, and a non-empty set of sources."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    sources = draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    return n, arcs, sources
+
+
+def assert_bit_levels_matches_floyd_warshall(bit_levels, n: int, arcs, sources) -> None:
+    """A bit-parallel kernel over in-lists measures the largest d(s, v) over
+    every vertex v, over out-lists the largest d(v, s)."""
+    dist = floyd_warshall_arcs(n, arcs)
+    outs, ins = [[] for _ in range(n)], [[] for _ in range(n)]
+    for u, v in arcs:
+        outs[u].append(v)
+        ins[v].append(u)
+    assert bit_levels(ins, sources) == max(dist[s][v] for s in sources for v in range(n))
+    assert bit_levels(outs, sources) == max(dist[v][s] for s in sources for v in range(n))
+
+
+def dense_random_orientation(n: int, p: float, seed: int) -> Orientation:
+    """G(n, p) with each edge oriented by a fair coin, both from one seeded generator."""
+    rng = random.Random(seed)
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    o = Orientation(g)
+    for u, v in g.edges():
+        o.assign(*((u, v) if rng.random() < 0.5 else (v, u)))
+    return o
+
+
 def floyd_warshall_arcs(n: int, arcs) -> list[list[int | float]]:
     """All-pairs directed distances over (tail, head) arcs, by Floyd-Warshall."""
     dist: list[list[int | float]] = [[UNREACHABLE] * n for _ in range(n)]

@@ -251,6 +251,32 @@ def test_verify_catches_an_understating_kernel_fallback_at_orient_time(
     assert failed[0]["detail"].startswith("diameter 25,")
 
 
+def test_verify_catches_an_understating_checker_kernel(tmp_path, capsys, monkeypatch):
+    """verify's own search returns one less than the truth whenever it ends in
+    its bit-parallel kernel, as the checker's diameter on an honest artifact."""
+    gpath, opath, tpath, _ = orient_artifacts(tmp_path, random_bridgeless(800, 4, 3, 0))
+    true_kernel, true_search = check._bit_levels, check.bounded_diameter_of_arcs
+    taken, understatements = [], []
+
+    def understated(n, arcs):
+        taken.clear()
+        diam = true_search(n, arcs)
+        if taken:
+            understatements.append(diam)
+            return diam - 1
+        return diam
+
+    monkeypatch.setattr(check, "_bit_levels", lambda *a: taken.append(1) or true_kernel(*a))
+    monkeypatch.setattr(check, "bounded_diameter_of_arcs", understated)
+    capsys.readouterr()
+    code, data = run_json(capsys, ["verify", gpath, "--orientation", opath, "--trace", str(tpath)])
+    assert understatements == [25], "the full diameter, and only it, must reach the kernel"
+    assert code == 4
+    failed = [c for c in data["checks"] if not c["ok"]]
+    assert [c["name"] for c in failed] == ["trace_claims_match_orientation"]
+    assert failed[0]["detail"].startswith("diameter 24,")
+
+
 def _trusted_base():
     """README's "Trusted base" table: module -> the functions it lists, None for every one."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()

@@ -7,7 +7,13 @@ from itertools import product
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import bridgeless_graphs, check_ball_bound
+from conftest import (
+    assert_bit_levels_matches_floyd_warshall,
+    bridgeless_graphs,
+    check_ball_bound,
+    dense_random_orientation,
+    digraphs_with_sources,
+)
 from orientdiam.errors import BudgetExceededError
 from orientdiam.generators import (
     circulant_graph,
@@ -107,13 +113,54 @@ def test_bounded_diameter_frozen_values():
 
 def test_bounded_diameter_switches_to_plain_bfs_on_a_directed_cycle(monkeypatch):
     # every vertex of C_50 has eccentricity 49 and no bound prunes another:
-    # 17 pivots (34 searches) leave 33 candidates, each then searched once,
-    # where bounding alone would take 100 searches
+    # 10 pivots (20 searches, charged 4 runs each) leave 40 candidates, each
+    # then searched once, where bounding alone would take 100 searches
     calls = []
     bfs = check._bfs
     monkeypatch.setattr(check, "_bfs", lambda adj, s: calls.append(s) or bfs(adj, s))
     assert bounded_diameter_of_arcs(50, [(i, (i + 1) % 50) for i in range(50)]) == 49
-    assert len(calls) == 34 + 33
+    assert len(calls) == 20 + 40
+
+
+@pytest.mark.parametrize(
+    "n, arcs, exit_taken",
+    [
+        (200, strong_orientation(circulant_graph(200, (1, 2))).arcs(), None),
+        (50, [(i, (i + 1) % 50) for i in range(50)], "plain BFS"),
+        (200, dense_random_orientation(200, 0.08, 1).arcs(), "kernel"),
+        (12, dense_random_orientation(12, 0.5, 3).arcs(), "kernel"),
+        (16, dense_random_orientation(16, 0.5, 11).arcs(), "kernel"),
+    ],
+    ids=["circulant-prunes", "cycle-plain-bfs", "random-kernel", "small-kernel", "kernel-pull"],
+)
+def test_bounded_diameter_takes_each_exit(monkeypatch, n, arcs, exit_taken):
+    """The checker's search ends where the construction's does: bounds finish a
+    long circulant, plain BFS a directed cycle, where no bound prunes, and the
+    checker's own bit-parallel kernel a short-diameter orientation.
+
+    On the 16-vertex one the kernel pulled along the wrong lists measures 4,
+    one short of the diameter. A pivot searches forward, then backward, from
+    one vertex; the plain-BFS
+    finish searches one direction from each candidate left, so searches
+    beyond the pivots' pairs are that finish.
+    """
+    searches, kernels = [], []
+    bfs, kernel = check._bfs, check._bit_levels
+    monkeypatch.setattr(check, "_bfs", lambda adj, s: searches.append((adj, s)) or bfs(adj, s))
+    monkeypatch.setattr(check, "_bit_levels", lambda *a: kernels.append(a) or kernel(*a))
+    assert bounded_diameter_of_arcs(n, arcs) == directed_diameter_of_arcs(n, arcs) != UNREACHABLE
+    pivots = sum(a[1] == b[1] and a[0] is not b[0] for a, b in zip(searches, searches[1:]))
+    taken = ["plain BFS"] * (len(searches) > 2 * pivots) + ["kernel"] * len(kernels)
+    assert taken == ([exit_taken] if exit_taken else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs_with_sources())
+@example((2, [], [0]))  # the first level gains nothing: the UNREACHABLE guard
+def test_checker_bit_levels_matches_floyd_warshall(case):
+    """The checker's own kernel on any digraph and source set, unreachable
+    pairs included."""
+    assert_bit_levels_matches_floyd_warshall(check._bit_levels, *case)
 
 
 @given(bridgeless_graphs(), st.data())

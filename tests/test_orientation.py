@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
-    arbitrary_graphs, bridgeless_graphs, floyd_warshall_arcs, reference_orient_adjacency
+    arbitrary_graphs,
+    assert_bit_levels_matches_floyd_warshall,
+    bridgeless_graphs,
+    dense_random_orientation,
+    digraphs_with_sources,
+    floyd_warshall_arcs,
+    reference_orient_adjacency,
 )
 from orientdiam.errors import (
     CertifiedFailureError,
@@ -325,34 +329,29 @@ def test_digraph_diameter_frozen_cases():
     assert digraph_diameter([[]], [[]]) == 0
 
 
-def _dense_random_orientation(n: int, p: float, seed: int) -> Orientation:
-    rng = random.Random(seed)
-    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
-    o = Orientation(g)
-    for u, v in g.edges():
-        o.assign(*((u, v) if rng.random() < 0.5 else (v, u)))
-    return o
-
-
 @pytest.mark.parametrize(
     "o, exit_taken",
     [
         (strong_orientation(circulant_graph(200, (1, 2))), None),
         (directed_cycle(50), "_largest_eccentricity"),
-        (_dense_random_orientation(16, 0.5, 3), "_largest_eccentricity"),
-        (_dense_random_orientation(200, 0.08, 1), "_bit_levels"),
-        (_dense_random_orientation(12, 0.5, 3), "_bit_levels"),
+        (dense_random_orientation(16, 0.5, 3), "_largest_eccentricity"),
+        (dense_random_orientation(200, 0.08, 1), "_bit_levels"),
+        (dense_random_orientation(12, 0.5, 3), "_bit_levels"),
+        (dense_random_orientation(16, 0.5, 11), "_bit_levels"),
     ],
-    ids=["circulant-prunes", "cycle-plain-bfs", "random-plain-bfs", "random-kernel", "small-kernel"],
+    ids=[
+        "circulant-prunes", "cycle-plain-bfs", "random-plain-bfs", "random-kernel", "small-kernel",
+        "kernel-pull",
+    ],
 )
 def test_diameter_among_takes_each_exit(monkeypatch, o, exit_taken):
     """Bounds finish a long circulant, plain BFS a directed cycle, where no
     bound prunes, and the bit-parallel kernel a short-diameter orientation.
 
-    On the three random ones the pivots' largest eccentricity falls short of
-    the diameter when the fallback starts, so a fallback that returned too
-    little (one that skipped its BFS runs, or pulled the kernel's bits the
-    wrong way on the 12-vertex one) would fail here."""
+    On the random ones the pivots' largest eccentricity falls short of the
+    diameter when the fallback starts, so a fallback that returned too little
+    (one that skipped its BFS runs, or pulled the kernel's bits the wrong way
+    on the one of seed 11) would fail here."""
     taken = []
     for name in ("_largest_eccentricity", "_bit_levels"):
         fallback = getattr(orientation, name)
@@ -365,20 +364,8 @@ def test_diameter_among_takes_each_exit(monkeypatch, o, exit_taken):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_bit_levels_matches_floyd_warshall(data):
-    """The kernel on any digraph and source set, unreachable pairs included:
-    over in-lists it measures the largest d(s, v) over every vertex v, over
-    out-lists the largest d(v, s).
-    """
-    n = data.draw(st.integers(1, 12))
-    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    arcs = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
-    dist = floyd_warshall_arcs(n, arcs)
-    outs, ins = [[] for _ in range(n)], [[] for _ in range(n)]
-    for u, v in arcs:
-        outs[u].append(v)
-        ins[v].append(u)
-    assert _bit_levels(ins, sources) == max(dist[s][v] for s in sources for v in range(n))
-    assert _bit_levels(outs, sources) == max(dist[v][s] for s in sources for v in range(n))
+@given(digraphs_with_sources())
+@example((2, [], [0]))  # the first level gains nothing: the UNREACHABLE guard
+def test_bit_levels_matches_floyd_warshall(case):
+    """The kernel on any digraph and source set, unreachable pairs included."""
+    assert_bit_levels_matches_floyd_warshall(_bit_levels, *case)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import bridgeless_graphs, expand_schema1, perfbench_module
-from orientdiam import orientation, pipeline
-from orientdiam.check import certify
+from orientdiam import check, orientation, pipeline
+from orientdiam.check import bounded_diameter_of_arcs, certify
 from orientdiam.errors import CertifiedFailureError, PreconditionError
 from orientdiam.generators import (
     circulant_graph,
@@ -234,3 +234,44 @@ def test_circulant_grow_diameters_never_reach_the_kernel(monkeypatch):
         for eps in case.epsilons:
             run_pipeline(case.make(), eps)
     assert calls == []
+
+
+def _count_calls(monkeypatch, module, names):
+    """Wrap each named function of ``module``; the returned dict counts their calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        f = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, f=f, name=name: calls.__setitem__(name, calls[name] + 1) or f(*a)
+        )
+    return calls
+
+
+def test_random_extend_checker_search_finishes_in_its_kernel(monkeypatch):
+    """On the benchmark's eight random-extend orientations (diameters 24 and
+    25) the checker's bounds prune almost nothing, so its search ends, as the
+    construction's does, in one bit-parallel pass per graph but one: 696 BFS
+    runs with no kernel became 113 and 7 passes."""
+    orientations = []
+    for case in perfbench_module("workloads").random_extend(0):
+        g = case.make()
+        orientations.append((g.n, run_pipeline(g, case.epsilons[0]).orientation.arcs()))
+    calls = _count_calls(monkeypatch, check, ("_bfs", "_bit_levels"))
+    for n, arcs in orientations:
+        bounded_diameter_of_arcs(n, arcs)
+    assert calls["_bfs"] <= 120
+    assert calls["_bit_levels"] == 7
+
+
+def test_circulant_grow_checker_never_reaches_its_kernel(monkeypatch):
+    """verify's searches on the eight circulant-grow graphs, core and full
+    diameters, are settled by pivots, as the construction's are."""
+    runs = []
+    for case in perfbench_module("workloads").circulant_grow(0):
+        g = case.make()
+        r = run_pipeline(g, case.epsilons[0])
+        runs.append((g, r.trace_records(), r.orientation.arcs()))
+    calls = _count_calls(monkeypatch, check, ("_bit_levels",))
+    for g, records, arcs in runs:
+        assert all(c["ok"] for c in certify(g, records, arcs))
+    assert calls["_bit_levels"] == 0
