@@ -122,7 +122,8 @@ def _bfs(adj: Sequence[Sequence[int]], sources: Iterable[int]) -> tuple[list[int
 
 def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:
     """Levels until every vertex lies within reach of every source; UNREACHABLE
-    when a level gains nothing first.
+    when a level gains nothing first, or when ``len(pull) - 1`` levels leave a
+    bit unset: no distance in a digraph reaches its order.
 
     Bit-parallel BFS (Akiba, Iwata & Yoshida, SIGMOD 2013), the checker's own
     copy: bit i of ``seen[v]`` is set once ``sources[i]`` lies within the
@@ -134,8 +135,9 @@ def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:
     seen = [0] * len(pull)
     for i, v in enumerate(sources):
         seen[v] = 1 << i
-    d = 0
-    while seen.count(full) < len(seen):
+    for d in range(len(pull)):
+        if seen.count(full) == len(seen):
+            return d
         nxt = []
         for bits, us in zip(seen, pull):
             for u in us:
@@ -145,8 +147,7 @@ def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:
             # never from bounded_diameter_of_arcs: its first pivot showed the digraph strong
             return UNREACHABLE
         seen = nxt
-        d += 1
-    return d
+    return UNREACHABLE
 
 
 def bounded_diameter_of_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> int | float:

@@ -6,7 +6,6 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -166,6 +165,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     # no more workers than rows: a fork pool starts them all at the first submit
     jobs = min(args.jobs, len(payloads))
     if jobs > 1:
+        # imported here: multiprocessing adds 2.6 MB to every process that runs the CLI
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_experiment_row, payloads))
     else:

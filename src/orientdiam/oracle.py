@@ -1,7 +1,9 @@
 """Exact references computed by exhaustive search, for checking the fast path.
 
 The searcher works on bitmasks and the diameter reference on a raw arc
-list, apart from the construction code, so agreement is evidence.
+list, apart from the construction code, so agreement is evidence. The
+searcher's one prune is a lower bound: the diameter of the partial
+orientation with every edge not yet oriented read as both arcs.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ class OracleResult:
     witness: tuple[tuple[int, int], ...] | None = None  # arcs achieving value
 
 
-def _leaf_diameter(out_adj: list[int], n: int, cap: int | float) -> int | None:
-    """Directed diameter from bitmask out-neighborhoods.
+def _diameter_below(adj: list[int], n: int, cap: int | float) -> int | None:
+    """Directed diameter from bitmask out-neighborhoods, when it is below cap.
 
-    Returns None as soon as the orientation is not strong or cannot beat cap.
+    Returns None as soon as the digraph is not strong or its diameter reaches
+    cap. The search calls it on every node: there ``adj`` holds each edge not
+    yet oriented as both arcs, so the value bounds every completion from below.
     """
     full = (1 << n) - 1
     worst = 0
@@ -40,7 +44,7 @@ def _leaf_diameter(out_adj: list[int], n: int, cap: int | float) -> int | None:
             f = frontier
             while f:
                 b = f & -f
-                nxt |= out_adj[b.bit_length() - 1]
+                nxt |= adj[b.bit_length() - 1]
                 f ^= b
             nxt &= ~seen
             if not nxt:
@@ -57,10 +61,13 @@ def _leaf_diameter(out_adj: list[int], n: int, cap: int | float) -> int | None:
 def exact_oriented_diameter(g: Graph, budget: int = 24) -> OracleResult:
     """Minimum directed diameter over all strong orientations, exhaustively.
 
-    Branches over edge directions, cuts a branch once a finished vertex has no
-    in- or no out-arc, and stops evaluating a leaf once it cannot beat the best
-    found. Symmetry: reversing every arc preserves strongness and diameter, so
-    the first edge's direction is fixed and only half the space is visited.
+    Branches over edge directions in ``g.edges()`` order. An edge not yet
+    oriented counts as both arcs, so that digraph contains every completion
+    and its diameter bounds each of them from below: one call prunes a node
+    whose digraph is not strong or cannot beat the best found, and at a leaf
+    the same call measures the orientation itself. Symmetry: reversing every
+    arc preserves strongness and diameter, so the first edge's direction is
+    fixed and only half the space is visited.
     """
     if g.n == 0:
         raise ValueError("the empty graph has no orientations")
@@ -73,10 +80,7 @@ def exact_oriented_diameter(g: Graph, budget: int = 24) -> OracleResult:
     edges = g.edges()
     m = len(edges)
     n = g.n
-    rem = [g.degree(v) for v in range(n)]
-    in_deg = [0] * n
-    out_deg = [0] * n
-    out_adj = [0] * n
+    adj = [sum(1 << w for w in g.neighbors(v)) for v in range(n)]
     chosen: list[tuple[int, int]] = [(0, 0)] * m
     best: int | float = UNREACHABLE
     witness: tuple[tuple[int, int], ...] = ()
@@ -84,31 +88,20 @@ def exact_oriented_diameter(g: Graph, budget: int = 24) -> OracleResult:
 
     def rec(i: int) -> None:
         nonlocal best, witness, leaves
-        if i == m:
-            d = _leaf_diameter(out_adj, n, best)
-            if d is not None:  # strong, and below the cap: a new best
-                leaves += 1
-                best = d
-                witness = tuple(chosen)
+        d = _diameter_below(adj, n, best)
+        if d is None:  # no completion is strong and beats best
+            return
+        if i == m:  # strong, and below the cap: a new best
+            leaves += 1
+            best = d
+            witness = tuple(chosen)
             return
         u, v = edges[i]
         for t, h in ((u, v),) if i == 0 else ((u, v), (v, u)):
-            out_deg[t] += 1
-            in_deg[h] += 1
-            rem[u] -= 1
-            rem[v] -= 1
-            out_adj[t] |= 1 << h
+            adj[h] &= ~(1 << t)
             chosen[i] = (t, h)
-            dead = (rem[u] == 0 and (in_deg[u] == 0 or out_deg[u] == 0)) or (
-                rem[v] == 0 and (in_deg[v] == 0 or out_deg[v] == 0)
-            )
-            if not dead:
-                rec(i + 1)
-            out_deg[t] -= 1
-            in_deg[h] -= 1
-            rem[u] += 1
-            rem[v] += 1
-            out_adj[t] &= ~(1 << h)
+            rec(i + 1)
+            adj[h] |= 1 << t
 
     rec(0)
     return OracleResult(int(best), True, leaves, witness)

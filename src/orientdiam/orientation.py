@@ -108,7 +108,8 @@ def directed_distance(
 
 def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:
     """Levels until every vertex lies within reach of every source; UNREACHABLE
-    when a level gains nothing first.
+    when a level gains nothing first, or when ``len(pull) - 1`` levels leave a
+    bit unset: no distance in a digraph reaches its order.
 
     Bit-parallel BFS (Akiba, Iwata & Yoshida, SIGMOD 2013): bit i of
     ``seen[v]`` is set once ``sources[i]`` lies within the current radius of
@@ -121,8 +122,9 @@ def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:
     seen = [0] * len(pull)
     for i, v in enumerate(sources):
         seen[v] = 1 << i
-    d = 0
-    while seen.count(full) < len(seen):
+    for d in range(len(pull)):
+        if seen.count(full) == len(seen):
+            return d
         nxt = []
         for bits, us in zip(seen, pull):
             for u in us:
@@ -131,8 +133,7 @@ def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:
         if nxt == seen:
             return UNREACHABLE
         seen = nxt
-        d += 1
-    return d
+    return UNREACHABLE
 
 
 def digraph_diameter(out: list[list[int]], inn: list[list[int]]) -> int | float:

@@ -16,6 +16,7 @@ from hypothesis import assume, strategies as st
 from orientdiam.bounds import BoundReport, as_fraction, ball_radius, diameter_bound, min_ball_size
 from orientdiam.check import _FIELD_KINDS, check_preconditions, final_claims, header_claims
 from orientdiam.errors import (
+    BudgetExceededError,
     CertifiedFailureError,
     GraphFormatError,
     InfeasibleSpecError,
@@ -37,6 +38,7 @@ from orientdiam.graph import (
     shortest_path_between,
 )
 from orientdiam.generators import random_bridgeless
+from orientdiam.oracle import OracleResult
 from orientdiam.orientation import Orientation
 from orientdiam.growth import (
     GrowthResult,
@@ -551,6 +553,96 @@ def reference_random_bridgeless(n: int, delta: int, girth_floor: int, seed: int)
         adj[u].add(v)
         adj[v].add(u)
     return Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
+def _reference_leaf_diameter(out_adj: list[int], n: int, cap: int | float) -> int | None:
+    """Directed diameter from bitmask out-neighborhoods.
+
+    Returns None as soon as the orientation is not strong or cannot beat cap.
+    """
+    full = (1 << n) - 1
+    worst = 0
+    for s in range(n):
+        seen = 1 << s
+        frontier = seen
+        d = 0
+        while seen != full:
+            nxt = 0
+            f = frontier
+            while f:
+                b = f & -f
+                nxt |= out_adj[b.bit_length() - 1]
+                f ^= b
+            nxt &= ~seen
+            if not nxt:
+                return None
+            seen |= nxt
+            frontier = nxt
+            d += 1
+            if d >= cap:
+                return None
+        worst = max(worst, d)
+    return worst
+
+
+def reference_exact_oriented_diameter(g: Graph, budget: int = 24) -> OracleResult:
+    """The search that ``oracle.exact_oriented_diameter`` replaced, unchanged.
+
+    It cuts a branch only once a finished vertex has no in- or no out-arc,
+    and evaluates every surviving leaf, stopping once the leaf cannot beat the
+    best found. Kept as the slow path the lower-bound prune is checked
+    against: both must give the same value, ``leaves`` and witness.
+    """
+    if g.n == 0:
+        raise ValueError("the empty graph has no orientations")
+    if g.m > budget:
+        raise BudgetExceededError(
+            f"{g.m} edges exceeds the exhaustive budget of {budget}"
+        )
+    if bridge_witness(g.adjacency()) is not None:
+        return OracleResult(None, False, 0)
+    edges = g.edges()
+    m = len(edges)
+    n = g.n
+    rem = [g.degree(v) for v in range(n)]
+    in_deg = [0] * n
+    out_deg = [0] * n
+    out_adj = [0] * n
+    chosen: list[tuple[int, int]] = [(0, 0)] * m
+    best: int | float = UNREACHABLE
+    witness: tuple[tuple[int, int], ...] = ()
+    leaves = 0
+
+    def rec(i: int) -> None:
+        nonlocal best, witness, leaves
+        if i == m:
+            d = _reference_leaf_diameter(out_adj, n, best)
+            if d is not None:  # strong, and below the cap: a new best
+                leaves += 1
+                best = d
+                witness = tuple(chosen)
+            return
+        u, v = edges[i]
+        for t, h in ((u, v),) if i == 0 else ((u, v), (v, u)):
+            out_deg[t] += 1
+            in_deg[h] += 1
+            rem[u] -= 1
+            rem[v] -= 1
+            out_adj[t] |= 1 << h
+            chosen[i] = (t, h)
+            dead = (rem[u] == 0 and (in_deg[u] == 0 or out_deg[u] == 0)) or (
+                rem[v] == 0 and (in_deg[v] == 0 or out_deg[v] == 0)
+            )
+            if not dead:
+                rec(i + 1)
+            out_deg[t] -= 1
+            in_deg[h] -= 1
+            rem[u] += 1
+            rem[v] += 1
+            out_adj[t] &= ~(1 << h)
+
+    rec(0)
+    return OracleResult(int(best), True, leaves, witness)
 
 
 def expand_schema1(records: list[dict]) -> list[dict]:

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, JSON output, file round-trips."""
 
+import concurrent.futures
 import json
 import random
 import re
@@ -1120,7 +1121,7 @@ def test_experiment_starts_no_more_workers_than_rows(tmp_path, capsys, monkeypat
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     argv = ["experiment", "girth", "--out", str(tmp_path / "girth.csv"), "--jobs", str(jobs)]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["graphs"] == 6

@@ -13,6 +13,7 @@ from conftest import (
     check_ball_bound,
     dense_random_orientation,
     digraphs_with_sources,
+    reference_exact_oriented_diameter,
 )
 from orientdiam.errors import BudgetExceededError
 from orientdiam.generators import (
@@ -54,18 +55,42 @@ def test_witness_achieves_the_value():
         assert len(res.witness) == g.m
 
 
-def test_k5_examined_within_halved_space(monkeypatch):
-    # the search evaluates 272 of K5's 2^10 orientations, and 544 with the
-    # first edge left free; ``leaves`` counts only the 2 that improved the best
+def _spy_on_bound(monkeypatch, limit=None):
+    """Record each ``_diameter_below`` call; raise once there are more than limit."""
     calls = []
-    leaf = oracle._leaf_diameter
-    monkeypatch.setattr(
-        oracle, "_leaf_diameter", lambda adj, n, cap: calls.append(cap) or leaf(adj, n, cap)
-    )
+    bound = oracle._diameter_below
+
+    def spy(adj, n, cap):
+        calls.append(cap)
+        if limit is not None and len(calls) > limit:
+            raise AssertionError(f"more than {limit} search nodes")
+        return bound(adj, n, cap)
+
+    monkeypatch.setattr(oracle, "_diameter_below", spy)
+    return calls
+
+
+def test_k5_examined_within_halved_space(monkeypatch):
+    # one bound per search node: the search visits 28 nodes on K5, where
+    # evaluating leaves alone took 272 of its 2^10 orientations; ``leaves``
+    # counts only the 2 that improved the best
+    calls = _spy_on_bound(monkeypatch)
     res = exact_oriented_diameter(complete_graph(5))
     assert res.value == 2
     assert res.leaves == 2
-    assert len(calls) <= 2**9
+    assert len(calls) == 28
+
+
+@pytest.mark.parametrize(
+    "g, value",
+    [(complete_graph(8), 2), (circulant_graph(16, (1, 3)), 5)],
+    ids=["K8", "C16(1,3)"],
+)
+def test_bound_reaches_beyond_the_budget(monkeypatch, g, value):
+    """K_8 (28 edges) takes the search 640 nodes and C_16(1, 3) (32 edges)
+    396; evaluating every leaf would mean up to 2^27 and 2^31 of them."""
+    _spy_on_bound(monkeypatch, limit=2_000)
+    assert exact_oriented_diameter(g, budget=g.m).value == value
 
 
 @settings(max_examples=20, deadline=None)
@@ -76,9 +101,29 @@ def test_k5_examined_within_halved_space(monkeypatch):
 @example(theta_graph(2, 3, 4))
 @example(circulant_graph(6, (1, 3)))
 def test_agrees_with_naive_enumeration(g):
-    """Pruning by the best found and fixing the first edge never lose the optimum."""
+    """Pruning by the lower bound (each edge not yet oriented read as both
+    arcs) and fixing the first edge never lose the optimum."""
     assume(g.m <= 12)
     assert exact_oriented_diameter(g).value == naive_minimum(g)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bridgeless_graphs(max_n=10))
+@example(complete_graph(5))
+@example(petersen_graph())
+@example(circulant_graph(8, (1, 2)))
+@example(triangle_chain(5))
+# the wheel W5: a hub joined to every vertex of C_5
+@example(Graph(6, [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]))
+def test_lower_bound_prune_matches_reference_search(g):
+    """A pruned subtree holds no leaf below the best found, so the bound meets
+    the same improving leaves in the same order as the dead-vertex search."""
+    assume(g.m <= 20)
+    ref = reference_exact_oriented_diameter(g)
+    res = exact_oriented_diameter(g)
+    assert (res.value, res.feasible, res.leaves, res.witness) == (
+        ref.value, ref.feasible, ref.leaves, ref.witness
+    )
 
 
 def test_budget_enforced():
