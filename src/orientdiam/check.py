@@ -122,8 +122,8 @@ def _bfs(adj: Sequence[Sequence[int]], sources: Iterable[int]) -> tuple[list[int
 
 def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:
     """Levels until every vertex lies within reach of every source; UNREACHABLE
-    when a level gains nothing first, or when ``len(pull) - 1`` levels leave a
-    bit unset: no distance in a digraph reaches its order.
+    when ``len(pull) - 1`` levels leave a bit unset: no distance in a digraph
+    reaches its order.
 
     Bit-parallel BFS (Akiba, Iwata & Yoshida, SIGMOD 2013), the checker's own
     copy: bit i of ``seen[v]`` is set once ``sources[i]`` lies within the
@@ -143,31 +143,26 @@ def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:
             for u in us:
                 bits |= seen[u]
             nxt.append(bits)
-        if nxt == seen:
-            # never from bounded_diameter_of_arcs: its first pivot showed the digraph strong
-            return UNREACHABLE
         seen = nxt
+    # never from bounded_diameter_of_arcs: its first pivot showed the digraph strong
     return UNREACHABLE
 
 
 def bounded_diameter_of_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> int | float:
     """Directed diameter straight from an arc list by eccentricity bounding; exact.
 
-    Each pivot v runs one forward and one backward BFS, and the triangle
-    inequality bounds every candidate w (Takes & Kosters 2011, in the
-    directed form of Crescenzi, Grossi, Lanzi & Marino 2013):
-    ``max(d(w,v), ecc_out(v) - d(v,w)) <= ecc_out(w) <= d(w,v) + ecc_out(v)``,
-    and mirrored for ``ecc_in``. The diameter is both the largest out- and the
-    largest in-eccentricity, so a vertex stops being a candidate in a direction
-    once its upper bound there is at most the best lower bound, and the answer
-    is found when either direction has no candidate left. Pivots alternate
-    between the candidate with the largest upper bound, which settles the
-    least known eccentricity, and the one with the smallest lower bound, a
-    central vertex whose distances tighten the other upper bounds; ties go to
-    the smallest id. A pivot is charged 4 BFS runs: its two searches and its
-    two passes over the candidate lists. The candidates left in the smaller
-    direction are finished under the construction's rule, in this module's
-    own code:
+    The construction's search, in this module's own code. Each pivot v, the
+    candidate with the largest upper bound (ties to the smallest id), runs
+    one forward and one backward BFS, and the triangle inequality bounds
+    every candidate w (Takes & Kosters 2011, in the directed form of
+    Crescenzi, Grossi, Lanzi & Marino 2013): ``ecc_out(w) <= d(w,v) +
+    ecc_out(v)``, mirrored for ``ecc_in``. The diameter is both the largest
+    out- and the largest in-eccentricity, so a vertex stops being a candidate
+    in a direction once its upper bound there is at most the largest
+    eccentricity measured, and the answer is found when either direction has
+    none left. A pivot is charged 4 BFS runs: its two searches and its two
+    passes over the candidate lists. The candidates left in the smaller
+    direction are finished:
 
     - once fewer are left than runs spent, by one plain BFS each (a directed
       cycle, where no bound prunes);
@@ -184,14 +179,12 @@ def bounded_diameter_of_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> int | f
     for t, h in arcs:
         out[t].append(h)
         inn[h].append(t)
-    # per direction (0 out, 1 in): bounds on every vertex's eccentricity, and
-    # the vertices, ascending, whose upper bound still exceeds ``best``
+    # per direction (0 out, 1 in): upper bounds on every vertex's eccentricity,
+    # and the vertices, ascending, whose upper bound still exceeds ``best``
     upper = ([n] * n, [n] * n)
-    lower = ([0] * n, [0] * n)
     cands = (list(range(n)), list(range(n)))
     best = 0
     spent = 0
-    by_upper = True
     while cands[0] and cands[1]:
         few = 0 if len(cands[0]) <= len(cands[1]) else 1
         if spent >= len(cands[few]):
@@ -202,28 +195,20 @@ def bounded_diameter_of_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> int | f
         if 0 < best <= spent:
             # out-eccentricities pull bits along in-arcs, in-eccentricities along out-arcs
             return max(best, _bit_levels((inn, out)[few], cands[few]))
-        if by_upper:
-            v = -max((upper[k][w], -w) for k in (0, 1) for w in cands[k])[1]
-        else:
-            v = min((lower[k][w], w) for k in (0, 1) for w in cands[k])[1]
-        by_upper = not by_upper
+        v = -max((upper[k][w], -w) for k in (0, 1) for w in cands[k])[1]
         fwd, ecc_out = _bfs(out, (v,))
         bwd, ecc_in = _bfs(inn, (v,))
         if spent == 0 and (min(fwd) < 0 or min(bwd) < 0):
             return UNREACHABLE
         spent += 4
         best = max(best, ecc_out, ecc_in)
-        # out-eccentricities read d(w, v) from bwd and d(v, w) from fwd; in, the mirror
-        for k, ecc, to_v, from_v in ((0, ecc_out, bwd, fwd), (1, ecc_in, fwd, bwd)):
-            up, lo = upper[k], lower[k]
+        # out-eccentricities read d(w, v) from bwd; in-eccentricities, from fwd
+        for k, ecc, to_v in ((0, ecc_out, bwd), (1, ecc_in, fwd)):
+            up = upper[k]
             for w in cands[k]:
-                a, b = to_v[w], from_v[w]
-                if a + ecc < up[w]:
-                    up[w] = a + ecc
-                if a > lo[w]:
-                    lo[w] = a
-                if ecc - b > lo[w]:
-                    lo[w] = ecc - b
+                a = to_v[w] + ecc
+                if a < up[w]:
+                    up[w] = a
             cands[k][:] = [w for w in cands[k] if up[w] > best]
     return best
 

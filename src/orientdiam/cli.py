@@ -29,7 +29,7 @@ from .graph import (
     min_degree,
     parse_graph,
 )
-from .oracle import exact_oriented_diameter
+from .oracle import DEFAULT_BUDGET, exact_oriented_diameter
 from .orientation import format_orientation, read_arcs
 from .pipeline import run_pipeline
 
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustive minimum directed diameter")
     p.add_argument("graph")
-    p.add_argument("--budget", type=_at_least(0), default=24, metavar="EDGES")
+    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET, metavar="EDGES")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("gen", help="write a generated family member")
@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, metavar="FILE")
     p.add_argument("--jobs", type=_at_least(1), default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_at_least(0), default=24, metavar="EDGES")
+    p.add_argument("--budget", type=_at_least(0), default=DEFAULT_BUDGET, metavar="EDGES")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("verify", help="re-check an orientation and its trace")

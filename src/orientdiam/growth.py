@@ -374,6 +374,8 @@ def _lower(g: Graph, dist: list[int | float], added: Iterable[int], depth: int) 
     for s in layer:
         dist[s] = 0
     for d in range(1, depth + 1):
+        if not layer:
+            break
         nxt = []
         for u in layer:
             for w in adj[u]:

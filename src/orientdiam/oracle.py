@@ -15,6 +15,8 @@ from collections.abc import Iterable
 from .errors import BudgetExceededError
 from .graph import UNREACHABLE, Graph, bridge_witness
 
+DEFAULT_BUDGET = 24  # the most edges exact_oriented_diameter searches unless told otherwise
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -58,7 +60,7 @@ def _diameter_below(adj: list[int], n: int, cap: int | float) -> int | None:
     return worst
 
 
-def exact_oriented_diameter(g: Graph, budget: int = 24) -> OracleResult:
+def exact_oriented_diameter(g: Graph, budget: int = DEFAULT_BUDGET) -> OracleResult:
     """Minimum directed diameter over all strong orientations, exhaustively.
 
     Branches over edge directions in ``g.edges()`` order. An edge not yet

@@ -108,8 +108,8 @@ def directed_distance(
 
 def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:
     """Levels until every vertex lies within reach of every source; UNREACHABLE
-    when a level gains nothing first, or when ``len(pull) - 1`` levels leave a
-    bit unset: no distance in a digraph reaches its order.
+    when ``len(pull) - 1`` levels leave a bit unset: no distance in a digraph
+    reaches its order.
 
     Bit-parallel BFS (Akiba, Iwata & Yoshida, SIGMOD 2013): bit i of
     ``seen[v]`` is set once ``sources[i]`` lies within the current radius of
@@ -130,8 +130,6 @@ def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:
             for u in us:
                 bits |= seen[u]
             nxt.append(bits)
-        if nxt == seen:
-            return UNREACHABLE
         seen = nxt
     return UNREACHABLE
 
@@ -141,17 +139,16 @@ def digraph_diameter(out: list[list[int]], inn: list[list[int]]) -> int | float:
 
     Each pivot v runs one forward and one backward BFS, and the triangle
     inequality bounds every candidate w (Takes & Kosters 2011, directed as
-    in Crescenzi, Grossi, Lanzi & Marino 2013): ``max(d(w,v), ecc_out(v) -
-    d(v,w)) <= ecc_out(w) <= d(w,v) + ecc_out(v)``, mirrored for
-    ``ecc_in``. A vertex stops being a candidate in a direction once its
-    upper bound there is at most ``best``, the largest eccentricity
-    measured; the answer is found when either direction has none left.
-    Pivots alternate between the largest upper bound and the smallest lower
-    bound, ties going to the smallest id. Work is counted in BFS runs, and
-    a pivot is charged 4: its two searches, and its two passes over the
-    candidate lists (the bounds update, and the next pivot's choice), which
-    on short diameters cost about as much as the searches. The candidates
-    left in the smaller direction are finished, with no tuned constant:
+    in Crescenzi, Grossi, Lanzi & Marino 2013): ``ecc_out(w) <= d(w,v) +
+    ecc_out(v)``, mirrored for ``ecc_in``. A vertex stops being a candidate
+    in a direction once its upper bound there is at most ``best``, the
+    largest eccentricity measured; the answer is found when either direction
+    has none left. Each pivot is the candidate with the largest upper bound,
+    ties going to the smallest id. Work is counted in BFS runs, and a pivot
+    is charged 4: its two searches, and its two passes over the candidate
+    lists (the bounds update, and the next pivot's choice), which on short
+    diameters cost about as much as the searches. The candidates left in the
+    smaller direction are finished, with no tuned constant:
 
     - once fewer are left than runs spent, by one plain BFS each (a directed
       cycle, where no bound prunes);
@@ -166,44 +163,33 @@ def digraph_diameter(out: list[list[int]], inn: list[list[int]]) -> int | float:
     n = len(out)
     if n <= 1:
         return 0
-    adjs = (out, inn)
-    # per direction (0 out, 1 in): bounds on every vertex's eccentricity, and
-    # the vertices, ascending, whose upper bound still exceeds ``best``
+    # per direction (0 out, 1 in): upper bounds on every vertex's eccentricity,
+    # and the vertices, ascending, whose upper bound still exceeds ``best``
     upper = ([n] * n, [n] * n)
-    lower = ([0] * n, [0] * n)
     cands = (list(range(n)), list(range(n)))
     best = 0
     spent = 0
-    by_upper = True
     while cands[0] and cands[1]:
         few = 0 if len(cands[0]) <= len(cands[1]) else 1
         if spent >= len(cands[few]):
-            return _largest_eccentricity(adjs[few], cands[few], upper[few], best)
+            return _largest_eccentricity((out, inn)[few], cands[few], upper[few], best)
         if 0 < best <= spent:
             # out-eccentricities pull bits along in-arcs, in-eccentricities along out-arcs
-            return max(best, _bit_levels(adjs[1 - few], cands[few]))
-        if by_upper:
-            v = -max((upper[k][w], -w) for k in (0, 1) for w in cands[k])[1]
-        else:
-            v = min((lower[k][w], w) for k in (0, 1) for w in cands[k])[1]
-        by_upper = not by_upper
+            return max(best, _bit_levels((inn, out)[few], cands[few]))
+        v = -max((upper[k][w], -w) for k in (0, 1) for w in cands[k])[1]
         fwd, ecc_out = _bfs_among(out, (v,))
         bwd, ecc_in = _bfs_among(inn, (v,))
         if ecc_out == UNREACHABLE or ecc_in == UNREACHABLE:
             return UNREACHABLE
         spent += 4
         best = max(best, ecc_out, ecc_in)
-        # out-eccentricities read d(w, v) from bwd and d(v, w) from fwd; in, the mirror
-        for k, ecc, to_v, from_v in ((0, ecc_out, bwd, fwd), (1, ecc_in, fwd, bwd)):
-            up, lo = upper[k], lower[k]
+        # out-eccentricities read d(w, v) from bwd; in-eccentricities, from fwd
+        for k, ecc, to_v in ((0, ecc_out, bwd), (1, ecc_in, fwd)):
+            up = upper[k]
             for w in cands[k]:
-                a, b = to_v[w], from_v[w]
-                if a + ecc < up[w]:
-                    up[w] = a + ecc
-                if a > lo[w]:
-                    lo[w] = a
-                if ecc - b > lo[w]:
-                    lo[w] = ecc - b
+                a = to_v[w] + ecc
+                if a < up[w]:
+                    up[w] = a
             cands[k][:] = [w for w in cands[k] if up[w] > best]
     return best
 

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import faulthandler
 import functools
 import importlib.util
 import random
+import signal
 import sys
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, strategies as st
 
 from orientdiam.bounds import BoundReport, as_fraction, ball_radius, diameter_bound, min_ball_size
@@ -48,6 +51,45 @@ from orientdiam.growth import (
     _bump,
     subgraph_adjacency,
 )
+
+
+pytest_plugins = ["pytester"]
+
+# The slowest test takes 1.2 to 1.7 s (--durations), so 30 s leaves about 20x
+# headroom: a test past it is hung (a search whose loop lost its bound, say)
+# and fails by name instead of stalling the run.
+TEST_DEADLINE_S = 30
+
+
+class DeadlineExceeded(BaseException):
+    """Raised inside a test that outran TEST_DEADLINE_S. Not an Exception, so
+    neither hypothesis nor an ``except Exception`` in the code under test
+    catches it and runs the hung call again."""
+
+
+@pytest.fixture(autouse=True)
+def per_test_deadline(request):
+    """Arm TEST_DEADLINE_S around each test: SIGALRM raises DeadlineExceeded in
+    the test where the platform has it; elsewhere faulthandler dumps every
+    thread's stack and exits. A timer armed before this one (a test that runs
+    pytest in-process) gets back the time it had left when this one was armed."""
+    if not hasattr(signal, "SIGALRM"):
+        faulthandler.dump_traceback_later(TEST_DEADLINE_S, exit=True)
+        yield
+        faulthandler.cancel_dump_traceback_later()
+        return
+
+    def expire(signum, frame):
+        raise DeadlineExceeded(f"{request.node.nodeid} ran past {TEST_DEADLINE_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    left, _ = signal.setitimer(signal.ITIMER_REAL, TEST_DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        signal.setitimer(signal.ITIMER_REAL, left)
 
 
 @functools.cache

@@ -25,7 +25,7 @@ from orientdiam.generators import (
     triangle_chain,
 )
 from orientdiam.graph import UNREACHABLE, Graph
-from orientdiam import check, oracle
+from orientdiam import check, graph, oracle, orientation
 from orientdiam.check import bounded_diameter_of_arcs
 from orientdiam.oracle import directed_diameter_of_arcs, exact_oriented_diameter
 from orientdiam.orientation import directed_diameter, is_strong, strong_orientation
@@ -199,9 +199,74 @@ def test_bounded_diameter_takes_each_exit(monkeypatch, n, arcs, exit_taken):
     assert taken == ([exit_taken] if exit_taken else [])
 
 
+def _search_logs(n, arcs):
+    """Both diameter searches on one digraph: their answers, and each one's log
+    of ("bfs", direction, sources) per BFS run and ("kernel", direction,
+    sources) per bit-parallel finish, the direction read off the lists
+    searched (an orientation's out-lists are never its in-lists). The
+    construction's pivots call the ``_bfs_among`` that ``orientation``
+    imported, its plain-BFS finish ``graph._largest_eccentricity`` the one in
+    ``graph``; the checker's pivots and plain finish both call ``check._bfs``."""
+    out, inn = [[] for _ in range(n)], [[] for _ in range(n)]
+    for t, h in arcs:
+        out[t].append(h)
+        inn[h].append(t)
+    outs = [sorted(a) for a in out]
+    logs = ([], [])
+    with pytest.MonkeyPatch.context() as patched:
+        for log, module, name, step in (
+            (logs[0], orientation, "_bfs_among", "bfs"),
+            (logs[0], graph, "_bfs_among", "bfs"),
+            (logs[0], orientation, "_bit_levels", "kernel"),
+            (logs[1], check, "_bfs", "bfs"),
+            (logs[1], check, "_bit_levels", "kernel"),
+        ):
+            def logged(adj, sources, f=getattr(module, name), log=log, step=step):
+                sources = list(sources)
+                log.append((step, "out" if [sorted(a) for a in adj] == outs else "in", sources))
+                return f(adj, sources)
+
+            patched.setattr(module, name, logged)
+        answers = (orientation.digraph_diameter(out, inn), bounded_diameter_of_arcs(n, arcs))
+    return answers, logs
+
+
+@st.composite
+def strong_orientations(draw):
+    """(n, arcs): a directed Hamiltonian cycle in a drawn order plus drawn
+    chords, none against an arc already there, so an orientation that is
+    strong by construction, its diameter anywhere from n - 1 to 1."""
+    n = draw(st.integers(3, 30))
+    order = draw(st.permutations(range(n)))
+    arcs = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    for t, h in draw(st.lists(st.sampled_from(pairs), max_size=3 * n)):
+        if (h, t) not in arcs:
+            arcs.add((t, h))
+    return n, sorted(arcs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(strong_orientations())
+# the exit tests' inputs: bounds, plain BFS (twice), kernel (three times)
+@example((200, strong_orientation(circulant_graph(200, (1, 2))).arcs()))
+@example((50, [(i, (i + 1) % 50) for i in range(50)]))
+@example((12, dense_random_orientation(12, 0.5, 52).arcs()))
+@example((200, dense_random_orientation(200, 0.08, 1).arcs()))
+@example((12, dense_random_orientation(12, 0.5, 3).arcs()))
+@example((16, dense_random_orientation(16, 0.5, 11).arcs()))
+def test_both_searches_pivot_and_finish_alike(case):
+    """The construction's search and the checker's copy run BFS from the same
+    pivots in the same order and finish by the same exit, so an edit to one
+    copy's rule that the other lacks fails here even where both answers hold."""
+    (ours, theirs), (construction, checker) = _search_logs(*case)
+    assert construction == checker
+    assert ours == theirs == directed_diameter_of_arcs(*case)
+
+
 @settings(max_examples=300, deadline=None)
 @given(digraphs_with_sources())
-@example((2, [], [0]))  # the first level gains nothing: the UNREACHABLE guard
+@example((2, [], [0]))  # no arc: the levels run out with a bit unset, the loop-end return
 def test_checker_bit_levels_matches_floyd_warshall(case):
     """The checker's own kernel on any digraph and source set, unreachable
     pairs included."""

@@ -334,7 +334,7 @@ def test_digraph_diameter_frozen_cases():
     [
         (strong_orientation(circulant_graph(200, (1, 2))), None),
         (directed_cycle(50), "_largest_eccentricity"),
-        (dense_random_orientation(16, 0.5, 3), "_largest_eccentricity"),
+        (dense_random_orientation(12, 0.5, 52), "_largest_eccentricity"),
         (dense_random_orientation(200, 0.08, 1), "_bit_levels"),
         (dense_random_orientation(12, 0.5, 3), "_bit_levels"),
         (dense_random_orientation(16, 0.5, 11), "_bit_levels"),
@@ -365,7 +365,7 @@ def test_diameter_among_takes_each_exit(monkeypatch, o, exit_taken):
 
 @settings(max_examples=300, deadline=None)
 @given(digraphs_with_sources())
-@example((2, [], [0]))  # the first level gains nothing: the UNREACHABLE guard
+@example((2, [], [0]))  # no arc: the levels run out with a bit unset, the loop-end return
 def test_bit_levels_matches_floyd_warshall(case):
     """The kernel on any digraph and source set, unreachable pairs included."""
     assert_bit_levels_matches_floyd_warshall(_bit_levels, *case)

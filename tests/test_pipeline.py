@@ -98,6 +98,16 @@ def test_pipeline_certifies_random_graphs(g):
     assert [c["name"] for c in checks[:7]] == INVARIANT_NAMES
 
 
+def test_tiny_epsilon_certifies_without_walking_reach():
+    # reach is 5.6e10 at eps = 1e-9; growth's lowering search stops at its
+    # empty layer instead of counting out every level up to reach
+    g = cycle_graph(8)
+    r = run_pipeline(g, Fraction(1, 10**9))
+    assert r.bound.reach == 56 * 10**9
+    assert r.all_passed and r.achieved == 7
+    assert all(c["ok"] for c in certify(g, r.trace_records(), r.orientation.arcs()))
+
+
 def test_certify_names_first_failed_iteration():
     g = triangle_chain(12)
     records = run_pipeline(g, 2).trace_records()
