@@ -160,9 +160,10 @@ def bounded_diameter_of_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> int | f
     out- and the largest in-eccentricity, so a vertex stops being a candidate
     in a direction once its upper bound there is at most the largest
     eccentricity measured, and the answer is found when either direction has
-    none left. A pivot is charged 4 BFS runs: its two searches and its two
-    passes over the candidate lists. The candidates left in the smaller
-    direction are finished:
+    none left, or when that eccentricity reaches n - 1, which none exceeds.
+    A pivot is charged 4 BFS runs: its two searches and its two passes over
+    the candidate lists. The candidates left in the smaller direction are
+    finished:
 
     - once fewer are left than runs spent, by one plain BFS each (a directed
       cycle, where no bound prunes);
@@ -185,7 +186,7 @@ def bounded_diameter_of_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> int | f
     cands = (list(range(n)), list(range(n)))
     best = 0
     spent = 0
-    while cands[0] and cands[1]:
+    while cands[0] and cands[1] and best < n - 1:
         few = 0 if len(cands[0]) <= len(cands[1]) else 1
         if spent >= len(cands[few]):
             for w in cands[few]:

@@ -129,7 +129,7 @@ class LayeredBFS:
             nxt = []
             for u in layer:
                 for w in adj[u]:
-                    if w in dist or (ex and edge_key(u, w) in ex):
+                    if w in dist or (ex and ((u, w) if u < w else (w, u)) in ex):
                         continue
                     dist[w] = d
                     nxt.append(w)
@@ -245,35 +245,41 @@ def path_between(
     """
     from_targets = len(tgt) < len(src)
     start, stop = (tgt, src) if from_targets else (sorted(src), tgt)
-
-    def usable(u: int, w: int) -> bool:
-        return not ex or edge_key(u, w) not in ex
-
-    search = LayeredBFS(g._adj, (s for s in start if s not in blk), ex, meets=stop)
+    if blk:
+        start = [s for s in start if s not in blk]
+    search = LayeredBFS(g._adj, start, ex, meets=stop)
     dist = search.dist
-    dist.update(dict.fromkeys(blk, -1))  # blocked vertices count as seen, on no layer
+    if blk:
+        dist.update(dict.fromkeys(blk, -1))  # blocked vertices count as seen, on no layer
     search.deepen(limit, to_meet=True)
     if search.met == UNREACHABLE:
         return None
     layer, depth = search.frontier, search.depth
+    adj = g._adj
     if from_targets:
         cur = min(src.intersection(layer))
         path = [cur]
         for k in range(depth - 1, -1, -1):
-            cur = next(w for w in g.neighbors(cur) if dist.get(w) == k and usable(cur, w))
+            for w in adj[cur]:
+                if dist.get(w) == k and not (ex and edge_key(cur, w) in ex):
+                    break
+            cur = w
             path.append(cur)
         return path
     good = [tgt.intersection(layer)]
     for k in range(depth - 1, -1, -1):
-        ahead = good[-1]
-        good.append(
-            {u for x in ahead for u in g.neighbors(x) if dist.get(u) == k and usable(u, x)}
-        )
+        good.append({
+            u for x in good[-1] for u in adj[x]
+            if dist.get(u) == k and not (ex and edge_key(u, x) in ex)
+        })
     good.reverse()
     cur = min(good[0])
     path = [cur]
     for ahead in good[1:]:
-        cur = next(w for w in g.neighbors(cur) if w in ahead and usable(cur, w))
+        for w in adj[cur]:
+            if w in ahead and not (ex and edge_key(cur, w) in ex):
+                break
+        cur = w
         path.append(cur)
     return path
 
@@ -388,7 +394,8 @@ def dfs_forest(
                     skipped_parent.add(u)
                     continue
                 if w in disc:
-                    low[u] = min(low[u], disc[w])
+                    if disc[w] < low[u]:
+                        low[u] = disc[w]
                     continue
                 disc[w] = low[w] = len(disc)
                 parent[w] = u
@@ -397,7 +404,8 @@ def dfs_forest(
             else:
                 stack.pop()
                 if p != -1:
-                    low[p] = min(low[p], low[u])
+                    if low[u] < low[p]:
+                        low[p] = low[u]
                     if low[u] > disc[p]:
                         out.add(edge_key(p, u))
     return disc, parent, out

@@ -16,7 +16,7 @@ construction itself reads.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Set
+from collections.abc import Iterable, Sequence, Set
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import chain
@@ -201,54 +201,73 @@ def _stabilize(
     add_v: set[int],
     add_e: set[tuple[int, int]],
     labeled: list[int],
+    checked: int,
+    dist: Sequence[int | float],
     counters: dict,
     budget: int,
 ) -> None:
     """Re-splice the label list until positions under-state no distance.
 
     Read the pre-iteration core as position 0 and the labels as positions
-    1..k. Invariant on exit: any two positions m1 < m2 are at least m2 - m1
-    apart (all distances avoid path edges). Position 0 is scanned first, so
-    every core violation is mended before any label pair.
+    1..k. Invariant on exit: any two positions a < b are at least b - a
+    apart (all distances avoid path edges). A violation at the core comes
+    first, at the smallest b; else the pair with the smallest a, then the
+    smallest b. So every core violation is mended before any label pair.
 
-    Neither ``h_v`` nor ``path_edges`` changes within one ``cover_path``, so
-    each label's search (``near``) lives there for the whole call and is
-    only deepened as the list grows. A violation needs a distance below
-    m2 - m1 <= k, so every search runs to depth k - 1: a label missing from
-    one is too far to violate, and a search that has not met the core by
-    then puts its label at least k from it. The distance from the core is
-    read off the label's own search (its ``met``, by symmetry), so no BFS
-    from the core is needed. The searches are started and deepened only up
-    to the first label too close to the core.
+    Three rules keep the scan to the positions where a violation is still
+    possible, and none changes which violation comes first:
+
+    - Clean prefix: the first ``checked`` positions are known to break
+      nothing among themselves or with the core, so only the pairs (a, b)
+      with b > ``checked`` are read. After a splice at (a, b), the positions
+      before a are unchanged and every pair among them came before (a, b),
+      so ``checked`` becomes a; after a core splice it becomes 0.
+    - Lower bound: ``dist`` never exceeds a vertex's distance to ``h_v`` in
+      g and changes by at most one across an edge (``grow_core``'s clamped
+      distances, or all zeros). Deleting the path edges only lengthens
+      distances, so the pair (a, b) is at least |dist[x_a] - dist[x_b]|
+      apart and b at least dist[x_b] from the core (read as dist 0), and a
+      pair whose bound reaches b - a needs no search.
+    - One search per label: distances are symmetric, so each pair (a, b) is
+      read off the later label's search (``near``), deepened to b - a - 1
+      for the smallest a left open, which also gives the distance to the
+      core (its ``met``). Neither ``h_v`` nor ``path_edges`` changes within
+      one ``cover_path``, so a search lives there for the whole call, and a
+      label that a splice moves down reuses it.
 
     Each splice first searches for a route of the pair's distance s that
     avoids the path, and falls back to any shortest route. The first search
     is cut at depth s, since only a route that short is taken. It blocks the
-    path alone: a label pair is checked only once every label m is at least
-    m from the core, so a route through the core is at least m1 + m2 > s
+    path alone: a label pair is spliced only once every label b is at least
+    b from the core, so a route through the core is at least a + b > s
     long and none is taken. Nothing here copies or scans the core.
     """
-    while labeled:
-        depth = len(labeled) - 1
-        m1, m2 = 0, None
-        for m, x in enumerate(labeled, start=1):
+    while True:
+        lower = [0, *(dist[x] for x in labeled)]
+        m1 = m2 = None
+        for b in range(checked + 1, len(labeled) + 1):
+            # only the positions before the best pair so far can beat it
+            top = b if m2 is None else m1
+            open_at = [a for a in range(top) if abs(lower[a] - lower[b]) < b - a]
+            if not open_at:
+                continue
+            x = labeled[b - 1]
             if x not in near:
                 near[x] = LayeredBFS(g._adj, (x,), path_edges, meets=h_v)
-            near[x].deepen(depth)
-            if near[x].met < m:
-                m2 = m
+            search = near[x]
+            search.deepen(b - open_at[0] - 1)
+            if open_at[0] == 0 and search.met < b:
+                m1, m2 = 0, b
                 break
-        if m2 is None:
-            for m1 in range(1, len(labeled)):
-                row = near[labeled[m1 - 1]].dist
-                m2 = next((m for m in range(m1 + 1, len(labeled) + 1)
-                           if row.get(labeled[m - 1], UNREACHABLE) < m - m1), None)
-                if m2 is not None:
+            row = search.dist
+            for a in open_at:
+                if a and row.get(labeled[a - 1], UNREACHABLE) < b - a:
+                    m1, m2 = a, b
                     break
-            else:
-                return
+        if m2 is None:
+            return
         q2 = labeled[m2 - 1]
-        s = near[q2].met if m1 == 0 else row[q2]
+        s = near[q2].met if m1 == 0 else near[q2].dist[labeled[m1 - 1]]
         if m1 == 0 and s <= 0:
             raise CertifiedFailureError(
                 "labeled vertex sits inside the core",
@@ -266,6 +285,7 @@ def _stabilize(
         inner = sp[1:-1][::-1] if m1 == 0 else sp[1:-1]
         candidate = labeled[:m1] + inner + labeled[m2 - 1 :]
         _apply_splice(labeled, candidate, sp, h_v, add_v, add_e, path_set, path_edges, counters)
+        checked = m1
 
 
 class _Joined:
@@ -296,6 +316,7 @@ def cover_path(
     h_v: set[int],
     path: list[int],
     budget: int,
+    dist: Sequence[int | float],
 ) -> tuple[set[int], set[tuple[int, int]], list[int], dict]:
     """Patch detours onto core + path until no path edge is a bridge.
 
@@ -322,10 +343,19 @@ def cover_path(
 
     Each detour is searched from the uncovered suffix, the smaller end, and
     stops at the first layer that meets the working subgraph, so a cover
-    step costs the ball around the suffix, not the core. The core and the
-    path edges stay fixed for the whole call, so the label searches of
-    ``_stabilize`` live here and are deepened, never redone, by every cover
-    step; they also give each label's distance to the core.
+    step costs the ball around the suffix, not the core. Each step adds
+    only the part of the prefix not added before.
+
+    Each label is checked once, when it joins the list: ``checked`` counts
+    the leading labels known to break no spacing, and ``_stabilize`` scans
+    only those beyond it, with ``dist`` (a lower bound on each vertex's
+    distance to ``h_v`` that changes by at most one across an edge) ruling
+    out most pairs without a search. The first step's labels need no check:
+    its detour ``r_1 .. r_k`` is a shortest path out of the core in g minus
+    the path edges, so r_i is i from the core and r_j is j - i from r_i, as
+    a shorter route would shorten the detour. The core and the path edges
+    stay fixed for the whole call, so the label searches of ``_stabilize``
+    live here and are deepened, never redone.
     """
     path_edges = frozenset(edge_key(a, b) for a, b in zip(path, path[1:]))
     path_set = set(path)
@@ -336,10 +366,12 @@ def cover_path(
     counters = {"cover_steps": 0, "splices": 0, "labeled_on_path": 0}
     near: dict[int, LayeredBFS] = {}
     target_edges = len(path) - 1
-    cp = 0
+    cp = done = 0  # path[1 : done + 1] and its edges are in add_v and add_e
+    checked = 0
     while True:
-        add_v.update(path[1 : cp + 1])
-        add_e.update(edge_key(a, b) for a, b in zip(path, path[1 : cp + 1]))
+        add_v.update(path[done + 1 : cp + 1])
+        add_e.update(edge_key(a, b) for a, b in zip(path[done:cp], path[done + 1 : cp + 1]))
+        done = max(done, cp)
         if cp == target_edges:
             break
         _bump(counters, budget, {"path": path, "covered": cp})
@@ -355,7 +387,12 @@ def cover_path(
         add_v.update(r_path[1:])  # r_path[0] is in the working subgraph already
         add_e.update(edge_key(a, b) for a, b in zip(r_path, r_path[1:]))
         counters["cover_steps"] += 1
-        _stabilize(g, h_v, near, path_set, path_edges, add_v, add_e, labeled, counters, budget)
+        if counters["cover_steps"] > 1:
+            _stabilize(
+                g, h_v, near, path_set, path_edges, add_v, add_e,
+                labeled, checked, dist, counters, budget,
+            )
+        checked = len(labeled)
         if counters["splices"]:
             cp = _covered_prefix(g, path, h_v, labeled, add_e)
         else:
@@ -401,7 +438,8 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     search, answers both. The escape path is searched from its target, the
     smaller end, and ``cover_path`` works near the path and returns what it
     adds, so one iteration costs about the neighbourhood of its escape path,
-    not the core.
+    not the core. It also reads the clamped distances, as lower bounds that
+    rule out most label checks.
 
     The result and its trace are claims until ``check.certify`` replays
     them: a core that breaks a property is returned, not refused here.
@@ -446,7 +484,7 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
             )
         path = path_between(g, h_v, {at_reach[0]})
         path_edges = [(a, b) for a, b in zip(path, path[1:])]
-        added, added_e, labeled, counters = cover_path(g, h_v, path, budget)
+        added, added_e, labeled, counters = cover_path(g, h_v, path, budget, dist)
 
         sel = labeled[gval - 1 :: gval]
         fallback = len(sel) < scale

@@ -143,12 +143,14 @@ def digraph_diameter(out: list[list[int]], inn: list[list[int]]) -> int | float:
     ecc_out(v)``, mirrored for ``ecc_in``. A vertex stops being a candidate
     in a direction once its upper bound there is at most ``best``, the
     largest eccentricity measured; the answer is found when either direction
-    has none left. Each pivot is the candidate with the largest upper bound,
-    ties going to the smallest id. Work is counted in BFS runs, and a pivot
-    is charged 4: its two searches, and its two passes over the candidate
-    lists (the bounds update, and the next pivot's choice), which on short
-    diameters cost about as much as the searches. The candidates left in the
-    smaller direction are finished, with no tuned constant:
+    has none left, or when ``best`` reaches n - 1, which no eccentricity of
+    an n-vertex digraph exceeds. Each pivot is the candidate with the
+    largest upper bound, ties going to the smallest id. Work is counted in
+    BFS runs, and a pivot is charged 4: its two searches, and its two passes
+    over the candidate lists (the bounds update, and the next pivot's
+    choice), which on short diameters cost about as much as the searches.
+    The candidates left in the smaller direction are finished, with no
+    tuned constant:
 
     - once fewer are left than runs spent, by one plain BFS each (a directed
       cycle, where no bound prunes);
@@ -169,7 +171,7 @@ def digraph_diameter(out: list[list[int]], inn: list[list[int]]) -> int | float:
     cands = (list(range(n)), list(range(n)))
     best = 0
     spent = 0
-    while cands[0] and cands[1]:
+    while cands[0] and cands[1] and best < n - 1:
         few = 0 if len(cands[0]) <= len(cands[1]) else 1
         if spent >= len(cands[few]):
             return _largest_eccentricity((out, inn)[few], cands[few], upper[few], best)

@@ -169,6 +169,47 @@ def dense_random_orientation(n: int, p: float, seed: int) -> Orientation:
     return o
 
 
+def heawood_graph() -> Graph:
+    """The incidence graph of the Fano plane: points 0..6, lines 7..13, line l
+    through the points l, l + 1 and l + 3 mod 7. Cubic, girth 6."""
+    return Graph(14, [(p % 7, 7 + line) for line in range(7) for p in (line, line + 1, line + 3)])
+
+
+def cyclic_lift(base: Graph, copies: int, seed: int | None = None) -> Graph:
+    """The Z_copies-lift of ``base`` with voltage 1 on its first edge and 0 on
+    the others: ``copies`` copies of the base (vertex v of copy i is
+    i * base.n + v), the first edge of each copy bent to the next copy, so
+    the copies form a ring. Its girth is at least the base's. With a
+    ``seed``, the vertices are relabeled by a seeded permutation.
+    """
+    first = base.edges()[0]
+    edges = [
+        (i * base.n + u, ((i + 1) % copies if (u, v) == first else i) * base.n + v)
+        for i in range(copies)
+        for u, v in base.edges()
+    ]
+    n = base.n * copies
+    if seed is not None:
+        perm = list(range(n))
+        random.Random(seed).shuffle(perm)
+        edges = [(perm[u], perm[v]) for u, v in edges]
+    return Graph(n, edges)
+
+
+def chorded_cycle(n: int) -> Orientation:
+    """The directed cycle 0 -> 1 -> ... -> n - 1 -> 0 with the chords 0 -> 2 and
+    m -> m + 2, m = n // 2. Each chord saves one step on every route that runs
+    along its two cycle arcs, and every pair u + 1 -> u uses one of them, so
+    for n >= 6 the diameter is n - 2. Nearly every vertex is that eccentric,
+    so the bounds of a pivot prune almost no other vertex.
+    """
+    m = n // 2
+    o = Orientation(Graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, 2), (m, m + 2)]))
+    for t, h in [(i, (i + 1) % n) for i in range(n)] + [(0, 2), (m, m + 2)]:
+        o.assign(t, h)
+    return o
+
+
 def floyd_warshall_arcs(n: int, arcs) -> list[list[int | float]]:
     """All-pairs directed distances over (tail, head) arcs, by Floyd-Warshall."""
     dist: list[list[int | float]] = [[UNREACHABLE] * n for _ in range(n)]

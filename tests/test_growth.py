@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from conftest import (
     arbitrary_graphs,
     bridgeless_graphs,
+    cyclic_lift,
     expand_schema1,
     floyd_warshall,
     floyd_warshall_without,
+    heawood_graph,
     reference_covered_prefix,
     reference_grow_core,
     reference_replay_growth,
@@ -27,7 +29,8 @@ from orientdiam.errors import (
     InfeasibleSpecError,
     PreconditionError,
 )
-from orientdiam.generators import circulant_graph, random_bridgeless, triangle_chain
+from orientdiam import growth
+from orientdiam.generators import circulant_graph, petersen_graph, random_bridgeless, triangle_chain
 from orientdiam.graph import (
     UNREACHABLE,
     Graph,
@@ -35,6 +38,7 @@ from orientdiam.graph import (
     ball,
     bfs_distances,
     edge_key,
+    girth,
     shortest_path_between,
 )
 from orientdiam.growth import (
@@ -404,11 +408,15 @@ def _outcome(fn, *args):
 
 
 def test_stabilize_matches_full_bfs_reference():
-    """Three label rounds on one cache, as ``cover_path`` makes them.
+    """Three label rounds on one cache, as ``cover_path`` makes them: each
+    later round scans only the labels past those the round before left clean.
 
     Each later round grows the label list past the depth the earlier
     rounds' searches reached, so a cache that ignored its depth, or a
-    resumed search that lost its frontier, would miss pairs.
+    resumed search that lost its frontier, would miss pairs. Every state runs
+    twice: with the distances to the core clamped, as ``grow_core`` hands
+    them over, and with all zeros, which rule out no pair, so a lower bound
+    that hid a violation, or a scan that leaned on one, would differ.
     """
     for seed in range(1200):
         rng = random.Random(seed)
@@ -424,24 +432,29 @@ def test_stabilize_matches_full_bfs_reference():
         hp_e = set(h_e) | set(path_edges) | {
             edge_key(a, b) for a, b in zip(labels, labels[1:]) if g.has_edge(a, b)
         }
-        fast = (set(hp_v), set(hp_e), labels[:cut], _counters())
-        slow = (set(hp_v), set(hp_e), labels[:cut], _counters())
-        near: dict = {}
-        for extra in (None, labels[cut:cut2], labels[cut2:]):
-            if extra:
-                fast[2].extend(x for x in extra if x not in fast[2])
-                slow[2].extend(x for x in extra if x not in slow[2])
-            got = _outcome(
-                _stabilize, g, h_v, near, path_set, path_edges,
-                fast[0], fast[1], fast[2], fast[3], 500,
-            )
-            want = _outcome(
-                reference_stabilize, g, h_v, path_set, path_edges,
-                slow[0], slow[1], slow[2], slow[3], 500,
-            )
-            assert (got, fast) == (want, slow), f"seed {seed}"
-            if want is not None:
-                break
+        clamp = rng.randint(1, 12)
+        to_core = bfs_distances(g, h_v)
+        for dist in ([min(d, clamp) for d in to_core], [0] * g.n):
+            fast = (set(hp_v), set(hp_e), labels[:cut], _counters())
+            slow = (set(hp_v), set(hp_e), labels[:cut], _counters())
+            near: dict = {}
+            checked = 0
+            for extra in (None, labels[cut:cut2], labels[cut2:]):
+                if extra:
+                    fast[2].extend(x for x in extra if x not in fast[2])
+                    slow[2].extend(x for x in extra if x not in slow[2])
+                got = _outcome(
+                    _stabilize, g, h_v, near, path_set, path_edges,
+                    fast[0], fast[1], fast[2], checked, dist, fast[3], 500,
+                )
+                want = _outcome(
+                    reference_stabilize, g, h_v, path_set, path_edges,
+                    slow[0], slow[1], slow[2], slow[3], 500,
+                )
+                assert (got, fast) == (want, slow), f"seed {seed}"
+                if want is not None:
+                    break
+                checked = len(fast[2])
 
 
 def pair_fallback_state():
@@ -466,16 +479,20 @@ def pair_fallback_state():
 
 
 def _stabilize_both(g, h_v, path_set, path_edges, hp_v, hp_e, labels):
-    """Run the fast body and the reference on copies of one state."""
+    """Run the fast body, with no label known clean and the distances to the
+    core as lower bounds, and the reference on copies of one state."""
     fast = (set(hp_v), set(hp_e), list(labels), _counters())
     slow = (set(hp_v), set(hp_e), list(labels), _counters())
+    dist = bfs_distances(g, h_v)
     outcomes = []
-    for fn, args, state in (
-        (_stabilize, (g, h_v, {}, path_set, path_edges), fast),
-        (reference_stabilize, (g, h_v, path_set, path_edges), slow),
+    for call, state in (
+        (lambda v, e, lab, c: _stabilize(
+            g, h_v, {}, path_set, path_edges, v, e, lab, 0, dist, c, 500), fast),
+        (lambda v, e, lab, c: reference_stabilize(
+            g, h_v, path_set, path_edges, v, e, lab, c, 500), slow),
     ):
         try:
-            fn(*args, *state, 500)
+            call(*state)
             outcomes.append(None)
         except CertifiedFailureError as exc:
             outcomes.append((str(exc), exc.details))
@@ -595,19 +612,65 @@ def test_grow_core_matches_reference_with_and_without_splices():
     assert spliced >= 20 and splice_free >= 100
 
 
+def test_grow_core_matches_reference_on_girth_5_and_6_lifts():
+    """Growth at g = 5 and g = 6, where centers are every g-th label and the
+    balls have radius 2: seeded relabelings of Z_k-lifts of the Petersen and
+    Heawood graphs, against the loop that mends every label on every cover
+    step with full-graph BFS. The sample holds iterations that take more
+    than one cover step and iterations that splice."""
+    iterations = spliced = multi_step = 0
+    for base, g_val in ((petersen_graph(), 5), (heawood_graph(), 6)):
+        for copies in (10, 20, 40):
+            for seed in range(4):
+                g = cyclic_lift(base, copies, seed)
+                assert girth(g) == g_val
+                for eps in EPSILONS:
+                    got = _growth_outcome(grow_core, g, eps)
+                    assert got == _growth_outcome(reference_grow_core, g, eps), (copies, seed, eps)
+                    its = got[0]
+                    assert isinstance(its, list), got
+                    iterations += len(its)
+                    spliced += sum(it.splices > 0 for it in its)
+                    multi_step += sum(it.cover_steps > 1 for it in its)
+    assert iterations >= 60 and spliced >= 20 and multi_step >= 40
+
+
+@pytest.mark.parametrize(
+    "g, iterations, cover_steps",
+    [(circulant_graph(500, (1, 2)), 20, 12), (cyclic_lift(petersen_graph(), 100), 1, 1)],
+    ids=["circulant-500", "petersen-lift-100"],
+)
+def test_growth_starts_no_label_search(monkeypatch, g, iterations, cover_steps):
+    """Counting, not timing: at eps 1/2 growth starts no label search on
+    C_500(1, 2), whose labels after each first detour are cleared by the
+    distances to the core, or on the Petersen Z_100-lift (girth 5), whose one
+    detour is cleared by the first-step proof. Searching every label on every
+    cover step started 220 and 459."""
+    starts = []
+    search = growth.LayeredBFS
+    monkeypatch.setattr(
+        growth, "LayeredBFS", lambda *a, **k: starts.append(a[1]) or search(*a, **k)
+    )
+    its = grow_core(g, Fraction(1, 2)).trace.iterations
+    assert [it.cover_steps for it in its] == [cover_steps] * iterations
+    assert starts == []
+
+
 def test_cover_path_budget_counts_cover_steps_and_splices():
     """The one iteration takes 3 cover steps and 4 splices: a budget of 7
     rounds is enough, 6 stops at the last splice and 0 at the first step."""
-    (it,) = grow_core(PREFIX_MOVED_BY_A_FALLBACK_SPLICE, Fraction(1, 2)).trace.iterations
+    g = PREFIX_MOVED_BY_A_FALLBACK_SPLICE
+    (it,) = grow_core(g, Fraction(1, 2)).trace.iterations
     path = list(it.path)
-    *_, labeled, counters = cover_path(PREFIX_MOVED_BY_A_FALLBACK_SPLICE, {path[0]}, path, 7)
+    dist = bfs_distances(g, (path[0],))
+    *_, labeled, counters = cover_path(g, {path[0]}, path, 7, dist)
     assert (tuple(labeled), counters["cover_steps"] + counters["splices"]) == (it.labeled, 7)
     for budget, details in (
         (6, {"labeled": [44, 3, 1, 20, 0, 17, 10, 15, 45, 41, 19, 34]}),
         (0, {"path": path, "covered": 0}),
     ):
         with pytest.raises(CertifiedFailureError, match="exceeded its round budget") as exc:
-            cover_path(PREFIX_MOVED_BY_A_FALLBACK_SPLICE, {path[0]}, path, budget)
+            cover_path(g, {path[0]}, path, budget, dist)
         assert exc.value.details == details
 
 

@@ -11,6 +11,7 @@ from conftest import (
     assert_bit_levels_matches_floyd_warshall,
     bridgeless_graphs,
     check_ball_bound,
+    chorded_cycle,
     dense_random_orientation,
     digraphs_with_sources,
     reference_exact_oriented_diameter,
@@ -157,21 +158,31 @@ def test_bounded_diameter_frozen_values():
 
 
 def test_bounded_diameter_switches_to_plain_bfs_on_a_directed_cycle(monkeypatch):
-    # every vertex of C_50 has eccentricity 49 and no bound prunes another:
-    # 10 pivots (20 searches, charged 4 runs each) leave 40 candidates, each
-    # then searched once, where bounding alone would take 100 searches
+    # C_50 with two chords has diameter 48 and no bound prunes another:
+    # 10 pivots (20 searches, charged 4 runs each), then one plain search from
+    # each of the 39 candidates left, where bounding alone would take ~100
     calls = []
     bfs = check._bfs
     monkeypatch.setattr(check, "_bfs", lambda adj, s: calls.append(s) or bfs(adj, s))
-    assert bounded_diameter_of_arcs(50, [(i, (i + 1) % 50) for i in range(50)]) == 49
-    assert len(calls) == 20 + 40
+    assert bounded_diameter_of_arcs(50, chorded_cycle(50).arcs()) == 48
+    assert len(calls) == 20 + 39
+
+
+def test_both_searches_stop_at_n_minus_one(monkeypatch):
+    """No eccentricity of an n-vertex digraph exceeds n - 1, so the directed
+    cycle C_50, whose first pivot measures 49, ends there: one forward and one
+    backward search in each copy, no finish."""
+    arcs = [(i, (i + 1) % 50) for i in range(50)]
+    (ours, theirs), (construction, checker) = _search_logs(50, arcs)
+    assert ours == theirs == 49
+    assert construction == checker == [("bfs", "out", [0]), ("bfs", "in", [0])]
 
 
 @pytest.mark.parametrize(
     "n, arcs, exit_taken",
     [
         (200, strong_orientation(circulant_graph(200, (1, 2))).arcs(), None),
-        (50, [(i, (i + 1) % 50) for i in range(50)], "plain BFS"),
+        (50, chorded_cycle(50).arcs(), "plain BFS"),
         (200, dense_random_orientation(200, 0.08, 1).arcs(), "kernel"),
         (12, dense_random_orientation(12, 0.5, 3).arcs(), "kernel"),
         (16, dense_random_orientation(16, 0.5, 11).arcs(), "kernel"),
@@ -180,14 +191,14 @@ def test_bounded_diameter_switches_to_plain_bfs_on_a_directed_cycle(monkeypatch)
 )
 def test_bounded_diameter_takes_each_exit(monkeypatch, n, arcs, exit_taken):
     """The checker's search ends where the construction's does: bounds finish a
-    long circulant, plain BFS a directed cycle, where no bound prunes, and the
-    checker's own bit-parallel kernel a short-diameter orientation.
+    long circulant, plain BFS a directed cycle with two chords, where bounds
+    prune almost nothing, and the checker's own bit-parallel kernel a
+    short-diameter orientation.
 
     On the 16-vertex one the kernel pulled along the wrong lists measures 4,
     one short of the diameter. A pivot searches forward, then backward, from
-    one vertex; the plain-BFS
-    finish searches one direction from each candidate left, so searches
-    beyond the pivots' pairs are that finish.
+    one vertex; the plain-BFS finish searches one direction from each
+    candidate left, so searches beyond the pivots' pairs are that finish.
     """
     searches, kernels = [], []
     bfs, kernel = check._bfs, check._bit_levels
@@ -248,8 +259,10 @@ def strong_orientations(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(strong_orientations())
-# the exit tests' inputs: bounds, plain BFS (twice), kernel (three times)
+# the exit tests' inputs: bounds, plain BFS (twice), kernel (three times);
+# and a directed cycle, whose first pivot reaches n - 1
 @example((200, strong_orientation(circulant_graph(200, (1, 2))).arcs()))
+@example((50, chorded_cycle(50).arcs()))
 @example((50, [(i, (i + 1) % 50) for i in range(50)]))
 @example((12, dense_random_orientation(12, 0.5, 52).arcs()))
 @example((200, dense_random_orientation(200, 0.08, 1).arcs()))

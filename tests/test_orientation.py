@@ -9,6 +9,7 @@ from conftest import (
     arbitrary_graphs,
     assert_bit_levels_matches_floyd_warshall,
     bridgeless_graphs,
+    chorded_cycle,
     dense_random_orientation,
     digraphs_with_sources,
     floyd_warshall_arcs,
@@ -333,7 +334,7 @@ def test_digraph_diameter_frozen_cases():
     "o, exit_taken",
     [
         (strong_orientation(circulant_graph(200, (1, 2))), None),
-        (directed_cycle(50), "_largest_eccentricity"),
+        (chorded_cycle(50), "_largest_eccentricity"),
         (dense_random_orientation(12, 0.5, 52), "_largest_eccentricity"),
         (dense_random_orientation(200, 0.08, 1), "_bit_levels"),
         (dense_random_orientation(12, 0.5, 3), "_bit_levels"),
@@ -345,8 +346,9 @@ def test_digraph_diameter_frozen_cases():
     ],
 )
 def test_diameter_among_takes_each_exit(monkeypatch, o, exit_taken):
-    """Bounds finish a long circulant, plain BFS a directed cycle, where no
-    bound prunes, and the bit-parallel kernel a short-diameter orientation.
+    """Bounds finish a long circulant, plain BFS a directed cycle with two
+    chords, where bounds prune almost nothing, and the bit-parallel kernel a
+    short-diameter orientation.
 
     On the random ones the pivots' largest eccentricity falls short of the
     diameter when the fallback starts, so a fallback that returned too little
