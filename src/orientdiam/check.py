@@ -196,7 +196,9 @@ def bounded_diameter_of_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> int | f
         if 0 < best <= spent:
             # out-eccentricities pull bits along in-arcs, in-eccentricities along out-arcs
             return max(best, _bit_levels((inn, out)[few], cands[few]))
-        v = -max((upper[k][w], -w) for k in (0, 1) for w in cands[k])[1]
+        # each direction's first largest bound, then the larger, ties to the smaller id
+        v0, v1 = (max(cands[k], key=upper[k].__getitem__) for k in (0, 1))
+        v = -max((upper[0][v0], -v0), (upper[1][v1], -v1))[1]
         fwd, ecc_out = _bfs(out, (v,))
         bwd, ecc_in = _bfs(inn, (v,))
         if spent == 0 and (min(fwd) < 0 or min(bwd) < 0):

@@ -13,7 +13,7 @@ does not.
 
 from __future__ import annotations
 
-from collections.abc import Set
+from collections.abc import Iterable, Set
 from dataclasses import dataclass
 
 from .bounds import allowed_increase, round_trip_cap
@@ -23,8 +23,6 @@ from .orientation import (
     Orientation,
     digraph_diameter,
     directed_distance,
-    directed_distances_from,
-    directed_distances_to,
     directed_diameter,
     orient_path,
 )
@@ -74,14 +72,16 @@ class EscapeSearch:
     __slots__ = ("adj", "dist", "owner", "dprime", "reach", "unreached", "frontier",
                  "anchor", "length")
 
-    def __init__(self, g: Graph, core: Set[int]):
+    def __init__(self, g: Graph, core: Set[int], boundary: Iterable[int] | None = None):
+        """``boundary`` holds every core vertex with a neighbour outside the
+        core, the whole core when None; only its arcs seed the first layer."""
         adj = g._adj
         dist = [-1] * g.n
         owner = [SHARED] * g.n
         for c in core:
             dist[c] = 0
         nxt = []
-        for u in core:
+        for u in core if boundary is None else boundary:
             for w in adj[u]:
                 if dist[w] < 0:
                     dist[w] = 1
@@ -214,6 +214,41 @@ def _chain_offset(i: int, a_val: int, b_val: int) -> tuple[int, bool]:
     return min(lo, i), True
 
 
+def _round_trips(
+    o: Orientation, a_start: frozenset[int], new: list[int]
+) -> tuple[dict[int, int | float], dict[int, int | float]]:
+    """Directed distances of each vertex of ``new`` to ``a_start`` and from
+    it, UNREACHABLE where there is none.
+
+    Exact when every arc joins two vertices of ``a_start`` or ``new``. A
+    shortest route between ``a_start`` and a vertex of ``new`` then meets
+    ``a_start`` only at its ``a_start`` end (a route that met it twice has
+    a shorter part), and its other vertices lie in ``new``. So each
+    direction's search starts at the vertices of ``new`` with an arc to or
+    from ``a_start``, read off their own arc lists, and never enters
+    ``a_start``: it reads no arc of an ``a_start`` vertex.
+    """
+    found = []
+    # to a_start walks the in-lists away from it, from a_start the out-lists
+    for fwd, back in ((o._in, o._out), (o._out, o._in)):
+        dist = dict.fromkeys(new, UNREACHABLE)
+        layer = [v for v in new if not a_start.isdisjoint(back[v])]
+        for v in layer:
+            dist[v] = 1
+        d = 1
+        while layer:
+            d += 1
+            nxt = []
+            for u in layer:
+                for w in fwd[u]:
+                    if dist.get(w) == UNREACHABLE:
+                        dist[w] = d
+                        nxt.append(w)
+            layer = nxt
+        found.append(dist)
+    return found[0], found[1]
+
+
 def _absorb(
     o: Orientation,
     a_start: frozenset[int],
@@ -267,8 +302,8 @@ def extend_orientation(
 ) -> tuple[Orientation, ExtensionTrace]:
     """Extend the core arcs to an orientation of all of g, meant to be strong.
 
-    The trace's diameters and its ``ok`` are claims until ``check.certify``
-    replays them.
+    The core arcs must join core vertices. The trace's diameters and its
+    ``ok`` are claims until ``check.certify`` replays them.
     """
     o = Orientation(g)
     for t, h in core_arcs:
@@ -278,6 +313,8 @@ def extend_orientation(
         raise PreconditionError("core must be non-empty")
     if min(a0) < 0 or max(a0) >= g.n:
         raise ValueError(f"source out of range for n={g.n}")
+    if any(t not in a0 or h not in a0 for t, h in core_arcs):
+        raise PreconditionError("core arcs must join core vertices")
     absorbed = set(a0)
     search = EscapeSearch(g, absorbed)
     if search.unreached:
@@ -327,8 +364,9 @@ def extend_orientation(
             rec["round"] = round_no
             steps.append(rec)
         new = sorted(absorbed - a_start)
-        din = directed_distances_to(o, a_start)
-        dout = directed_distances_from(o, a_start)
+        # every arc so far joins two absorbed vertices: core arcs, and each
+        # step's path and anchor edge
+        din, dout = _round_trips(o, a_start, new)
         bad = [v for v in new if din[v] == UNREACHABLE or dout[v] == UNREACHABLE]
         # never fires, as in ``_absorb``
         if bad:
@@ -349,9 +387,12 @@ def extend_orientation(
             }
         )
         records.extend(steps)
-        search = EscapeSearch(g, absorbed)
+        # the round absorbed every neighbour of a_start, so only new vertices
+        # can have one outside the core
+        search = EscapeSearch(g, absorbed, new)
+    out = o._out
     for u, v in g.edges():
-        if o.direction(u, v) is None:
+        if v not in out[u] and u not in out[v]:
             o.assign(u, v)
     final_diam = directed_diameter(o)
     strong = final_diam != UNREACHABLE

@@ -178,7 +178,9 @@ def digraph_diameter(out: list[list[int]], inn: list[list[int]]) -> int | float:
         if 0 < best <= spent:
             # out-eccentricities pull bits along in-arcs, in-eccentricities along out-arcs
             return max(best, _bit_levels((inn, out)[few], cands[few]))
-        v = -max((upper[k][w], -w) for k in (0, 1) for w in cands[k])[1]
+        # each direction's first largest bound, then the larger, ties to the smaller id
+        v0, v1 = (max(cands[k], key=upper[k].__getitem__) for k in (0, 1))
+        v = -max((upper[0][v0], -v0), (upper[1][v1], -v1))[1]
         fwd, ecc_out = _bfs_among(out, (v,))
         bwd, ecc_in = _bfs_among(inn, (v,))
         if ecc_out == UNREACHABLE or ecc_in == UNREACHABLE:

@@ -42,7 +42,7 @@ from orientdiam.graph import (
 )
 from orientdiam.generators import random_bridgeless
 from orientdiam.oracle import OracleResult
-from orientdiam.orientation import Orientation
+from orientdiam.orientation import Orientation, directed_distances_from, directed_distances_to
 from orientdiam.growth import (
     GrowthResult,
     GrowthTrace,
@@ -584,6 +584,16 @@ def reference_escape_path(g: Graph, a_start, v: int, anchor: int) -> list[int] |
     lexicographically smallest of them; None when there is none.
     """
     return path_between(g, {v}, a_start, frozenset((edge_key(v, anchor),)))
+
+
+def reference_round_trips(o: Orientation, a_start, new):
+    """The probe that ``extension._round_trips`` replaced: one directed BFS
+    per direction from the whole of ``a_start``, read at the vertices of
+    ``new``; distances to ``a_start`` first, then from it.
+    """
+    din = directed_distances_to(o, a_start)
+    dout = directed_distances_from(o, a_start)
+    return {v: din[v] for v in new}, {v: dout[v] for v in new}
 
 
 def reference_random_bridgeless(n: int, delta: int, girth_floor: int, seed: int) -> Graph:

@@ -3,6 +3,7 @@
 import importlib
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from conftest import (
     perfbench_module,
     reference_chain_offset,
     reference_escape_path,
+    reference_round_trips,
 )
 from orientdiam import extension, graph
 from orientdiam.check import bounded_diameter_of_arcs
@@ -152,6 +154,11 @@ def test_core_must_be_nonempty_and_reach_everything():
         extend_orientation(two, {0}, [])
 
 
+def test_core_arcs_must_join_core_vertices():
+    with pytest.raises(PreconditionError, match="join core vertices"):
+        extend_orientation(cycle_graph(6), {0, 1, 2}, [(0, 1), (1, 2), (2, 3)])
+
+
 def test_extension_header_reach_frozen():
     """The header's s is the largest distance from a vertex to the core."""
     outer = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
@@ -223,18 +230,54 @@ ESCAPE_FAMILIES = {
 
 
 def _record_searches(monkeypatch) -> list[EscapeSearch]:
-    """Every EscapeSearch that extend_orientation builds from now on."""
+    """Every EscapeSearch that extend_orientation builds from now on; each
+    keeps ``seeded``, its core and boundary, None for a whole-core search."""
     made: list[EscapeSearch] = []
 
     class Recorded(EscapeSearch):
-        __slots__ = ()
+        __slots__ = ("seeded",)
 
-        def __init__(self, g, core):
-            super().__init__(g, core)
+        def __init__(self, g, core, boundary=None):
+            super().__init__(g, core, boundary)
+            self.seeded = None if boundary is None else (frozenset(core), list(boundary))
             made.append(self)
 
     monkeypatch.setattr(extension, "EscapeSearch", Recorded)
     return made
+
+
+SEARCH_FIELDS = ("dist", "owner", "dprime", "frontier", "reach", "unreached", "anchor", "length")
+
+
+def _check_seeded(g: Graph, search: EscapeSearch) -> bool:
+    """A search seeded at its boundary equals the whole-core search field by
+    field; returns whether it was seeded."""
+    if search.seeded is None:
+        return False
+    core, boundary = search.seeded
+    # the premise: no other core vertex has a neighbour outside the core
+    assert all(core.issuperset(g.neighbors(c)) for c in core.difference(boundary))
+    whole = EscapeSearch(g, core)
+    for field in SEARCH_FIELDS:
+        assert getattr(search, field) == getattr(whole, field), field
+    return True
+
+
+def _check_round_trips(monkeypatch) -> list[int]:
+    """Check every round-trip probe from now on against the whole-core probe
+    while its orientation is as the probe saw it; returns the sizes of the
+    checked rounds."""
+    sizes: list[int] = []
+    probe = extension._round_trips
+
+    def checked(o, a_start, new):
+        got = probe(o, a_start, new)
+        assert got == reference_round_trips(o, a_start, new)
+        sizes.append(len(new))
+        return got
+
+    monkeypatch.setattr(extension, "_round_trips", checked)
+    return sizes
 
 
 def _check_escapes(g: Graph, search: EscapeSearch) -> list[int]:
@@ -257,9 +300,13 @@ def _check_escapes(g: Graph, search: EscapeSearch) -> list[int]:
 @pytest.mark.parametrize("family", sorted(ESCAPE_FAMILIES))
 def test_escape_paths_match_the_reference_search_every_round(family, monkeypatch):
     """Each round's labelled search gives every frontier vertex the path the
-    per-vertex search gives, in every round of every run, refusals included."""
+    per-vertex search gives, in every round of every run, refusals included;
+    each search seeded at the last round's new vertices equals the
+    whole-core search, and each round-trip probe the whole-core probe."""
     searches = _record_searches(monkeypatch)
+    probes = _check_round_trips(monkeypatch)
     lengths = []
+    seeded = 0
     for g in ESCAPE_FAMILIES[family]():
         for eps in (Fraction(1, 2), Fraction(2)):
             searches.clear()
@@ -270,7 +317,8 @@ def test_escape_paths_match_the_reference_search_every_round(family, monkeypatch
             assert searches
             for search in searches:
                 lengths += _check_escapes(g, search)
-    assert lengths
+                seeded += _check_seeded(g, search)
+    assert lengths and seeded and probes
     if family != "circulant":
         # the region search runs only where every other neighbour is owned
         assert max(lengths) >= 4
@@ -294,6 +342,74 @@ def test_escape_paths_match_the_reference_on_random_graphs(g):
         if search.reach:
             extended = search.dist.index(1)
             _check_escapes(g, EscapeSearch(g, core | {extended}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bridgeless_graphs(max_n=30))
+def test_seeded_rounds_match_the_whole_core_on_random_graphs(g):
+    """Every round from a one-vertex core, and of the pipeline at eps 1/2:
+    seeded searches and round-trip probes equal their whole-core forms."""
+    with pytest.MonkeyPatch.context() as mp:
+        searches = _record_searches(mp)
+        probes = _check_round_trips(mp)
+        extend_orientation(g, {0}, [])
+        try:
+            run_pipeline(g, Fraction(1, 2))
+        except CertifiedFailureError:
+            pass
+    assert probes
+    for search in searches:
+        _check_seeded(g, search)
+
+
+class _ReadLog(list):
+    """A list that logs the index of every item read through []."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read: set[int] = set()
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return list.__getitem__(self, i)
+
+
+def test_rounds_read_no_arc_of_the_round_core(monkeypatch):
+    """On C_500(1, 2) at eps 1/2 no search after the first reads a neighbour
+    or arc list of a vertex in its round's a_start: each later escape search
+    starts at the last round's new vertices, each round-trip probe at its own."""
+    reads: list[tuple[str, set[int], frozenset[int]]] = []
+    probe = extension._round_trips
+
+    class Spied(EscapeSearch):
+        __slots__ = ()
+
+        def __init__(self, g, core, boundary=None):
+            spy = SimpleNamespace(n=g.n, _adj=_ReadLog(g._adj))
+            super().__init__(spy, core, boundary)
+            a_start = frozenset(core).difference(() if boundary is None else boundary)
+            reads.append(("search", set(spy._adj.read), a_start))
+
+    def spied(o, a_start, new):
+        spy = SimpleNamespace(_out=_ReadLog(o._out), _in=_ReadLog(o._in))
+        got = probe(spy, a_start, new)
+        reads.append(("probe", spy._out.read | spy._in.read, a_start))
+        return got
+
+    monkeypatch.setattr(extension, "EscapeSearch", Spied)
+    monkeypatch.setattr(extension, "_round_trips", spied)
+    result = run_pipeline(circulant_graph(500, (1, 2)), Fraction(1, 2))
+    rounds = result.extension.final["rounds"]
+    assert rounds >= 2
+    kinds = [kind for kind, _, _ in reads]
+    assert kinds == ["search"] + ["probe", "search"] * rounds
+    # the first search reads every core vertex: the log sees each read
+    first_read, core = reads[0][1], reads[0][2]
+    assert core <= first_read and len(core) == len(result.growth.core_vertices)
+    for kind, read, a_start in reads[1:]:
+        assert read and read.isdisjoint(a_start), kind
 
 
 def test_extension_makes_no_path_between_call(monkeypatch):
