@@ -22,7 +22,6 @@ from .graph import UNREACHABLE, Graph
 from .orientation import (
     Orientation,
     digraph_diameter,
-    directed_distance,
     directed_diameter,
     orient_path,
 )
@@ -214,52 +213,60 @@ def _chain_offset(i: int, a_val: int, b_val: int) -> tuple[int, bool]:
     return min(lo, i), True
 
 
-def _round_trips(
-    o: Orientation, a_start: frozenset[int], new: list[int]
-) -> tuple[dict[int, int | float], dict[int, int | float]]:
-    """Directed distances of each vertex of ``new`` to ``a_start`` and from
-    it, UNREACHABLE where there is none.
+def _lower(arcs: list[list[int]], label: dict[int, int], v: int, d: int) -> None:
+    """Lower ``label[v]`` to d and spread the fall along ``arcs``.
 
-    Exact when every arc joins two vertices of ``a_start`` or ``new``. A
-    shortest route between ``a_start`` and a vertex of ``new`` then meets
-    ``a_start`` only at its ``a_start`` end (a route that met it twice has
-    a shorter part), and its other vertices lie in ``new``. So each
-    direction's search starts at the vertices of ``new`` with an arc to or
-    from ``a_start``, read off their own arc lists, and never enters
-    ``a_start``: it reads no arc of an ``a_start`` vertex.
+    ``label`` holds directed distances from or to ``a_start`` (``arcs`` the
+    out-lists or the in-lists), read as 0 at a vertex it lacks; it was exact
+    before one new route put v within d. A label changes by at most one
+    across an arc, so a vertex whose label does not fall passes no fall on,
+    and the search relaxes only the vertices whose label falls. None of them
+    lies in ``a_start``, whose label 0 cannot fall.
     """
-    found = []
-    # to a_start walks the in-lists away from it, from a_start the out-lists
-    for fwd, back in ((o._in, o._out), (o._out, o._in)):
-        dist = dict.fromkeys(new, UNREACHABLE)
-        layer = [v for v in new if not a_start.isdisjoint(back[v])]
-        for v in layer:
-            dist[v] = 1
-        d = 1
-        while layer:
-            d += 1
-            nxt = []
-            for u in layer:
-                for w in fwd[u]:
-                    if dist.get(w) == UNREACHABLE:
-                        dist[w] = d
-                        nxt.append(w)
-            layer = nxt
-        found.append(dist)
-    return found[0], found[1]
+    label[v] = d
+    layer = [v]
+    while layer:
+        d += 1
+        nxt = []
+        for u in layer:
+            for w in arcs[u]:
+                if label.get(w, 0) > d:
+                    label[w] = d
+                    nxt.append(w)
+        layer = nxt
 
 
 def _absorb(
     o: Orientation,
-    a_start: frozenset[int],
     absorbed: set[int],
+    to_core: dict[int, int],
+    from_core: dict[int, int],
     v: int,
     anchor: int,
     q: list[int],
 ) -> dict:
     """Orient an entry/exit pair for one frontier vertex; returns the step record.
 
-    ``q`` is v's escape path to ``a_start`` that avoids the edge to its anchor.
+    ``q`` is v's escape path to the round's core ``a_start`` that avoids the
+    edge to its anchor. ``to_core`` and ``from_core`` hold the directed
+    distances of the round's new vertices to ``a_start`` and from it, and a
+    vertex they lack lies in ``a_start``. The step orients one directed path
+    between the anchor and q's first absorbed vertex v' = q[idx], forward
+    ``anchor -> q[0] -> ... -> q[idx]`` or the reverse, and keeps both
+    labels exact:
+
+    - q[0] .. q[idx - 1] have no other arc, so forward gives q[k] the
+      distance k + 1 from ``a_start`` and idx - k plus the distance of v' to
+      it, and the reverse the same with the two swapped;
+    - an earlier vertex meets the new path only through its anchor, already
+      in ``a_start``, or through v', so only the distance of v' from
+      ``a_start`` (forward; to it, in reverse) can fall, to idx + 1, and
+      ``_lower`` spreads the fall.
+
+    The labels are read before the path is oriented, as the offset window
+    sees the orientation. Every absorbed vertex gets both labels, finite,
+    when it is absorbed, so no step needs to test for a missing round trip;
+    the final diameter still refuses an orientation that is not strong.
     """
     i = len(q) - 1
     idx = next(k for k in range(1, len(q)) if q[k] in absorbed)
@@ -273,25 +280,27 @@ def _absorb(
         "vprime": vprime,
         "path": qprime,
     }
-    if vprime in a_start:
+    if vprime not in to_core:
         record["case"] = "core"
     else:
-        a_val = directed_distance(o, vprime, a_start)
-        b_val = directed_distance(o, vprime, a_start, reverse=True)
-        # never fires: each step orients its path and anchor edge in opposite
-        # directions, so all it absorbs lies on a directed walk out of a_start and back
-        if a_val == UNREACHABLE or b_val == UNREACHABLE:
-            raise CertifiedFailureError(
-                "absorbed vertex has no round trip yet",
-                details={"vertex": vprime},
-            )
-        j, record["window_empty"] = _chain_offset(i, int(a_val), int(b_val))
+        j, record["window_empty"] = _chain_offset(i, to_core[vprime], from_core[vprime])
         record["case"] = "chain"
         record["j"] = j
     forward = record["case"] == "core" or record["j"] < 0
     orient_path(o, qprime, forward=forward)
     o.assign(*((anchor, v) if forward else (v, anchor)))
     absorbed.update(qprime)
+    # the label that counts from the anchor along the path, the one that
+    # counts back through v', and the arcs the first one's fall spreads along
+    via_anchor, via_vprime, arcs = (
+        (from_core, to_core, o._out) if forward else (to_core, from_core, o._in)
+    )
+    beyond = via_vprime.get(vprime, 0)
+    for k in range(idx):
+        via_anchor[q[k]] = k + 1
+        via_vprime[q[k]] = idx - k + beyond
+    if via_anchor.get(vprime, 0) > idx + 1:
+        _lower(arcs, via_anchor, vprime, idx + 1)
     return record
 
 
@@ -346,7 +355,6 @@ def extend_orientation(
             )
         s_prev = s_r
         round_no += 1
-        a_start = frozenset(absorbed)
         v1 = search.frontier
         # g and a_start stay fixed for the round, so each escape path is too
         for v in v1:
@@ -356,25 +364,19 @@ def extend_orientation(
                     details={"vertex": v},
                 )
         steps: list[dict] = []
+        # the round's new vertices, keyed to their directed distances to the
+        # round's core a_start and from it (``_absorb``)
+        to_core: dict[int, int] = {}
+        from_core: dict[int, int] = {}
         # shortest escape first; the sort is stable, so ties keep vertex order
         for v in sorted(v1, key=search.length.__getitem__):
             if v in absorbed:
                 continue
-            rec = _absorb(o, a_start, absorbed, v, search.anchor[v], search.path(v))
+            rec = _absorb(o, absorbed, to_core, from_core, v, search.anchor[v], search.path(v))
             rec["round"] = round_no
             steps.append(rec)
-        new = sorted(absorbed - a_start)
-        # every arc so far joins two absorbed vertices: core arcs, and each
-        # step's path and anchor edge
-        din, dout = _round_trips(o, a_start, new)
-        bad = [v for v in new if din[v] == UNREACHABLE or dout[v] == UNREACHABLE]
-        # never fires, as in ``_absorb``
-        if bad:
-            raise CertifiedFailureError(
-                "absorbed vertices lack a certified round trip",
-                details={"round": round_no, "vertices": bad},
-            )
-        roundtrip = max((int(din[v] + dout[v]) for v in new), default=0)
+        new = sorted(to_core)
+        roundtrip = max((to_core[v] + from_core[v] for v in new), default=0)
         records.append(
             {
                 "type": "extension_round",

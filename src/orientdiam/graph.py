@@ -8,7 +8,6 @@ paths, distances and orderings are deterministic.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterable, Mapping, Sequence, Set
 
 from .errors import GraphFormatError
@@ -315,24 +314,32 @@ def girth(g: Graph) -> int | float:
     the first vertex that can close nothing shorter than ``best``, as every
     later one lies at least as deep.
     """
+    adj = g._adj
+    # distances from the root and BFS parents, -1 off the current search;
+    # each search's queue lists what it set, so the next one resets only that
+    dist = [-1] * g.n
+    parent = [-1] * g.n
     best: int | float = UNREACHABLE
     for root in range(g.n):
-        dist: dict[int, int] = {root: 0}
-        parent: dict[int, int] = {root: -1}
-        queue: deque[int] = deque([root])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] >= best - 1:
+        dist[root], parent[root] = 0, -1
+        queue = [root]
+        for u in queue:
+            du = dist[u]
+            if 2 * du >= best - 1:
                 break
-            for w in g.neighbors(u):
+            pu = parent[u]
+            for w in adj[u]:
                 if w < root:
                     continue
-                if w not in dist:
-                    dist[w] = dist[u] + 1
+                dw = dist[w]
+                if dw < 0:
+                    dist[w] = du + 1
                     parent[w] = u
                     queue.append(w)
-                elif w != parent[u]:
-                    best = min(best, dist[u] + dist[w] + 1)
+                elif w != pu and du + dw + 1 < best:
+                    best = du + dw + 1
+        for u in queue:
+            dist[u] = -1
         if best == 3:
             break
     return best
@@ -341,7 +348,7 @@ def girth(g: Graph) -> int | float:
 def min_degree(g: Graph) -> int:
     if g.n == 0:
         raise ValueError("min degree of the empty graph is undefined")
-    return min(g.degree(v) for v in range(g.n))
+    return min(map(len, g._adj))
 
 
 def ball(

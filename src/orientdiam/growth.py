@@ -452,7 +452,8 @@ def grow_core(g: Graph, eps: Fraction | int) -> GrowthResult:
     gval, scale, radius, reach = bound.girth, bound.scale, bound.radius, bound.reach
     budget = 50 + 10 * (reach + g.n)
 
-    v0 = min(range(g.n), key=lambda v: (-g.degree(v), v))
+    degs = list(map(len, g._adj))
+    v0 = degs.index(max(degs))  # a largest degree, the smallest such id
     h_v: set[int] = {v0}
     h_e: set[tuple[int, int]] = set()
     b_list: list[int] = [v0]

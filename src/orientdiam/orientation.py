@@ -7,7 +7,7 @@ behaves as the digraph of its assigned arcs.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence, Set
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import (
     GraphFormatError,
@@ -16,7 +16,7 @@ from .errors import (
     PreconditionError,
 )
 from .graph import (
-    UNREACHABLE, Graph, LayeredBFS, _bfs_among, _largest_eccentricity, all_distances,
+    UNREACHABLE, Graph, _bfs_among, _largest_eccentricity, all_distances,
     bridge_witness, dfs_forest, edge_key, read_rows, write_rows,
 )
 
@@ -85,25 +85,6 @@ def directed_distances_from(o: Orientation, sources: Iterable[int]) -> list[int 
 def directed_distances_to(o: Orientation, targets: Iterable[int]) -> list[int | float]:
     """Directed distance from every vertex to the nearest target."""
     return all_distances(o._in, targets)
-
-
-def directed_distance(
-    o: Orientation, v: int, targets: Set[int], reverse: bool = False
-) -> int | float:
-    """Directed distance from v to the nearest target, or with ``reverse`` from
-    the nearest target to v; UNREACHABLE when there is none.
-
-    Equals ``directed_distances_to(o, targets)[v]`` (``directed_distances_from``
-    with ``reverse``), but searches outward from v and stops at the first layer
-    that meets the targets.
-    """
-    if not 0 <= v < o.base.n:
-        raise ValueError(f"vertex {v} out of range")
-    if not targets:
-        raise ValueError("need at least one target")
-    search = LayeredBFS(o._in if reverse else o._out, (v,), meets=targets)
-    search.deepen(to_meet=True)
-    return search.met
 
 
 def _bit_levels(pull: list[list[int]], sources: list[int]) -> int | float:

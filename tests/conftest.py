@@ -28,6 +28,7 @@ from orientdiam.errors import (
 from orientdiam.graph import (
     UNREACHABLE,
     Graph,
+    LayeredBFS,
     _normalize_excluded,
     ball,
     bfs_distances,
@@ -587,13 +588,27 @@ def reference_escape_path(g: Graph, a_start, v: int, anchor: int) -> list[int] |
 
 
 def reference_round_trips(o: Orientation, a_start, new):
-    """The probe that ``extension._round_trips`` replaced: one directed BFS
-    per direction from the whole of ``a_start``, read at the vertices of
-    ``new``; distances to ``a_start`` first, then from it.
+    """The round-trip probe that the extension's labels replaced: one
+    directed BFS per direction from the whole of ``a_start``, read at the
+    vertices of ``new``; distances to ``a_start`` first, then from it.
     """
     din = directed_distances_to(o, a_start)
     dout = directed_distances_from(o, a_start)
     return {v: din[v] for v in new}, {v: dout[v] for v in new}
+
+
+def reference_directed_distance(o: Orientation, v: int, targets, reverse: bool = False):
+    """The per-step search that the extension's labels replaced: the directed
+    distance from v to the nearest target, or with ``reverse`` from the
+    nearest target to v; UNREACHABLE when there is none.
+
+    Equals ``directed_distances_to(o, targets)[v]`` (``directed_distances_from``
+    with ``reverse``), but searches outward from v and stops at the first
+    layer that meets the targets.
+    """
+    search = LayeredBFS(o._in if reverse else o._out, (v,), meets=targets)
+    search.deepen(to_meet=True)
+    return search.met
 
 
 def reference_random_bridgeless(n: int, delta: int, girth_floor: int, seed: int) -> Graph:

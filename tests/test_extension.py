@@ -6,13 +6,14 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import orientdiam
 from conftest import (
     bridgeless_graphs,
     perfbench_module,
     reference_chain_offset,
+    reference_directed_distance,
     reference_escape_path,
     reference_round_trips,
 )
@@ -263,20 +264,49 @@ def _check_seeded(g: Graph, search: EscapeSearch) -> bool:
     return True
 
 
-def _check_round_trips(monkeypatch) -> list[int]:
-    """Check every round-trip probe from now on against the whole-core probe
-    while its orientation is as the probe saw it; returns the sizes of the
-    checked rounds."""
+def _check_labels(monkeypatch) -> list[int]:
+    """Check the round-trip labels from now on against directed BFS: before
+    each chain step, the absorbed end's two labels, on the orientation as the
+    step sees it; at the end of each round, every new vertex's labels against
+    the whole-core probe. Returns the sizes of the checked rounds.
+
+    Wraps whatever ``EscapeSearch`` is installed: the one built from a
+    round's new vertices ends that round.
+    """
     sizes: list[int] = []
-    probe = extension._round_trips
+    # the round's orientation, absorbed set, a_start and label dicts
+    now: dict = {}
+    absorb, search = extension._absorb, extension.EscapeSearch
 
-    def checked(o, a_start, new):
-        got = probe(o, a_start, new)
-        assert got == reference_round_trips(o, a_start, new)
-        sizes.append(len(new))
-        return got
+    def checked(o, absorbed, to_core, from_core, v, anchor, q):
+        if now.get("to_core") is not to_core:
+            # a round's first step: nothing is absorbed beyond a_start yet
+            assert not to_core and not from_core
+            now.update(o=o, absorbed=absorbed, a_start=frozenset(absorbed),
+                       to_core=to_core, from_core=from_core)
+        vprime = next(x for x in q[1:] if x in absorbed)
+        chain = vprime in to_core
+        if chain:
+            a_val = reference_directed_distance(o, vprime, now["a_start"])
+            b_val = reference_directed_distance(o, vprime, now["a_start"], reverse=True)
+            assert (to_core[vprime], from_core[vprime]) == (a_val, b_val)
+        rec = absorb(o, absorbed, to_core, from_core, v, anchor, q)
+        if chain:
+            # the step reads its window off those two distances
+            assert (rec["j"], rec["window_empty"]) == _chain_offset(len(q) - 1, a_val, b_val)
+        return rec
 
-    monkeypatch.setattr(extension, "_round_trips", checked)
+    def round_end(g, core, boundary=None):
+        if boundary is not None:
+            new = list(boundary)
+            assert new == sorted(now["to_core"]) and core is now["absorbed"]
+            want = reference_round_trips(now["o"], now["a_start"], new)
+            assert (now["to_core"], now["from_core"]) == want
+            sizes.append(len(new))
+        return search(g, core, boundary)
+
+    monkeypatch.setattr(extension, "_absorb", checked)
+    monkeypatch.setattr(extension, "EscapeSearch", round_end)
     return sizes
 
 
@@ -302,9 +332,9 @@ def test_escape_paths_match_the_reference_search_every_round(family, monkeypatch
     """Each round's labelled search gives every frontier vertex the path the
     per-vertex search gives, in every round of every run, refusals included;
     each search seeded at the last round's new vertices equals the
-    whole-core search, and each round-trip probe the whole-core probe."""
+    whole-core search, and the round-trip labels equal directed BFS."""
     searches = _record_searches(monkeypatch)
-    probes = _check_round_trips(monkeypatch)
+    probes = _check_labels(monkeypatch)
     lengths = []
     seeded = 0
     for g in ESCAPE_FAMILIES[family]():
@@ -348,10 +378,11 @@ def test_escape_paths_match_the_reference_on_random_graphs(g):
 @given(bridgeless_graphs(max_n=30))
 def test_seeded_rounds_match_the_whole_core_on_random_graphs(g):
     """Every round from a one-vertex core, and of the pipeline at eps 1/2:
-    seeded searches and round-trip probes equal their whole-core forms."""
+    seeded searches equal their whole-core forms, and the round-trip labels
+    equal directed BFS."""
     with pytest.MonkeyPatch.context() as mp:
         searches = _record_searches(mp)
-        probes = _check_round_trips(mp)
+        probes = _check_labels(mp)
         extend_orientation(g, {0}, [])
         try:
             run_pipeline(g, Fraction(1, 2))
@@ -379,9 +410,10 @@ class _ReadLog(list):
 def test_rounds_read_no_arc_of_the_round_core(monkeypatch):
     """On C_500(1, 2) at eps 1/2 no search after the first reads a neighbour
     or arc list of a vertex in its round's a_start: each later escape search
-    starts at the last round's new vertices, each round-trip probe at its own."""
+    starts at the last round's new vertices, and each step's label update
+    reads only the arc lists of the round's new vertices."""
     reads: list[tuple[str, set[int], frozenset[int]]] = []
-    probe = extension._round_trips
+    absorb = extension._absorb
 
     class Spied(EscapeSearch):
         __slots__ = ()
@@ -392,24 +424,149 @@ def test_rounds_read_no_arc_of_the_round_core(monkeypatch):
             a_start = frozenset(core).difference(() if boundary is None else boundary)
             reads.append(("search", set(spy._adj.read), a_start))
 
-    def spied(o, a_start, new):
-        spy = SimpleNamespace(_out=_ReadLog(o._out), _in=_ReadLog(o._in))
-        got = probe(spy, a_start, new)
-        reads.append(("probe", spy._out.read | spy._in.read, a_start))
+    def spied(o, absorbed, to_core, from_core, v, anchor, q):
+        # the step's own arcs go through the real orientation; only the
+        # label update reads the logged arc lists
+        spy = SimpleNamespace(_out=_ReadLog(o._out), _in=_ReadLog(o._in), assign=o.assign)
+        a_start = frozenset(absorbed).difference(to_core)
+        got = absorb(spy, absorbed, to_core, from_core, v, anchor, q)
+        reads.append(("labels", spy._out.read | spy._in.read, a_start))
         return got
 
     monkeypatch.setattr(extension, "EscapeSearch", Spied)
-    monkeypatch.setattr(extension, "_round_trips", spied)
+    monkeypatch.setattr(extension, "_absorb", spied)
     result = run_pipeline(circulant_graph(500, (1, 2)), Fraction(1, 2))
     rounds = result.extension.final["rounds"]
     assert rounds >= 2
     kinds = [kind for kind, _, _ in reads]
-    assert kinds == ["search"] + ["probe", "search"] * rounds
+    steps = [r for r in result.extension.records if r["type"] == "extension_step"]
+    assert kinds.count("search") == rounds + 1 and kinds.count("labels") == len(steps)
+    assert kinds[0] == kinds[-1] == "search" and "search" not in kinds[1 : kinds.index("labels")]
     # the first search reads every core vertex: the log sees each read
     first_read, core = reads[0][1], reads[0][2]
     assert core <= first_read and len(core) == len(result.growth.core_vertices)
     for kind, read, a_start in reads[1:]:
-        assert read and read.isdisjoint(a_start), kind
+        assert read.isdisjoint(a_start), kind
+        # a label update reads arcs only when a label falls, which no round
+        # here shows; test_a_falling_label_spreads_through_new_vertices_only
+        # makes one fall under the same log
+        assert read or kind == "labels"
+
+
+def test_a_falling_label_spreads_through_new_vertices_only():
+    """A hand-made round on the 5-cycle 0..4 plus vertex 5 joined to 0 and
+    2, from a_start {0}: the second step orients 2 -> 5 -> 0, which lowers
+    the distance of 2 to a_start from 3 to 2, and of 1, one arc upstream,
+    from 4 to 3; the fall reads the in-lists of those two new vertices only."""
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (2, 5)])
+    o = Orientation(g)
+    absorbed: set[int] = {0}
+    to_core: dict[int, int] = {}
+    from_core: dict[int, int] = {}
+    first = extension._absorb(o, absorbed, to_core, from_core, 1, 0, [1, 2, 3, 4, 0])
+    assert first["case"] == "core"
+    assert (to_core, from_core) == ({1: 4, 2: 3, 3: 2, 4: 1}, {1: 1, 2: 2, 3: 3, 4: 4})
+    spy = SimpleNamespace(_out=_ReadLog(o._out), _in=_ReadLog(o._in), assign=o.assign)
+    second = extension._absorb(spy, absorbed, to_core, from_core, 5, 0, [5, 2, 1, 0])
+    assert (second["case"], second["j"], second["window_empty"]) == ("chain", 0, False)
+    assert (to_core, from_core[5]) == ({1: 3, 2: 2, 3: 2, 4: 1, 5: 1}, 3)
+    assert (to_core, from_core) == reference_round_trips(o, {0}, sorted(to_core))
+    assert (spy._in.read, spy._out.read) == ({1, 2}, set())
+
+
+def _reaches(g: Graph, w: int, absorbed: set[int], avoid: list[int]) -> bool:
+    """Whether w is absorbed or reaches an absorbed vertex by a path whose
+    other vertices are neither absorbed nor in ``avoid``."""
+    seen, todo = {w}, [w]
+    for x in todo:
+        if x in absorbed:
+            return True
+        for y in g.neighbors(x):
+            if y not in seen and y not in avoid:
+                seen.add(y)
+                todo.append(y)
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(bridgeless_graphs(max_n=16), st.data())
+def test_absorb_keeps_the_round_trip_labels_exact(g, data):
+    """Steps along any paths, escape paths or not, from a one- or two-vertex
+    a_start: after each step every new vertex's labels equal directed BFS to
+    and from a_start. Labels fall here, which no round of a real run in the
+    tests shows."""
+    a_start = frozenset(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=2)))
+    o = Orientation(g)
+    absorbed = set(a_start)
+    to_core: dict[int, int] = {}
+    from_core: dict[int, int] = {}
+
+    def ahead(q: list[int], anchor: int) -> list[int]:
+        # the next vertices of a simple walk off the anchor edge that can
+        # still end at an absorbed vertex
+        return [
+            w for w in g.neighbors(q[-1])
+            if w not in q and (w != anchor or len(q) > 1) and _reaches(g, w, absorbed, q)
+        ]
+
+    while True:
+        starts = [
+            (v, a) for v in range(g.n) if v not in absorbed
+            for a in g.neighbors(v) if a in a_start and ahead([v], a)
+        ]
+        if not starts:
+            break
+        v, anchor = data.draw(st.sampled_from(starts))
+        q = [v]
+        while q[-1] not in absorbed:
+            q.append(data.draw(st.sampled_from(ahead(q, anchor))))
+        # the escape length i only moves the offset window, and may exceed q's
+        q += [q[-1]] * data.draw(st.integers(0, 3))
+        extension._absorb(o, absorbed, to_core, from_core, v, anchor, q)
+        assert (to_core, from_core) == reference_round_trips(o, a_start, sorted(to_core))
+
+
+def test_extension_runs_no_directed_search_before_its_diameter(monkeypatch):
+    """A counting test, not a timing test: from a one-vertex core on
+    random_bridgeless(800, 4, 3, 0), the rounds build no ``LayeredBFS`` and
+    run no directed BFS; the chain steps read their windows off the labels,
+    and the first directed BFS is the final ``directed_diameter``'s."""
+    calls: list[str] = []
+    layered_init = graph.LayeredBFS.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("LayeredBFS")
+        layered_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(graph.LayeredBFS, "__init__", counted_init)
+    package = Path(orientdiam.__file__).parent
+    for name in ("all_distances", "_bfs_among"):
+        original = getattr(graph, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for p in package.glob("*.py"):
+            mod = importlib.import_module(f"orientdiam.{p.stem}") if p.stem != "__init__" else orientdiam
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    diameter = extension.directed_diameter
+
+    def final(o):
+        calls.append("directed_diameter")
+        return diameter(o)
+
+    monkeypatch.setattr(extension, "directed_diameter", final)
+    o, trace = extend_orientation(random_bridgeless(800, 4, 3, 0), {0}, [])
+    assert sum(r.get("case") == "chain" for r in trace.records) > 0
+    assert calls.index("directed_diameter") == 0 and "_bfs_among" in calls
+    assert "LayeredBFS" not in calls
+    # the counters are installed where the searches live
+    del calls[:]
+    reference_directed_distance(o, 0, {1})
+    orientdiam.orientation.directed_distances_to(o, {1})
+    assert calls[0] == "LayeredBFS" and "all_distances" in calls
 
 
 def test_extension_makes_no_path_between_call(monkeypatch):

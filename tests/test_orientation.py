@@ -13,6 +13,7 @@ from conftest import (
     dense_random_orientation,
     digraphs_with_sources,
     floyd_warshall_arcs,
+    reference_directed_distance,
     reference_orient_adjacency,
 )
 from orientdiam.errors import (
@@ -33,7 +34,6 @@ from orientdiam.orientation import (
     _bit_levels,
     digraph_diameter,
     directed_diameter,
-    directed_distance,
     directed_distances_from,
     directed_distances_to,
     format_orientation,
@@ -288,15 +288,20 @@ def test_core_directed_diameter_matches_per_vertex_bfs(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_directed_distance_probe_matches_full_bfs(data):
+    """The per-step reference search, kept in conftest, against Floyd-Warshall."""
     o = data.draw(random_orientations(complete=False))
     targets = frozenset(data.draw(vertex_sets(o.base.n, min_size=1)))
     v = data.draw(st.integers(0, o.base.n - 1))
     ref = floyd_warshall_arcs(o.base.n, o.arcs())
     to_targets = min(ref[v][t] for t in targets)
     from_targets = min(ref[t][v] for t in targets)
-    assert directed_distance(o, v, targets) == directed_distances_to(o, targets)[v] == to_targets
     assert (
-        directed_distance(o, v, targets, reverse=True)
+        reference_directed_distance(o, v, targets)
+        == directed_distances_to(o, targets)[v]
+        == to_targets
+    )
+    assert (
+        reference_directed_distance(o, v, targets, reverse=True)
         == directed_distances_from(o, targets)[v]
         == from_targets
     )
