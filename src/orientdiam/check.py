@@ -24,7 +24,7 @@ from .graph import UNREACHABLE, Graph, edge_key
 
 def check_preconditions(g: Graph) -> None:
     """Raise PreconditionError unless g is connected, bridgeless and has 3+ vertices."""
-    witness = graph.bridge_witness(g.adjacency())
+    witness = graph.bridge_witness(g._adj)
     if witness is not None:
         raise PreconditionError("graph must be connected and bridgeless", witness=witness)
     if g.n < 3:
@@ -64,11 +64,10 @@ def final_claims(
 
 def contracted_adjacency(
     core: set[int],
-    rep: int,
     vertices: Iterable[int],
     edges: Iterable[tuple[int, int]],
-) -> dict[int, list[int]]:
-    """Adjacency of a core plus new ``vertices`` and ``edges``, the core contracted to ``rep``.
+) -> list[list[int]]:
+    """Adjacency of a core plus new ``vertices`` and ``edges``, the core contracted to one vertex.
 
     Let H be a connected subgraph on the vertex set ``core`` and H' be H
     plus the new vertices and edges. An edge of H' outside H is a bridge of
@@ -78,20 +77,20 @@ def contracted_adjacency(
     adjacency is (``graph.bridge_witness`` is None), and the test costs what
     was added, not H.
 
-    ``rep`` stands for the whole core: a core vertex, or an id that is no
-    vertex of H'. An edge from a new vertex into the core becomes an edge to
-    ``rep``, parallel to the others, which the DFS of ``graph.dfs_forest``
+    The contracted core is vertex 0 and the new vertices are 1, 2, ... in
+    the order given. An edge from a new vertex into the core becomes an edge
+    to 0, parallel to the others, which the DFS of ``graph.dfs_forest``
     handles; an edge with both ends in the core becomes a loop and is left
     out. Every end outside the core must be one of ``vertices``.
     """
-    adj: dict[int, list[int]] = {rep: []}
-    adj.update((x, []) for x in vertices)
+    number = {x: i for i, x in enumerate(vertices, start=1)}
+    adj: list[list[int]] = [[] for _ in range(len(number) + 1)]
     for u, w in edges:
-        u = rep if u in core else u
-        w = rep if w in core else w
-        if u != w:
-            adj[u].append(w)
-            adj[w].append(u)
+        a = 0 if u in core else number[u]
+        b = 0 if w in core else number[w]
+        if a != b:
+            adj[a].append(b)
+            adj[b].append(a)
     return adj
 
 
@@ -370,7 +369,7 @@ def _replay_growth(
     which only the first lies in the core before it, and each iteration banks
     at least L = scale centers, a fallback one path[g], path[2g], ..., path[Lg].
     """
-    n, floor, gval, eps = g.n, bound.ball_size, bound.girth, bound.epsilon
+    floor, gval, eps = bound.ball_size, bound.girth, bound.epsilon
     radius, reach, scale = bound.radius, bound.reach, bound.scale
     failures: list[str] = []
 
@@ -400,7 +399,7 @@ def _replay_growth(
         if not h_v.issuperset(set(chain.from_iterable(added_e)) - added_v):
             raise GraphFormatError(f"growth iteration {pos}: core edges leave the core")
         escapes = len(path) == reach + 1 and path[0] in h_v and h_v.isdisjoint(path[1:])
-        adj = contracted_adjacency(h_v, n, added_v, added_e)
+        adj = contracted_adjacency(h_v, added_v, added_e)
         h_v |= added_v
         balls = set().union(*(graph.ball(g, c, radius, excluded=excluded) for c in centers))
         fresh = balls - f_set

@@ -8,7 +8,7 @@ paths, distances and orderings are deterministic.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence, Set
+from collections.abc import Iterable, Sequence, Set
 
 from .errors import GraphFormatError
 
@@ -58,8 +58,8 @@ class Graph:
         """All edges in canonical, sorted order."""
         return [(u, v) for u in range(self.n) for v in self._adj[u] if u < v]
 
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        return {v: self._adj[v] for v in range(self.n)}
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return self._adj
 
     def __eq__(self, other) -> bool:
         return (
@@ -366,48 +366,51 @@ def ball(
 
 
 # ---------------------------------------------------------------------------
-# connectivity and bridges (also usable on plain adjacency mappings, so the
-# same code serves subgraphs)
+# connectivity and bridges (over any vertex-indexed adjacency, so the same
+# code serves subgraphs and contracted graphs)
 
 
 def dfs_forest(
-    adj: Mapping[int, Sequence[int]],
-) -> tuple[dict[int, int], dict[int, int], set[tuple[int, int]]]:
+    adj: Sequence[Sequence[int]],
+) -> tuple[list[int], list[int], set[tuple[int, int]]]:
     """One depth-first search over every component: discovery order, parents, bridges.
 
-    Roots are taken in ascending order and neighbors in the order given; a
-    root's parent is -1, so the roots count the components. Lowpoints
-    (Tarjan 1974) give the bridges during the same search. Iterative, so
-    safe for paths longer than the recursion limit. A neighbor listed twice
-    is two parallel edges: the DFS skips one copy of the edge back to its
-    parent, so the other copy counts as a back edge and neither copy is a
-    bridge.
+    ``adj[v]`` lists v's neighbors, as in ``Graph._adj``; ``disc[v]`` is v's
+    discovery index and ``parent[v]`` its parent. Roots are taken in
+    ascending order and neighbors in the order given; a root's parent is -1,
+    so the roots count the components. Lowpoints (Tarjan 1974) give the
+    bridges during the same search. Iterative, so safe for paths longer than
+    the recursion limit. A neighbor listed twice is two parallel edges: the
+    DFS skips one copy of the edge back to its parent, so the other copy
+    counts as a back edge and neither copy is a bridge.
     """
-    disc: dict[int, int] = {}
-    low: dict[int, int] = {}
-    parent: dict[int, int] = {}
+    n = len(adj)
+    disc = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    skipped_parent = [False] * n
     out: set[tuple[int, int]] = set()
-    skipped_parent: set[int] = set()
-    for root in sorted(adj):
-        if root in disc:
+    count = 0
+    for root in range(n):
+        if disc[root] >= 0:
             continue
-        disc[root] = low[root] = len(disc)
-        parent[root] = -1
+        disc[root] = low[root] = count
+        count += 1
         stack: list[tuple[int, int, Iterable[int]]] = [(root, -1, iter(adj[root]))]
         while stack:
             u, p, it = stack[-1]
             for w in it:
-                if w == p and u not in skipped_parent:
-                    skipped_parent.add(u)
-                    continue
-                if w in disc:
-                    if disc[w] < low[u]:
-                        low[u] = disc[w]
-                    continue
-                disc[w] = low[w] = len(disc)
-                parent[w] = u
-                stack.append((w, u, iter(adj[w])))
-                break
+                if w == p and not skipped_parent[u]:
+                    skipped_parent[u] = True
+                elif (dw := disc[w]) >= 0:
+                    if dw < low[u]:
+                        low[u] = dw
+                else:
+                    disc[w] = low[w] = count
+                    count += 1
+                    parent[w] = u
+                    stack.append((w, u, iter(adj[w])))
+                    break
             else:
                 stack.pop()
                 if p != -1:
@@ -418,20 +421,21 @@ def dfs_forest(
     return disc, parent, out
 
 
-def bridges_of(adj: Mapping[int, Sequence[int]]) -> set[tuple[int, int]]:
-    """All bridges of the graph given as an adjacency mapping (see ``dfs_forest``)."""
+def bridges_of(adj: Sequence[Sequence[int]]) -> set[tuple[int, int]]:
+    """All bridges of the graph given as vertex-indexed adjacency (see ``dfs_forest``)."""
     return dfs_forest(adj)[2]
 
 
-def bridge_witness(adj: Mapping[int, Sequence[int]]) -> tuple[int, int] | str | None:
+def bridge_witness(adj: Sequence[Sequence[int]]) -> tuple[int, int] | str | None:
     """Why the graph is not connected and bridgeless: its smallest bridge, else
     ``"disconnected"`` (also when empty); None for one that is, a single vertex
     included. By Robbins (1939) these are the graphs with a strong orientation.
+    Adjacency as in ``dfs_forest``.
     """
     _, parent, br = dfs_forest(adj)
     if br:
         return min(br)
-    return "disconnected" if list(parent.values()).count(-1) != 1 else None
+    return "disconnected" if parent.count(-1) != 1 else None
 
 
 def is_bridgeless_connected(g: Graph) -> bool:

@@ -37,17 +37,6 @@ from .graph import (
 )
 
 
-def subgraph_adjacency(
-    vertices: set[int], edges: set[tuple[int, int]]
-) -> dict[int, list[int]]:
-    """Adjacency mapping of a vertex/edge subset, neighbor lists sorted."""
-    adj: dict[int, list[int]] = {v: [] for v in sorted(vertices)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return {v: sorted(ws) for v, ws in adj.items()}
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     """What one growth iteration did, and the vertices, edges and claimed
@@ -124,28 +113,27 @@ def _covered_prefix(
     before that the prefix is known without a search (see there).
 
     The bridge search runs on core + path with the pre-iteration core
-    ``h_v`` contracted to ``path[0]``, its only vertex on the path
-    (``contracted_adjacency``). This is exact while that core is connected,
-    since ``cover_path`` never removes one of its vertices or edges.
+    ``h_v``, whose only vertex on the path is ``path[0]``, contracted to one
+    vertex (``contracted_adjacency``). This is exact while that core is
+    connected, since ``cover_path`` never removes one of its vertices or
+    edges. The path's vertices are numbered first, so ``path[k]`` is vertex
+    k of the contracted graph, the core 0 included.
 
     The core is one vertex at iteration 0. A later core that is not
     connected and bridgeless is refused by ``check.certify`` at the
     iteration that built it, so nothing grown after it can certify.
     """
-    rep = path[0]
     path_edges = {edge_key(a, b) for a, b in zip(path, path[1:])}
-    outside = set(added).union(path[1:])
+    outside = list(dict.fromkeys(chain(path[1:], added)))
     edges = [
         (x, w)
         for x in outside
         for w in g.neighbors(x)
         if (x < w or w in h_v) and ((e := edge_key(x, w)) in hp_e or e in path_edges)
     ]
-    br = bridges_of(contracted_adjacency(h_v, rep, outside, edges))
+    br = bridges_of(contracted_adjacency(h_v, outside, edges))
     cp = 0
-    for a, b in zip(path, path[1:]):
-        if edge_key(a, b) in br:
-            break
+    while cp < len(path) - 1 and (cp, cp + 1) not in br:
         cp += 1
     return cp
 

@@ -7,7 +7,7 @@ behaves as the digraph of its assigned arcs.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     GraphFormatError,
@@ -201,22 +201,25 @@ def directed_diameter(o: Orientation) -> int | float:
 # constructing orientations
 
 
-def orient_adjacency(adj: Mapping[int, Sequence[int]]) -> list[tuple[int, int]]:
+def orient_adjacency(adj: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """DFS-orient a (sub)graph: tree arcs point down, back arcs point up.
 
-    Returns one (tail, head) arc per edge, sorted by canonical edge. The
-    search is ``graph.dfs_forest``'s (roots ascending, neighbors in the order
-    given), so the result is deterministic; on a connected bridgeless input
-    the digraph is strongly connected (Robbins 1939).
+    ``adj[v]`` lists the neighbors of each vertex v, sorted ascending; a
+    vertex outside the subgraph has none. Returns one (tail, head) arc per
+    edge, in canonical edge order: u ascending, then each neighbor w > u.
+    The search is ``graph.dfs_forest``'s (roots ascending, neighbors in the
+    order given), so the result is deterministic; on a connected bridgeless
+    input the digraph is strongly connected (Robbins 1939).
     """
     disc, parent, _ = dfs_forest(adj)
-    chosen: dict[tuple[int, int], tuple[int, int]] = {}
-    for u, nbrs in adj.items():
+    arcs = []
+    for u, nbrs in enumerate(adj):
         for w in nbrs:
-            if disc[u] < disc[w]:
+            if u < w:
                 # a tree edge points to its end discovered later, a back edge to the earlier
-                chosen[edge_key(u, w)] = (u, w) if parent[w] == u else (w, u)
-    return [chosen[e] for e in sorted(chosen)]
+                first, last = (u, w) if disc[u] < disc[w] else (w, u)
+                arcs.append((first, last) if parent[last] == first else (last, first))
+    return arcs
 
 
 def strong_orientation(g: Graph) -> Orientation:

@@ -11,7 +11,7 @@ from .check import certify
 from .errors import CertifiedFailureError
 from .extension import ExtensionTrace, extend_orientation
 from .graph import Graph
-from .growth import GrowthResult, grow_core, subgraph_adjacency
+from .growth import GrowthResult, grow_core
 from .orientation import Orientation, orient_adjacency
 
 
@@ -87,7 +87,12 @@ def run_pipeline(g: Graph, eps: Fraction | int) -> PipelineResult:
     timings["grow"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    arcs = orient_adjacency(subgraph_adjacency(set(growth.core_vertices), set(growth.core_edges)))
+    # the core's neighbor lists come out sorted: x's edges (u, x) with u < x sort before its (x, w)
+    core: list[list[int]] = [[] for _ in range(g.n)]
+    for u, w in sorted(growth.core_edges):
+        core[u].append(w)
+        core[w].append(u)
+    arcs = orient_adjacency(core)
     timings["orient_core"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -9,6 +9,7 @@ import random
 import signal
 import sys
 from collections import deque
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -50,7 +51,6 @@ from orientdiam.growth import (
     IterationRecord,
     _apply_splice,
     _bump,
-    subgraph_adjacency,
 )
 
 
@@ -378,6 +378,63 @@ def reference_orient_adjacency(adj, root):
     return [chosen[e] for e in sorted(chosen)]
 
 
+def reference_dfs_forest(
+    adj: Mapping[int, Sequence[int]],
+) -> tuple[dict[int, int], dict[int, int], set[tuple[int, int]]]:
+    """The DFS that ``graph.dfs_forest`` replaced, unchanged: adjacency as a
+    mapping keyed by vertex, discovery, lowpoint and parent kept in dicts.
+
+    Kept as the reference the vertex-indexed search is checked against:
+    both must give the same discovery order, parents and bridges.
+    """
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    parent: dict[int, int] = {}
+    out: set[tuple[int, int]] = set()
+    skipped_parent: set[int] = set()
+    for root in sorted(adj):
+        if root in disc:
+            continue
+        disc[root] = low[root] = len(disc)
+        parent[root] = -1
+        stack: list[tuple[int, int, Iterable[int]]] = [(root, -1, iter(adj[root]))]
+        while stack:
+            u, p, it = stack[-1]
+            for w in it:
+                if w == p and u not in skipped_parent:
+                    skipped_parent.add(u)
+                    continue
+                if w in disc:
+                    if disc[w] < low[u]:
+                        low[u] = disc[w]
+                    continue
+                disc[w] = low[w] = len(disc)
+                parent[w] = u
+                stack.append((w, u, iter(adj[w])))
+                break
+            else:
+                stack.pop()
+                if p != -1:
+                    if low[u] < low[p]:
+                        low[p] = low[u]
+                    if low[u] > disc[p]:
+                        out.add(edge_key(p, u))
+    return disc, parent, out
+
+
+def renumbered_adjacency(vertices, edges):
+    """A vertex/edge subset as sorted neighbor lists over 0..k-1, and its vertices
+    ascending, so that vertex i of the lists is ``ids[i]``.
+    """
+    ids = sorted(vertices)
+    number = {v: i for i, v in enumerate(ids)}
+    adj = [[] for _ in ids]
+    for u, v in edges:
+        adj[number[u]].append(number[v])
+        adj[number[v]].append(number[u])
+    return [sorted(ws) for ws in adj], ids
+
+
 def reference_covered_prefix(path, hp_v, hp_e):
     """The whole-subgraph bridge search that ``growth._covered_prefix`` replaced.
 
@@ -386,7 +443,8 @@ def reference_covered_prefix(path, hp_v, hp_e):
     """
     verts = hp_v | set(path)
     edges = hp_e | {edge_key(a, b) for a, b in zip(path, path[1:])}
-    br = bridges_of(subgraph_adjacency(verts, edges))
+    adj, ids = renumbered_adjacency(verts, edges)
+    br = {(ids[a], ids[b]) for a, b in bridges_of(adj)}
     cp = 0
     for a, b in zip(path, path[1:]):
         if edge_key(a, b) in br:
@@ -840,7 +898,7 @@ def reference_replay_growth(
         for c in centers:
             f_set |= ball(g, c, radius, excluded=excluded)
         b_list = b_list + centers
-        adj = subgraph_adjacency(new_h_v, new_h_e)
+        adj = renumbered_adjacency(new_h_v, new_h_e)[0]
         props = {
             "index": _field(rec, "index", "int") == pos,
             "edges_real": all(g.has_edge(u, v) for u, v in [*new_h_e, *path_edges]),

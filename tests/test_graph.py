@@ -15,6 +15,7 @@ from conftest import (
     floyd_warshall,
     floyd_warshall_without,
     girth_by_edge_removal,
+    reference_dfs_forest,
     reference_girth,
     reference_shortest_path,
 )
@@ -218,15 +219,15 @@ def test_bridges_frozen_values():
 
 
 def test_bridges_of_parallel_edges():
-    assert bridges_of({0: [1, 1], 1: [0, 0]}) == set()
-    assert bridges_of({0: [1], 1: [0, 2, 2], 2: [1, 1]}) == {(0, 1)}
+    assert bridges_of([[1, 1], [0, 0]]) == set()
+    assert bridges_of([[1], [0, 2, 2], [1, 1]]) == {(0, 1)}
 
 
 def test_dfs_forest_order_and_roots():
     # roots ascending, neighbors in the order given, parent -1 at each root
-    disc, parent, br = dfs_forest({0: [2, 1], 1: [0], 2: [0], 3: []})
-    assert disc == {0: 0, 2: 1, 1: 2, 3: 3}
-    assert parent == {0: -1, 2: 0, 1: 0, 3: -1}
+    disc, parent, br = dfs_forest([[2, 1], [0], [0], []])
+    assert disc == [0, 2, 1, 3]
+    assert parent == [-1, 0, 0, -1]
     assert br == {(0, 1), (0, 2)}
 
 
@@ -242,9 +243,9 @@ def test_bridge_witness_frozen_values():
     assert bridge_witness(Graph(1, []).adjacency()) is None
     assert bridge_witness(P4.adjacency()) == (0, 1)
     assert bridge_witness(two_triangles.adjacency()) == "disconnected"
-    assert bridge_witness({}) == "disconnected"
+    assert bridge_witness([]) == "disconnected"
     # parallel edges are never bridges, and the DFS still counts two roots
-    assert bridge_witness({0: [1, 1], 1: [0, 0], 2: [3, 3], 3: [2, 2]}) == "disconnected"
+    assert bridge_witness([[1, 1], [0, 0], [3, 3], [2, 2]]) == "disconnected"
     # bridges come first: a disconnected graph with a bridge names the bridge
     assert bridge_witness(Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]).adjacency()) == (3, 4)
 
@@ -377,28 +378,57 @@ def _component_count(n: int, pairs: list[tuple[int, int]]) -> int:
     return count
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_bridges_of_multigraph_matches_copy_removal(data):
-    """A repeated neighbor is a parallel edge: deleting one copy must split a component."""
-    n = data.draw(st.integers(min_value=1, max_value=8))
-    pairs = data.draw(
+@st.composite
+def multigraphs(draw) -> tuple[int, list[tuple[int, int]]]:
+    """A vertex count and its edges as vertex pairs; a repeated pair is a parallel edge."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = draw(
         st.lists(
             st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1]),
             max_size=14,
         )
     )
-    adj: dict[int, list[int]] = {v: [] for v in range(n)}
+    return n, pairs
+
+
+def multigraph_lists(n: int, pairs: list[tuple[int, int]]) -> list[list[int]]:
+    """Neighbor lists indexed by vertex, one entry per edge end."""
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in pairs:
         adj[u].append(v)
         adj[v].append(u)
+    return adj
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs())
+def test_bridges_of_multigraph_matches_copy_removal(multigraph):
+    """A repeated neighbor is a parallel edge: deleting one copy must split a component."""
+    n, pairs = multigraph
     base = _component_count(n, pairs)
     expected = {
         edge_key(*pairs[i])
         for i in range(len(pairs))
         if _component_count(n, pairs[:i] + pairs[i + 1 :]) > base
     }
-    assert bridges_of(adj) == expected
+    assert bridges_of(multigraph_lists(n, pairs)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        arbitrary_graphs().map(Graph.adjacency),
+        multigraphs().map(lambda m: multigraph_lists(*m)),
+    )
+)
+def test_dfs_forest_matches_reference(adj):
+    """The search on vertex-indexed lists visits, parents and bridges as the
+    dict-keyed one did, isolated vertices, components and parallel edges included."""
+    disc, parent, br = dfs_forest(adj)
+    ref_disc, ref_parent, ref_br = reference_dfs_forest(dict(enumerate(adj)))
+    assert disc == [ref_disc[v] for v in range(len(adj))]
+    assert parent == [ref_parent[v] for v in range(len(adj))]
+    assert br == ref_br
 
 
 @settings(max_examples=100, deadline=None)

@@ -22,7 +22,7 @@ from conftest import (
     reference_replay_growth,
     reference_stabilize,
 )
-from orientdiam.check import _replay_growth, certify
+from orientdiam.check import _replay_growth, certify, contracted_adjacency
 from orientdiam.errors import (
     CertifiedFailureError,
     GraphFormatError,
@@ -37,6 +37,7 @@ from orientdiam.graph import (
     LayeredBFS,
     ball,
     bfs_distances,
+    bridges_of,
     edge_key,
     girth,
     shortest_path_between,
@@ -47,7 +48,6 @@ from orientdiam.growth import (
     _stabilize,
     cover_path,
     grow_core,
-    subgraph_adjacency,
 )
 
 
@@ -243,11 +243,6 @@ def test_growth_rejects_tiny_and_bad_epsilon():
         grow_core(triangle, 0)
     with pytest.raises(PreconditionError, match="positive"):
         grow_core(triangle, Fraction(-1, 2))
-
-
-def test_subgraph_adjacency_sorted():
-    adj = subgraph_adjacency({3, 1, 2}, {(1, 3), (2, 3)})
-    assert adj == {1: [3], 2: [3], 3: [1, 2]}
 
 
 @settings(max_examples=20, deadline=None)
@@ -532,6 +527,18 @@ def test_covered_prefix_matches_whole_subgraph_reference():
         }
         want = reference_covered_prefix(path, hp_v, hp_e)
         assert _covered_prefix(g, path, h_v, hp_v - h_v, hp_e) == want, f"seed {seed}"
+
+
+def test_contracted_adjacency_numbers_the_core_zero():
+    # the escape path 1, 5, 3 leaves the triangle core {0, 1, 2}; its new
+    # vertices are given first, as _covered_prefix gives them, so path[k] is k
+    path = [1, 5, 3]
+    edges = [(0, 1), (1, 5), (2, 5), (3, 5)]
+    adj = contracted_adjacency({0, 1, 2}, path[1:], edges)
+    # the core-core edge is dropped; 5's two edges into the core are parallel at 0
+    assert adj == [[1, 1], [0, 0, 2], [1]]
+    assert bridges_of(adj) == {(1, 2)}
+    assert [(path[a], path[b]) for a, b in bridges_of(adj)] == [(5, 3)]
 
 
 # ---------------------------------------------------------------------------

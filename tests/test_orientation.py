@@ -26,8 +26,7 @@ from orientdiam.errors import (
 from orientdiam.extension import core_directed_diameter
 from orientdiam import orientation
 from orientdiam.generators import circulant_graph, complete_graph, cycle_graph
-from orientdiam.graph import UNREACHABLE, Graph, is_bridgeless_connected
-from orientdiam.growth import subgraph_adjacency
+from orientdiam.graph import UNREACHABLE, Graph, edge_key, is_bridgeless_connected
 from orientdiam.oracle import directed_diameter_of_arcs
 from orientdiam.orientation import (
     Orientation,
@@ -322,8 +321,16 @@ def test_orient_adjacency_matches_reference_dfs(g, data):
             if (u in comp) != (v in comp):
                 comp |= {u, v}
                 grew = True
-    adj = subgraph_adjacency(comp, {(u, v) for u, v in kept if u in comp})
-    assert orient_adjacency(adj) == reference_orient_adjacency(adj, min(comp))
+    # as run_pipeline hands over a core: n lists, sorted, empty off the component
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in kept:
+        if u in comp:
+            adj[u].append(v)
+            adj[v].append(u)
+    arcs = orient_adjacency(adj)
+    assert arcs == reference_orient_adjacency(adj, min(comp))
+    # canonical edge order (kept is in g.edges() order), as Orientation.arcs lists them
+    assert [edge_key(t, h) for t, h in arcs] == [e for e in kept if e[0] in comp]
 
 
 def test_digraph_diameter_frozen_cases():
